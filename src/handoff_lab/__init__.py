@@ -16,11 +16,9 @@ from .analytic import (
     crossing_time_cdf,
     crossing_time_pdf,
     crossing_time_support,
-    direction_pdf,
     expected_failure_over_speed,
     false_handoff_probability,
     handoff_failure_probability,
-    speed_pdf,
 )
 from .errors import (
     HandoffLabError,
@@ -37,10 +35,8 @@ from .geometry import (
     CellGeometry,
     DerivedGeometry,
     LocalFrame,
-    cluster_centers,
     derive_geometry,
     local_frame,
-    overlap_from_spacing,
     ray_chord_crossing,
 )
 from .montecarlo import (
@@ -91,7 +87,6 @@ __all__ = [
     "UnsupportedHandoffTypeError",
     "adapt_overlap",
     "classify_handoff",
-    "cluster_centers",
     "crossing_time",
     "crossing_time_cdf",
     "crossing_time_ecdf",
@@ -100,15 +95,12 @@ __all__ = [
     "delay_for",
     "derive_geometry",
     "derive_seed",
-    "direction_pdf",
     "estimate_failure",
     "estimate_false_handoff",
     "expected_failure_over_speed",
     "false_handoff_probability",
     "handoff_failure_probability",
     "local_frame",
-    "overlap_from_spacing",
     "ray_chord_crossing",
     "run_sweep",
-    "speed_pdf",
 ]

@@ -20,11 +20,10 @@ delay tau has elapsed, so the failure probability is exactly F(tau).
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
-from scipy.integrate import quad
-
-from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError
-from .geometry import CellGeometry, derive_geometry
+from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, coerce_numbers
+from .geometry import CellGeometry, DerivedGeometry, derive_geometry
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 
@@ -43,6 +42,7 @@ class SpeedModel:
     vmax_mps: float = 0.0
 
     def __post_init__(self):
+        coerce_numbers(self, "v_mps", "vmin_mps", "vmax_mps")
         if self.kind == "fixed":
             if not (math.isfinite(self.v_mps) and self.v_mps > 0):
                 raise InvalidParameterError(f"fixed speed must be positive, got {self.v_mps!r}")
@@ -87,6 +87,15 @@ def _check_speed(v_mps: float):
         raise OutOfDomainError(f"speed must be positive, got {v_mps!r}")
 
 
+def _support(dg: DerivedGeometry, v: float) -> Tuple[float, float]:
+    """(reach/v, grazing distance/v): the crossing-time support at speed v.
+
+    With a delay tau in place of v, the same pair is the slowest speed at
+    which some heading crosses within tau and the slowest at which all do.
+    """
+    return dg.trigger_to_chord_m / v, math.hypot(dg.trigger_to_chord_m, dg.half_chord_m) / v
+
+
 def crossing_time_support(geom: CellGeometry, v_mps: float) -> CrossingTimeSupport:
     """Earliest and latest possible chord-crossing times at a fixed speed.
 
@@ -95,26 +104,8 @@ def crossing_time_support(geom: CellGeometry, v_mps: float) -> CrossingTimeSuppo
     half-angle.
     """
     _check_speed(v_mps)
-    dg = derive_geometry(geom)
-    t_min = dg.trigger_to_chord_m / v_mps
-    t_max = math.hypot(dg.trigger_to_chord_m, dg.half_chord_m) / v_mps
+    t_min, t_max = _support(derive_geometry(geom), v_mps)
     return CrossingTimeSupport(t_min_s=t_min, t_max_s=t_max)
-
-
-def speed_pdf(v_mps: float, model: SpeedModel) -> float:
-    """Density of a uniform speed model at v_mps; zero outside [vmin, vmax]."""
-    if model.kind != "uniform":
-        raise InvalidParameterError("speed_pdf is defined for uniform speed models only")
-    if model.vmin_mps <= v_mps <= model.vmax_mps:
-        return 1.0 / (model.vmax_mps - model.vmin_mps)
-    return 0.0
-
-
-def direction_pdf(theta_rad: float) -> float:
-    """Density of the uniform heading law: 1/(2*pi) on (-pi, pi], else 0."""
-    if -math.pi < theta_rad <= math.pi:
-        return 1.0 / (2.0 * math.pi)
-    return 0.0
 
 
 def false_handoff_probability(geom: CellGeometry) -> float:
@@ -156,8 +147,7 @@ def crossing_time_pdf(geom: CellGeometry, v_mps: float, t_s: float) -> float:
     _check_speed(v_mps)
     dg = derive_geometry(geom)
     span = dg.mirror_span_m
-    t_min = dg.trigger_to_chord_m / v_mps
-    t_max = math.hypot(dg.trigger_to_chord_m, dg.half_chord_m) / v_mps
+    t_min, t_max = _support(dg, v_mps)
     if not math.isfinite(t_s) or t_s <= t_min or t_s >= t_max:
         return 0.0
     return span / (dg.chord_half_angle_rad * t_s * math.sqrt((2.0 * v_mps * t_s) ** 2 - span ** 2))
@@ -174,8 +164,7 @@ def crossing_time_cdf(geom: CellGeometry, v_mps: float, tau_s: float) -> float:
     if not (math.isfinite(tau_s) and tau_s >= 0):
         raise OutOfDomainError(f"tau_s must be finite and nonnegative, got {tau_s!r}")
     dg = derive_geometry(geom)
-    t_min = dg.trigger_to_chord_m / v_mps
-    t_max = math.hypot(dg.trigger_to_chord_m, dg.half_chord_m) / v_mps
+    t_min, t_max = _support(dg, v_mps)
     if tau_s <= t_min:
         return 0.0
     if tau_s >= t_max:
@@ -195,14 +184,37 @@ def handoff_failure_probability(geom: CellGeometry, v_mps: float, tau_s: float) 
     return crossing_time_cdf(geom, v_mps, tau_s)
 
 
+def _arccos_integral(c: float, lo: float, hi: float) -> float:
+    """Integral of arccos(c/v) over v in [lo, hi], for c <= lo < hi.
+
+    The antiderivative is G(v) = v*arccos(c/v) - c*ln(v + r), r = sqrt(v^2 - c^2).
+    G(hi) - G(lo) cancels badly on narrow ranges, so each difference is
+    taken in a form that never subtracts nearly equal numbers:
+    r_hi - r_lo = (hi - lo)(hi + lo)/(r_lo + r_hi), the arccos difference is
+    asin(c*(r_hi - r_lo)/(lo*hi)), and the log ratio is a log1p.
+    """
+    r_lo = math.sqrt((lo - c) * (lo + c))
+    r_hi = math.sqrt((hi - c) * (hi + c))
+    width = hi - lo
+    dr = width * (hi + lo) / (r_lo + r_hi)
+    return (
+        width * math.acos(c / hi)
+        + lo * math.asin(c * dr / (lo * hi))
+        - c * math.log1p((width + dr) / (lo + r_lo))
+    )
+
+
 def expected_failure_over_speed(geom: CellGeometry, model: SpeedModel, tau_s: float) -> float:
     """Failure probability averaged over a uniform speed model.
 
-    Integrates handoff_failure_probability over [vmin, vmax] and normalizes.
-    The integrand is 0 for speeds too slow to reach the chord within tau_s
-    and 1 for speeds that cross even along the grazing heading; the
-    quadrature runs only over the smooth middle piece, so the absolute error
-    stays well under 1e-6.
+    The failure probability is 0 for speeds too slow to reach the chord
+    within tau_s (below reach/tau_s), 1 for speeds that cross even along the
+    grazing heading, and arccos(c/v)/half_angle in between, c = reach/tau_s.
+    The middle piece is integrated in closed form (see _arccos_integral), so
+    there is no quadrature error; against 40-digit arithmetic the result is
+    good to a few 1e-15.  Ranges that hug v = c lose digits because
+    arccos(c/v) is ill-conditioned there: a single rounding of c already
+    moves it by about 1e-16 * c/sqrt(v^2 - c^2).
     """
     if model.kind != "uniform":
         raise InvalidParameterError("expected_failure_over_speed needs a uniform speed model")
@@ -211,23 +223,14 @@ def expected_failure_over_speed(geom: CellGeometry, model: SpeedModel, tau_s: fl
     if tau_s == 0.0:
         return 0.0
     dg = derive_geometry(geom)
-    v_all_slow = dg.trigger_to_chord_m / tau_s                                  # below: never fails
-    v_all_fast = math.hypot(dg.trigger_to_chord_m, dg.half_chord_m) / tau_s    # above: always fails
+    v_all_slow, v_all_fast = _support(dg, tau_s)  # below: never fails; above: always fails
     vmin, vmax = model.vmin_mps, model.vmax_mps
 
     total = 0.0
     mid_lo = min(max(vmin, v_all_slow), vmax)
     mid_hi = max(min(vmax, v_all_fast), vmin)
     if mid_hi > mid_lo:
-        part, _ = quad(
-            lambda v: handoff_failure_probability(geom, v, tau_s),
-            mid_lo,
-            mid_hi,
-            epsabs=1e-9,
-            epsrel=1e-9,
-            limit=200,
-        )
-        total += part
+        total += _arccos_integral(v_all_slow, mid_lo, mid_hi) / dg.chord_half_angle_rad
     if vmax > v_all_fast:
         total += vmax - max(vmin, v_all_fast)
     value = total / (vmax - vmin)

@@ -639,14 +639,18 @@ def _merge_flags(doc: dict, args: argparse.Namespace) -> dict:
         doc["handoff_type"] = args.handoff_type
         doc.pop("delay_s", None)
 
+    return _merge_mc_flags(doc, args)
+
+
+def _merge_mc_flags(doc: dict, args: argparse.Namespace) -> dict:
+    """Overlay --samples/--seed/--batches onto the document's mc block."""
     for flag in ("samples", "seed", "batches"):
         value = getattr(args, flag, None)
         if value is not None:
-            doc.setdefault("mc", {})
-            if not isinstance(doc["mc"], dict):
+            mc_doc = {} if doc.get("mc") is None else doc["mc"]
+            if not isinstance(mc_doc, dict):
                 raise ScenarioValidationError("mc", "must be a mapping")
-            doc["mc"] = dict(doc["mc"])
-            doc["mc"][flag] = value
+            doc["mc"] = {**mc_doc, flag: value}
     return doc
 
 
@@ -665,16 +669,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sink = OutputSink(format=args.format, path=args.out)
         if args.command == "sweep":
             doc = _load_yaml_mapping(_read_text(args.spec), "sweep spec")
-            for flag in ("samples", "seed", "batches"):
-                value = getattr(args, flag)
-                if value is not None:
-                    mc_doc = doc.get("mc") or {}
-                    if not isinstance(mc_doc, dict):
-                        raise ScenarioValidationError("mc", "must be a mapping")
-                    mc_doc = dict(mc_doc)
-                    mc_doc[flag] = value
-                    doc["mc"] = mc_doc
-            spec = sweep_spec_from_dict(doc, env=os.environ)
+            spec = sweep_spec_from_dict(_merge_mc_flags(doc, args), env=os.environ)
             return execute("sweep", sweep=spec, sink=sink)
 
         doc = _load_yaml_mapping(_read_text(args.scenario), "scenario") if args.scenario else {}
@@ -687,18 +682,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             kwargs["from_bs"] = args.from_bs
             kwargs["to_bs"] = args.to_bs
         return execute(args.command, scenario=scenario, sink=sink, **kwargs)
-    except (ScenarioParseError, ScenarioValidationError, InvalidParameterError) as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotBracketedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except HandoffLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # bad input exits 2; a computation that could not finish exits 1
+        bad_input = isinstance(exc, HandoffLabError) and not isinstance(exc, NotBracketedError)
+        return 2 if bad_input else 1
 
 
 if __name__ == "__main__":

@@ -103,9 +103,6 @@ class SweepTable:
     rows: Tuple[Tuple[float, ...], ...]
     provenance: Dict[str, str] = field(compare=False)
 
-    def series_count(self) -> int:
-        return len({row[0] for row in self.rows}) if self.rows else 0
-
 
 def _provenance(spec: SweepSpec) -> Dict[str, str]:
     prov = {

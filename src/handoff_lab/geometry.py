@@ -24,11 +24,11 @@ from the trigger point to the chord midpoint.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, coerce_numbers
 
 Point = Tuple[float, float]
 
@@ -47,12 +47,13 @@ class CellGeometry:
     overlap_m: float = 0.0
 
     def __post_init__(self):
+        coerce_numbers(self, "cell_radius_m", "overlap_m")
         a = self.cell_radius_m
-        if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
+        if not (math.isfinite(a) and a > 0):
             raise InvalidParameterError(f"cell_radius_m must be finite and positive, got {a!r}")
         bound = SQRT3 / 2.0 * a
         ov = self.overlap_m
-        if not (isinstance(ov, (int, float)) and math.isfinite(ov) and 0.0 <= ov < bound):
+        if not (math.isfinite(ov) and 0.0 <= ov < bound):
             raise InvalidParameterError(
                 f"overlap_m must lie in [0, {bound:.6g}) for cell_radius_m={a:.6g}, got {ov!r}"
             )
@@ -135,23 +136,6 @@ def local_frame(geom: CellGeometry) -> LocalFrame:
     )
 
 
-def overlap_from_spacing(cell_radius_m: float, center_spacing_m: float) -> float:
-    """Overlap depth for two cells whose centers sit center_spacing_m apart.
-
-    Tangent hexagons (spacing = sqrt(3) * radius) give zero overlap; closer
-    centers overlap more.  Spacing must be positive and at most that bound.
-    """
-    a = cell_radius_m
-    if not (math.isfinite(a) and a > 0):
-        raise InvalidParameterError(f"cell_radius_m must be finite and positive, got {a!r}")
-    s = center_spacing_m
-    if not (math.isfinite(s) and 0.0 < s <= SQRT3 * a):
-        raise InvalidParameterError(
-            f"center_spacing_m must lie in (0, {SQRT3 * a:.6g}] so the cells overlap or touch, got {s!r}"
-        )
-    return (SQRT3 * a - s) / 2.0
-
-
 def ray_chord_crossing(frame: LocalFrame, heading_rad: float) -> Optional[float]:
     """Distance from the trigger point to where a ray crosses the chord.
 
@@ -196,21 +180,3 @@ def ray_chord_crossing_many(frame: LocalFrame, headings_rad: np.ndarray) -> np.n
         s = (ax * dy - ay * dx) / den
     hit = (den != 0.0) & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
     return np.where(hit, t, np.nan)
-
-
-def cluster_centers(cell_radius_m: float) -> List[Point]:
-    """Centers of a seven-cell cluster: one cell ringed by six neighbors.
-
-    The first element is the origin; the six neighbors sit at distance
-    sqrt(3)*a (twice the hexagon apothem) at multiples of 60 degrees.
-    """
-    if not (math.isfinite(cell_radius_m) and cell_radius_m > 0):
-        raise InvalidParameterError(
-            f"cell_radius_m must be finite and positive, got {cell_radius_m!r}"
-        )
-    spacing = SQRT3 * cell_radius_m
-    centers: List[Point] = [(0.0, 0.0)]
-    for k in range(6):
-        ang = math.radians(60.0 * k)
-        centers.append((spacing * math.cos(ang), spacing * math.sin(ang)))
-    return centers

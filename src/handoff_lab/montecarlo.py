@@ -19,7 +19,7 @@ from typing import Callable, List, Union
 import numpy as np
 
 from .analytic import SpeedModel, crossing_time_cdf
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, coerce_numbers
 from .geometry import CellGeometry, derive_geometry, local_frame, ray_chord_crossing_many
 
 _MASK64 = (1 << 64) - 1
@@ -34,11 +34,12 @@ class SimControls:
     batches: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.samples, int) and self.samples >= 1):
+        coerce_numbers(self, "samples", "seed", "batches", integer=True)
+        if not self.samples >= 1:
             raise InvalidParameterError(f"samples must be an integer >= 1, got {self.samples!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed <= _MASK64):
+        if not 0 <= self.seed <= _MASK64:
             raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not (isinstance(self.batches, int) and 1 <= self.batches <= self.samples):
+        if not 1 <= self.batches <= self.samples:
             raise InvalidParameterError(
                 f"batches must be an integer in [1, samples], got {self.batches!r}"
             )

@@ -37,15 +37,11 @@ class ForeignAgent:
 
 @dataclass(frozen=True)
 class AccessSystem:
-    """One administrative system: a gateway agent over its foreign agents.
-
-    ha_id records the home agent when known; nothing here consumes it.
-    """
+    """One administrative system: a gateway agent over its foreign agents."""
 
     system_id: str
     gfa_id: str
     fas: Tuple[ForeignAgent, ...]
-    ha_id: Optional[str] = None
 
     def __post_init__(self):
         if not self.fas:
@@ -105,7 +101,6 @@ class NetworkTopology:
                     system_id=str(raw["system_id"]),
                     gfa_id=str(raw["gfa_id"]),
                     fas=tuple(fas),
-                    ha_id=str(raw["ha_id"]) if raw.get("ha_id") is not None else None,
                 )
             )
         return cls(systems)

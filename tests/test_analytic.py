@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,11 +15,9 @@ from handoff_lab.analytic import (
     crossing_time_cdf,
     crossing_time_pdf,
     crossing_time_support,
-    direction_pdf,
     expected_failure_over_speed,
     false_handoff_probability,
     handoff_failure_probability,
-    speed_pdf,
 )
 from handoff_lab.errors import InvalidParameterError, NotBracketedError, OutOfDomainError
 from handoff_lab.geometry import CellGeometry, derive_geometry
@@ -28,24 +29,8 @@ MC_N = 10**6
 
 
 # ----------------------------------------------------------------------
-# speed and direction laws
+# speed model
 # ----------------------------------------------------------------------
-
-def test_speed_pdf_uniform_values():
-    model = SpeedModel.uniform(40.0, 60.0)
-    assert speed_pdf(50.0, model) == 0.05
-    assert speed_pdf(40.0, model) == 0.05
-    assert speed_pdf(70.0, model) == 0.0
-    assert speed_pdf(10.0, model) == 0.0
-
-
-def test_speed_pdf_normalizes():
-    model = SpeedModel.uniform(13.0, 61.0)
-    total, _ = quad(
-        lambda v: speed_pdf(v, model), 0.0, 100.0, points=[13.0, 61.0], limit=200
-    )
-    assert total == pytest.approx(1.0, abs=1e-9)
-
 
 def test_speed_model_validation():
     with pytest.raises(InvalidParameterError):
@@ -56,17 +41,26 @@ def test_speed_model_validation():
         SpeedModel.fixed(-3.0)
     with pytest.raises(InvalidParameterError):
         SpeedModel(kind="gauss", v_mps=1.0)
-    with pytest.raises(InvalidParameterError):
-        speed_pdf(10.0, SpeedModel.fixed(10.0))
 
 
-def test_direction_pdf():
-    assert direction_pdf(0.0) == pytest.approx(0.1591549, abs=1e-7)
-    assert direction_pdf(math.pi) == pytest.approx(1 / (2 * math.pi))
-    assert direction_pdf(3 * math.pi / 2) == 0.0
-    assert direction_pdf(-math.pi) == 0.0
-    total, _ = quad(direction_pdf, -math.pi, math.pi)
-    assert total == pytest.approx(1.0, abs=1e-9)
+@pytest.mark.parametrize(
+    "make,ok",
+    [
+        (lambda: SpeedModel.fixed(np.float32(50.0)), True),
+        (lambda: SpeedModel.uniform(np.int64(40), np.float64(60.0)), True),
+        (lambda: SpeedModel.fixed(True), False),
+        (lambda: SpeedModel.uniform(False, 60.0), False),
+        (lambda: SpeedModel.fixed("50"), False),
+    ],
+)
+def test_speed_model_numeric_inputs(make, ok):
+    # bools are rejected, numpy scalars are stored as plain float
+    if not ok:
+        with pytest.raises(InvalidParameterError):
+            make()
+        return
+    model = make()
+    assert {type(model.v_mps), type(model.vmin_mps), type(model.vmax_mps)} == {float}
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +341,67 @@ def test_expected_failure_matches_dense_average():
         [handoff_failure_probability(KM_CELL, float(v), 3.0) for v in grid], grid
     ) / (model.vmax_mps - model.vmin_mps)
     assert value == pytest.approx(float(dense), abs=5e-6)
+
+
+def _speed_average_cases():
+    """Seeded (geometry, vmin, vmax, tau) cases for the quadrature oracle.
+
+    With c = reach/tau, the failure probability is 0 below v = c and 1 above
+    the grazing speed.  Narrow ranges (relative width 1e-12 to 1e-6) sit at
+    least 1% of the way into the middle piece: right at c, arccos(c/v) is
+    so ill-conditioned that quad over the rounded integrand is no 1e-12
+    oracle either.  The other ranges straddle one edge or start exactly at
+    c, where the integrand has a square-root onset.
+    """
+    rng = np.random.default_rng(61)
+    cases = []
+    for kind in ("narrow", "straddle_slow", "straddle_fast", "at_slow"):
+        for _ in range(40):
+            a = rng.uniform(200, 4000)
+            geom = CellGeometry(a, rng.uniform(0, 0.9 * SQRT3 * a / 2))
+            tau = rng.uniform(0.5, 8.0)
+            dg = derive_geometry(geom)
+            slow = dg.trigger_to_chord_m / tau
+            fast = math.hypot(dg.trigger_to_chord_m, dg.half_chord_m) / tau
+            if kind == "narrow":
+                vmin = slow + rng.uniform(0.01, 0.99) * (fast - slow)
+                vmax = vmin * (1.0 + 10.0 ** rng.uniform(-12, -6))
+            elif kind == "straddle_slow":
+                vmin, vmax = slow * rng.uniform(0.5, 0.999), rng.uniform(slow, fast) * 1.001
+            elif kind == "straddle_fast":
+                vmin, vmax = rng.uniform(slow, fast) * 0.999, fast * rng.uniform(1.001, 2.0)
+            else:
+                vmin, vmax = slow, slow + 10.0 ** rng.uniform(-6, 0) * (fast - slow)
+            cases.append((geom, vmin, vmax, tau, [v for v in (slow, fast) if vmin < v < vmax]))
+    return cases
+
+
+def test_expected_failure_matches_quadrature_oracle():
+    for geom, vmin, vmax, tau, kinks in _speed_average_cases():
+        value = expected_failure_over_speed(geom, SpeedModel.uniform(vmin, vmax), tau)
+        integral, _ = quad(
+            lambda v: handoff_failure_probability(geom, v, tau),
+            vmin,
+            vmax,
+            points=kinks or None,
+            epsabs=0.0,
+            epsrel=1e-11,
+            limit=200,
+        )
+        assert value == pytest.approx(integral / (vmax - vmin), abs=1e-12), (geom, vmin, vmax, tau)
+
+
+def test_cli_import_does_not_load_scipy():
+    # the closed-form speed average keeps scipy out of the runtime
+    import handoff_lab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(handoff_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import handoff_lab.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_expected_failure_requires_uniform_model():

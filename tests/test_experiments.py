@@ -32,7 +32,7 @@ def test_false_vs_overlap_trends():
     assert table.columns == ("cell_radius_m", "overlap_m", "false_handoff_probability")
     assert len(table.rows) == 3 * 40
     series = rows_by_series(table)
-    assert table.series_count() == 3
+    assert len(series) == 3
     for radius, rows in series.items():
         values = [r[2] for r in rows]
         assert values[0] == pytest.approx(7.0 / 12.0, rel=1e-12)

@@ -7,10 +7,8 @@ from handoff_lab.errors import InvalidParameterError
 from handoff_lab.geometry import (
     CellGeometry,
     LocalFrame,
-    cluster_centers,
     derive_geometry,
     local_frame,
-    overlap_from_spacing,
     ray_chord_crossing,
     ray_chord_crossing_many,
 )
@@ -122,32 +120,26 @@ def test_invalid_geometry_rejected(radius, overlap):
         CellGeometry(radius, overlap)
 
 
-# ----------------------------------------------------------------------
-# overlap_from_spacing
-# ----------------------------------------------------------------------
-
-def test_overlap_from_spacing_tangent():
-    assert overlap_from_spacing(1000.0, SQRT3 * 1000.0) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_overlap_from_spacing_known_value():
-    # spacing printed to 4 decimals, so the recovered overlap is good to ~5e-5
-    assert overlap_from_spacing(1000.0, 1332.0508) == pytest.approx(200.0, abs=1e-4)
-
-
-def test_overlap_from_spacing_round_trip():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        a = rng.uniform(10, 5000)
-        overlap = rng.uniform(0, 0.95 * SQRT3 * a / 2)
-        spacing = SQRT3 * a - 2 * overlap
-        assert overlap_from_spacing(a, spacing) == pytest.approx(overlap, rel=1e-12, abs=1e-9)
-
-
-@pytest.mark.parametrize("spacing", [1800.0, 0.0, -10.0, math.inf])
-def test_overlap_from_spacing_rejects_non_overlapping(spacing):
-    with pytest.raises(InvalidParameterError):
-        overlap_from_spacing(1000.0, spacing)
+@pytest.mark.parametrize(
+    "radius,overlap,ok",
+    [
+        (np.float32(1000.0), 0.0, True),
+        (np.int64(1000), np.float64(10.0), True),
+        (1000, 0, True),
+        (True, 0.0, False),
+        (1000.0, False, False),
+        ("1000", 0.0, False),
+    ],
+)
+def test_geometry_numeric_inputs(radius, overlap, ok):
+    # bools are rejected, numpy scalars are stored as plain float
+    if not ok:
+        with pytest.raises(InvalidParameterError):
+            CellGeometry(radius, overlap)
+        return
+    geom = CellGeometry(radius, overlap)
+    assert (type(geom.cell_radius_m), type(geom.overlap_m)) == (float, float)
+    assert geom == CellGeometry(float(radius), float(overlap))
 
 
 # ----------------------------------------------------------------------
@@ -235,25 +227,3 @@ def test_local_frame_rejects_inconsistent_points():
     with pytest.raises(InvalidParameterError):
         LocalFrame(trigger_point=(100, 0), chord_start=(100, 0), chord_end=(100, 0),
                    chord_midpoint=(100, 0))
-
-
-# ----------------------------------------------------------------------
-# cluster_centers
-# ----------------------------------------------------------------------
-
-def test_cluster_layout():
-    centers = cluster_centers(1000.0)
-    assert len(centers) == 7
-    assert centers[0] == (0.0, 0.0)
-    for cx, cy in centers[1:]:
-        assert math.hypot(cx, cy) == pytest.approx(1732.0508, abs=1e-4)
-    ring = centers[1:]
-    for i in range(6):
-        ax, ay = ring[i]
-        bx, by = ring[(i + 1) % 6]
-        assert math.dist((ax, ay), (bx, by)) == pytest.approx(SQRT3 * 1000.0, abs=1e-9)
-
-
-def test_cluster_rejects_bad_radius():
-    with pytest.raises(InvalidParameterError):
-        cluster_centers(0.0)

@@ -47,6 +47,28 @@ def test_controls_validation():
         SimControls(samples=10, seed=0, batches=11)
 
 
+@pytest.mark.parametrize(
+    "samples,seed,batches,ok",
+    [
+        (np.int64(10), 1, 1, True),
+        (10, np.uint64(7), np.int32(2), True),
+        (True, 1, 1, False),
+        (10, False, 1, False),
+        (10, 1, True, False),
+        (10.0, 1, 1, False),
+    ],
+)
+def test_controls_numeric_inputs(samples, seed, batches, ok):
+    # bools are rejected, numpy integers are stored as plain int
+    if not ok:
+        with pytest.raises(InvalidParameterError):
+            SimControls(samples, seed, batches)
+        return
+    ctl = SimControls(samples, seed, batches)
+    assert (type(ctl.samples), type(ctl.seed), type(ctl.batches)) == (int, int, int)
+    assert ctl == SimControls(int(samples), int(seed), int(batches))
+
+
 def test_estimate_requires_consistent_error():
     Estimate(p_hat=0.25, std_err=math.sqrt(0.25 * 0.75 / 100), n=100, seed=3)
     with pytest.raises(InvalidParameterError):
