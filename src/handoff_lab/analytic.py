@@ -22,8 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, coerce_numbers
-from .geometry import CellGeometry, DerivedGeometry, derive_geometry
+from .geometry import CellGeometry, DerivedGeometry, _derive, derive_geometry
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 
@@ -87,11 +89,17 @@ def _check_speed(v_mps: float):
         raise OutOfDomainError(f"speed must be positive, got {v_mps!r}")
 
 
+def _check_tau(tau_s: float):
+    if not (math.isfinite(tau_s) and tau_s >= 0):
+        raise OutOfDomainError(f"tau_s must be finite and nonnegative, got {tau_s!r}")
+
+
 def _support(dg: DerivedGeometry, v: float) -> Tuple[float, float]:
     """(reach/v, grazing distance/v): the crossing-time support at speed v.
 
     With a delay tau in place of v, the same pair is the slowest speed at
     which some heading crosses within tau and the slowest at which all do.
+    An ndarray v gives a pair of arrays.
     """
     return dg.trigger_to_chord_m / v, math.hypot(dg.trigger_to_chord_m, dg.half_chord_m) / v
 
@@ -153,6 +161,40 @@ def crossing_time_pdf(geom: CellGeometry, v_mps: float, t_s: float) -> float:
     return span / (dg.chord_half_angle_rad * t_s * math.sqrt((2.0 * v_mps * t_s) ** 2 - span ** 2))
 
 
+def _cdf(dg: DerivedGeometry, v: float, tau: float) -> float:
+    """crossing_time_cdf on derived geometry, without input checks."""
+    t_min, t_max = _support(dg, v)
+    if tau <= t_min:
+        return 0.0
+    if tau >= t_max:
+        return 1.0
+    value = math.acos(dg.mirror_span_m / (2.0 * v * tau)) / dg.chord_half_angle_rad
+    # clamp only after the branch logic; roundoff can nudge past the ends
+    return min(1.0, max(0.0, value))
+
+
+def _cdf_many(dg: DerivedGeometry, v, tau) -> np.ndarray:
+    """_cdf over arrays: v and tau broadcast, and every element equals the
+    scalar _cdf bit for bit.
+
+    The branches, the acos argument and the clamp are single IEEE operations
+    in either form.  The acos itself is not: numpy's SIMD arccos differs
+    from libm's acos in the last ulp on about 9% of inputs on AVX-512
+    hardware, so the interior elements go through math.acos one by one.
+    """
+    v = np.asarray(v, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    t_min, t_max = _support(dg, v)
+    out = (tau >= t_max).astype(float)
+    inside = (tau > t_min) & (tau < t_max)
+    v_in = np.broadcast_to(v, out.shape)[inside]
+    tau_in = np.broadcast_to(tau, out.shape)[inside]
+    cos = dg.mirror_span_m / (2.0 * v_in * tau_in)
+    angle = np.fromiter(map(math.acos, cos), float, len(cos))
+    out[inside] = np.clip(angle / dg.chord_half_angle_rad, 0.0, 1.0)
+    return out
+
+
 def crossing_time_cdf(geom: CellGeometry, v_mps: float, tau_s: float) -> float:
     """Probability that the chord is crossed within tau_s seconds.
 
@@ -161,17 +203,8 @@ def crossing_time_cdf(geom: CellGeometry, v_mps: float, tau_s: float) -> float:
     at both ends.
     """
     _check_speed(v_mps)
-    if not (math.isfinite(tau_s) and tau_s >= 0):
-        raise OutOfDomainError(f"tau_s must be finite and nonnegative, got {tau_s!r}")
-    dg = derive_geometry(geom)
-    t_min, t_max = _support(dg, v_mps)
-    if tau_s <= t_min:
-        return 0.0
-    if tau_s >= t_max:
-        return 1.0
-    value = math.acos(dg.mirror_span_m / (2.0 * v_mps * tau_s)) / dg.chord_half_angle_rad
-    # clamp only after the branch logic; roundoff can nudge past the ends
-    return min(1.0, max(0.0, value))
+    _check_tau(tau_s)
+    return _cdf(derive_geometry(geom), v_mps, tau_s)
 
 
 def handoff_failure_probability(geom: CellGeometry, v_mps: float, tau_s: float) -> float:
@@ -218,8 +251,7 @@ def expected_failure_over_speed(geom: CellGeometry, model: SpeedModel, tau_s: fl
     """
     if model.kind != "uniform":
         raise InvalidParameterError("expected_failure_over_speed needs a uniform speed model")
-    if not (math.isfinite(tau_s) and tau_s >= 0):
-        raise OutOfDomainError(f"tau_s must be finite and nonnegative, got {tau_s!r}")
+    _check_tau(tau_s)
     if tau_s == 0.0:
         return 0.0
     dg = derive_geometry(geom)
@@ -259,15 +291,16 @@ def adapt_overlap(
     if not (math.isfinite(cell_radius_m) and cell_radius_m > 0):
         raise InvalidParameterError(f"cell_radius_m must be positive, got {cell_radius_m!r}")
     _check_speed(v_mps)
-    if not (math.isfinite(tau_s) and tau_s >= 0):
-        raise OutOfDomainError(f"tau_s must be finite and nonnegative, got {tau_s!r}")
+    _check_tau(tau_s)
     if not (math.isfinite(target_pf) and target_pf > 0):
         raise NotBracketedError(f"target_pf must be positive, got {target_pf!r}")
 
+    # Every bisection point lies in [0, hi] with hi below the overlap bound,
+    # so the radius is checked once and each step skips CellGeometry.
+    a = CellGeometry(cell_radius_m).cell_radius_m
+
     def pf(overlap: float) -> float:
-        return handoff_failure_probability(
-            CellGeometry(cell_radius_m, overlap), v_mps, tau_s
-        )
+        return _cdf(_derive(a, float(overlap)), v_mps, tau_s)
 
     def solution(overlap: float) -> OverlapSolution:
         geom = CellGeometry(cell_radius_m, overlap)

@@ -5,6 +5,7 @@ The CLI maps these onto exit codes; library users get ordinary
 ValueError/LookupError semantics.
 """
 
+import math
 import numbers
 
 
@@ -44,15 +45,32 @@ class ScenarioValidationError(HandoffLabError, ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def coerce_numbers(obj, *names: str, integer: bool = False) -> None:
+def coerce_numbers(
+    obj, *names: str, integer: bool = False, each: bool = False, finite: bool = False
+) -> None:
     """Store the named fields of a frozen dataclass as plain float (or int).
 
     Any real (integral with integer=True) number is accepted, numpy scalars
-    included; bools and everything else raise InvalidParameterError.
+    included; bools and everything else raise InvalidParameterError, and so
+    do infinities and NaN with finite=True.  With each=True every field is a
+    sequence, stored as a tuple of such numbers.
     """
     kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
-    for name in names:
-        value = getattr(obj, name)
+
+    def coerce(value, name):
         if isinstance(value, bool) or not isinstance(value, kind):
             raise InvalidParameterError(f"{name} must be {what}, got {value!r}")
-        object.__setattr__(obj, name, int(value) if integer else float(value))
+        value = int(value) if integer else float(value)
+        if finite and not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+        return value
+
+    for name in names:
+        value = getattr(obj, name)
+        if each:
+            if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+                raise InvalidParameterError(f"{name} must be a sequence of numbers, got {value!r}")
+            value = tuple(coerce(x, f"{name}[{i}]") for i, x in enumerate(value))
+        else:
+            value = coerce(value, name)
+        object.__setattr__(obj, name, value)

@@ -8,7 +8,9 @@ Three sweep kinds cover the quantities worth plotting:
     failure_vs_delay   failure probability vs signaling delay, one series
                        per overlap
 
-Every grid point's analytic value is a direct call into the analytic module.
+Every grid point's analytic value comes from the analytic module: one call
+per point for false handoffs, one array call per series for failures, whose
+values equal the scalar handoff_failure_probability bit for bit.
 When Monte Carlo controls are attached, each point gets an estimate and
 standard error from its own derived substream, so the whole table is a pure
 function of the sweep spec.
@@ -20,9 +22,9 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .analytic import false_handoff_probability, handoff_failure_probability
-from .errors import InvalidParameterError
-from .geometry import CellGeometry
+from .analytic import _cdf_many, false_handoff_probability
+from .errors import InvalidParameterError, coerce_numbers
+from .geometry import CellGeometry, derive_geometry
 from .montecarlo import SimControls, derive_seed, estimate_failure, estimate_false_handoff
 
 SWEEP_KINDS = ("false_vs_overlap", "failure_vs_speed", "failure_vs_delay")
@@ -37,7 +39,9 @@ class Axis:
     steps: int
 
     def __post_init__(self):
-        if not (isinstance(self.steps, int) and self.steps >= 2):
+        coerce_numbers(self, "start", "stop", finite=True)
+        coerce_numbers(self, "steps", integer=True)
+        if not self.steps >= 2:
             raise InvalidParameterError(f"axis needs steps >= 2, got {self.steps!r}")
         if not self.stop > self.start:
             raise InvalidParameterError(
@@ -69,6 +73,9 @@ class SweepSpec:
     mc: Optional[SimControls] = None
 
     def __post_init__(self):
+        coerce_numbers(self, "cell_radius_m", "overlap_m", each=True, finite=True)
+        fixed = [name for name in ("speed_mps", "delay_s") if getattr(self, name) is not None]
+        coerce_numbers(self, *fixed, finite=True)
         if self.kind not in SWEEP_KINDS:
             raise InvalidParameterError(
                 f"kind must be one of {', '.join(SWEEP_KINDS)}, got {self.kind!r}"
@@ -130,7 +137,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     (an overlap beyond a radius' bound, say) raise with the offending point
     named rather than being skipped.
     """
-    axis_values = [float(x) for x in spec.axis.points()]
+    grid = spec.axis.points()
+    axis_values = grid.tolist()
     rows = []
     point_index = 0
 
@@ -161,6 +169,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
                 point_index += 1
         return SweepTable(tuple(columns), tuple(rows), _provenance(spec))
 
+    def speed_delay(x):
+        return (x, spec.delay_s) if spec.kind == "failure_vs_speed" else (spec.speed_mps, x)
+
     a = spec.cell_radius_m[0]
     swept_name = "speed_mps" if spec.kind == "failure_vs_speed" else "delay_s"
     columns = ["overlap_m", swept_name, "failure_probability"]
@@ -173,14 +184,13 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
             raise InvalidParameterError(
                 f"grid series (cell_radius_m={a:.9g}, overlap_m={ov:.9g}): {exc}"
             ) from exc
-        for x in axis_values:
-            if spec.kind == "failure_vs_speed":
-                v, tau = x, spec.delay_s
-            else:
-                v, tau = spec.speed_mps, x
-            row = [ov, x, handoff_failure_probability(geom, v, tau)]
+        # SweepSpec keeps every speed positive and every delay finite and
+        # nonnegative, so the whole series goes through the unchecked core
+        probs = _cdf_many(derive_geometry(geom), *speed_delay(grid)).tolist()
+        for x, p in zip(axis_values, probs):
+            row = [ov, x, p]
             if spec.mc is not None:
-                est = estimate_failure(geom, v, tau, mc_controls())
+                est = estimate_failure(geom, *speed_delay(x), mc_controls())
                 row += [est.p_hat, est.std_err]
             rows.append(tuple(row))
             point_index += 1

@@ -105,8 +105,12 @@ def derive_geometry(geom: CellGeometry) -> DerivedGeometry:
     Invalid geometry raises at CellGeometry construction; nothing is clamped
     here.
     """
-    a = geom.cell_radius_m
-    overlap = geom.overlap_m
+    return _derive(geom.cell_radius_m, geom.overlap_m)
+
+
+def _derive(a: float, overlap: float) -> DerivedGeometry:
+    """derive_geometry without the CellGeometry checks, for callers that
+    already know 0 <= overlap < sqrt(3)/2 * a (the overlap solver's bracket)."""
     standoff = (2.0 - SQRT3) / 2.0 * a
     reach = standoff + overlap
     half_chord = a / 2.0 + overlap / SQRT3

@@ -5,11 +5,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from handoff_lab.analytic import (
     CrossingTimeSupport,
     SpeedModel,
+    _cdf_many,
     adapt_overlap,
     crossing_time,
     crossing_time_cdf,
@@ -259,6 +262,56 @@ def test_cdf_monotone_in_tau():
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_cdf_array_form_matches_scalar_at_branch_points():
+    cases = ((KM_CELL, 50.0), (CellGeometry(700.0, 300.0), 12.5), (CellGeometry(3000.0, 5.0), 90.0))
+    for geom, v in cases:
+        support = crossing_time_support(geom, v)
+        t_min, t_max = support.t_min_s, support.t_max_s
+        taus = [
+            0.0,
+            t_min,
+            math.nextafter(t_min, math.inf),
+            0.5 * (t_min + t_max),
+            math.nextafter(t_max, 0.0),
+            t_max,
+            math.nextafter(t_max, math.inf),
+            2.0 * t_max,
+        ]
+        got = _cdf_many(derive_geometry(geom), v, np.array(taus))
+        want = [crossing_time_cdf(geom, v, t) for t in taus]
+        assert np.array_equal(_bits(got), _bits(want))
+        assert got[[0, 1]].tolist() == [0.0, 0.0]
+        assert got[[5, 6, 7]].tolist() == [1.0, 1.0, 1.0]
+        assert 0.0 < got[2] < got[3] < got[4] <= 1.0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    a=st.floats(100.0, 5000.0),
+    overlap_frac=st.floats(0.0, 0.99),
+    speeds=st.lists(st.floats(0.5, 120.0), min_size=1, max_size=6),
+    delay_fracs=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=12),
+)
+def test_cdf_array_form_property(a, overlap_frac, speeds, delay_fracs):
+    geom = CellGeometry(a, overlap_frac * SQRT3 / 2.0 * a)
+    # delays spread over the first speed's support and past it, plus every
+    # speed's exact support endpoints, where the branches switch
+    t_max0 = crossing_time_support(geom, speeds[0]).t_max_s
+    taus = [f * t_max0 for f in delay_fracs]
+    for v in speeds:
+        support = crossing_time_support(geom, v)
+        taus += [support.t_min_s, support.t_max_s]
+    taus = np.array(sorted(taus))
+    got = _cdf_many(derive_geometry(geom), np.array(speeds)[:, None], taus)
+    want = [[crossing_time_cdf(geom, v, float(t)) for t in taus] for v in speeds]
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.all(np.diff(got, axis=1) >= 0.0)
+
+
 def test_cdf_validation():
     with pytest.raises(OutOfDomainError):
         crossing_time_cdf(KM_CELL, 0.0, 3.0)
@@ -421,6 +474,21 @@ def test_adapt_overlap_recovers_known_points():
     near_ten = adapt_overlap(1000.0, 50.0, 3.0, 0.2199)
     assert near_ten.overlap_m == pytest.approx(10.0, abs=0.01)
     assert near_ten.failure_probability == pytest.approx(0.2199, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "args,overlap_m",
+    [
+        ((1000.0, 50.0, 3.0, 0.25), 8.218448165439641),
+        ((1000.0, 50.0, 3.0, 0.2199), 9.998478637378236),
+        ((800.0, 30.0, 4.0, 0.1), 11.829090237406948),
+        ((2000.0, 40.0, 10.0, 0.5), 54.324164758273035),
+    ],
+)
+def test_adapt_overlap_pinned(args, overlap_m):
+    # frozen from the solver that built a validated CellGeometry at every
+    # bisection step; the unchecked steps must land on the same bits
+    assert adapt_overlap(*args).overlap_m == overlap_m
 
 
 def test_adapt_overlap_round_trip():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from handoff_lab.analytic import false_handoff_probability, handoff_failure_probability
@@ -210,6 +211,42 @@ def test_spec_validation():
         SweepSpec(kind="failure_vs_speed", axis=good_axis, cell_radius_m=(1000.0,))
     with pytest.raises(InvalidParameterError):
         SweepSpec(kind="failure_vs_delay", axis=Axis(0.0, 5.0, 3), cell_radius_m=(1000.0,))
+
+
+@pytest.mark.parametrize(
+    "make,ok",
+    [
+        (lambda: SweepSpec("failure_vs_delay", Axis(0.0, 5.0, 3), cell_radius_m=(1000.0,),
+                           speed_mps=True), False),
+        (lambda: Axis(0.0, 1.0, np.int64(5)), True),
+        (lambda: SweepSpec("false_vs_overlap", Axis(0.0, 100.0, 3),
+                           cell_radius_m=(np.float32(1000),)), True),
+        (lambda: Axis(0.0, math.inf, 3), False),
+        (lambda: SweepSpec("failure_vs_speed", Axis(10.0, 50.0, 3), cell_radius_m=(1000.0,),
+                           delay_s=math.inf), False),
+        (lambda: SweepSpec("failure_vs_delay", Axis(0.0, 5.0, 3), cell_radius_m=(1000.0,),
+                           speed_mps=math.inf), False),
+        (lambda: SweepSpec("failure_vs_speed", Axis(10.0, 50.0, 3), cell_radius_m=(1000.0,),
+                           overlap_m=(np.int64(0), False), delay_s=3.0), False),
+        (lambda: SweepSpec("failure_vs_speed", Axis(np.int64(10), 50.0, 3), cell_radius_m=(1000,),
+                           overlap_m=(np.float32(25.0),), delay_s=np.float32(3.0)), True),
+    ],
+    ids=["bool-speed", "numpy-steps", "numpy-radius", "inf-axis", "inf-delay", "inf-speed",
+         "bool-overlap", "numpy-fixed-values"],
+)
+def test_sweep_numeric_inputs(make, ok):
+    # bools and non-finite values are rejected at construction; numpy
+    # scalars are stored, and reach the rows, as plain float/int
+    if not ok:
+        with pytest.raises(InvalidParameterError):
+            make()
+        return
+    made = make()
+    if isinstance(made, Axis):
+        assert (type(made.start), type(made.stop), type(made.steps)) == (float, float, int)
+        assert made.points().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        return
+    assert {type(x) for row in run_sweep(made).rows for x in row} == {float}
 
 
 def test_invalid_grid_point_is_named():

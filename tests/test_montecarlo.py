@@ -187,6 +187,21 @@ def test_ecdf_matches_distribution():
     assert report.ks_stat == pytest.approx(0.0038758650766587133, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "geom,v",
+    [(KM_CELL, 50.0), (CellGeometry(500.0, 120.0), 15.0), (CellGeometry(2500.0, 900.0), 33.3)],
+)
+def test_ecdf_ks_equals_scalar_cdf_loop(geom, v):
+    # the vectorised KS step gives exactly what a per-sample loop over the
+    # scalar closed form gives
+    report = crossing_time_ecdf(geom, v, SimControls(samples=20_000, seed=5, batches=3))
+    n = report.n
+    model = np.array([crossing_time_cdf(geom, v, float(t)) for t in report.times_s])
+    ranks = np.arange(1, n + 1)
+    ks = max(float((ranks / n - model).max()), float((model - (ranks - 1) / n).max()))
+    assert report.ks_stat == ks
+
+
 def test_ecdf_times_live_on_support():
     report = crossing_time_ecdf(KM_CELL, 50.0, SimControls(samples=5_000, seed=11))
     support = crossing_time_support(KM_CELL, 50.0)
