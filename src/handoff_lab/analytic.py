@@ -288,8 +288,6 @@ def adapt_overlap(
     Raises NotBracketedError when no overlap in that range can reach the
     target.  Ties at a bracket edge return the edge.
     """
-    if not (math.isfinite(cell_radius_m) and cell_radius_m > 0):
-        raise InvalidParameterError(f"cell_radius_m must be positive, got {cell_radius_m!r}")
     _check_speed(v_mps)
     _check_tau(tau_s)
     if not (math.isfinite(target_pf) and target_pf > 0):
@@ -310,7 +308,7 @@ def adapt_overlap(
             false_handoff_probability=false_handoff_probability(geom),
         )
 
-    lo, hi = 0.0, SQRT3_HALF * cell_radius_m - 1e-9 * cell_radius_m
+    lo, hi = 0.0, SQRT3_HALF * a - 1e-9 * a
     pf_lo, pf_hi = pf(lo), pf(hi)
     if target_pf > pf_lo:
         raise NotBracketedError(
@@ -331,7 +329,7 @@ def adapt_overlap(
     for _ in range(_ADAPT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         resid = pf(mid) - target_pf
-        if abs(resid) <= _ADAPT_TOL and hi - lo <= 1e-7 * cell_radius_m:
+        if abs(resid) <= _ADAPT_TOL and hi - lo <= 1e-7 * a:
             break
         if resid > 0.0:
             lo = mid

@@ -7,7 +7,6 @@ failed to parse or validate, 1 when a computation could not finish.
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -29,9 +28,10 @@ from .errors import (
     NotBracketedError,
     ScenarioParseError,
     ScenarioValidationError,
+    coerce_numbers,
 )
 from .experiments import Axis, SweepSpec, SweepTable, run_sweep
-from .geometry import SQRT3, CellGeometry
+from .geometry import CellGeometry
 from .montecarlo import SimControls, estimate_failure, estimate_false_handoff
 from .topology import (
     DelayProfile,
@@ -76,6 +76,12 @@ class Scenario:
     topology: Optional[NetworkTopology]
     mc: Optional[SimControls]
 
+    def __post_init__(self):
+        if self.delay_s is not None:
+            coerce_numbers(self, "delay_s", finite=True)
+            if not self.delay_s >= 0:
+                raise InvalidParameterError(f"delay_s must be nonnegative, got {self.delay_s!r}")
+
     def resolved_delay_s(self) -> float:
         """Explicit delay if given, else the profile's delay for the handoff type."""
         if self.delay_s is not None:
@@ -114,169 +120,102 @@ def _load_yaml_mapping(text: str, what: str) -> dict:
     return doc
 
 
-def _number(doc: Mapping, key: str, path: str) -> float:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError(path, f"must be a number, got {value!r}")
-    if not math.isfinite(float(value)):
-        raise ScenarioValidationError(path, f"must be finite, got {value!r}")
-    return float(value)
+def _shape(doc, keys, required=(), path: str = "") -> dict:
+    """Check doc's shape, the only check parsing makes: a mapping with only
+    the given keys and every required one.  path is doc's own, "" at the top."""
+    if not isinstance(doc, dict):
+        raise ScenarioValidationError(path or "document", f"must be a mapping, got {doc!r}")
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        if key not in keys:
+            raise ScenarioValidationError(f"{prefix}{key}", "is not a recognized key")
+    for key in required:
+        if key not in doc:
+            raise ScenarioValidationError(f"{prefix}{key}", "is required")
+    return doc
 
 
-def _integer(doc: Mapping, key: str, path: str) -> int:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioValidationError(path, f"must be an integer, got {value!r}")
-    return value
-
-
-def _parse_speed(raw, env_path: str = "speed") -> SpeedModel:
-    if isinstance(raw, bool):
-        raise ScenarioValidationError(env_path, f"must be a number or a vmin/vmax mapping, got {raw!r}")
-    if isinstance(raw, (int, float)):
-        if not (math.isfinite(float(raw)) and raw > 0):
-            raise ScenarioValidationError(env_path, f"must be a positive speed in m/s, got {raw!r}")
-        return SpeedModel.fixed(float(raw))
-    if isinstance(raw, dict):
-        extra = set(raw) - {"vmin", "vmax"}
-        if extra:
-            raise ScenarioValidationError(env_path, f"unknown speed keys: {sorted(extra)}")
-        if "vmin" not in raw or "vmax" not in raw:
-            raise ScenarioValidationError(env_path, "a speed range needs both vmin and vmax")
-        vmin = _number(raw, "vmin", f"{env_path}.vmin")
-        vmax = _number(raw, "vmax", f"{env_path}.vmax")
-        if not 0 < vmin:
-            raise ScenarioValidationError(f"{env_path}.vmin", f"must be positive, got {vmin!r}")
-        if not vmin < vmax:
-            raise ScenarioValidationError(
-                f"{env_path}.vmax", f"must exceed vmin={vmin:.9g}, got {vmax!r}"
-            )
-        return SpeedModel.uniform(vmin, vmax)
-    raise ScenarioValidationError(env_path, f"must be a number or a vmin/vmax mapping, got {raw!r}")
-
-
-def _parse_delay_profile(raw, path: str) -> DelayProfile:
-    if not isinstance(raw, dict):
-        raise ScenarioValidationError(path, f"must be a mapping, got {raw!r}")
-    extra = set(raw) - {"intra_s", "inter_s", "link_layer_s"}
-    if extra:
-        raise ScenarioValidationError(path, f"unknown keys: {sorted(extra)}")
-    kwargs = {}
-    for key in ("intra_s", "inter_s", "link_layer_s"):
-        if key in raw and raw[key] is not None:
-            kwargs[key] = _number(raw, key, f"{path}.{key}")
+def _checked(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs) with an InvalidParameterError reported at path.
+    A dataclass holding several keys is built one key at a time, so that the
+    error names its key."""
     try:
-        return DelayProfile(**kwargs)
+        return build(*args, **kwargs)
     except InvalidParameterError as exc:
         raise ScenarioValidationError(path, str(exc)) from exc
 
 
-def _resolve_seed(mc_doc: Mapping, env: Mapping[str, str]) -> int:
-    if "seed" in mc_doc:
-        return _integer(mc_doc, "seed", "mc.seed")
-    raw = env.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+def _parse_speed(raw) -> SpeedModel:
+    if not isinstance(raw, dict):
+        return _checked("speed", SpeedModel.fixed, raw)
+    _shape(raw, ("vmin", "vmax"), required=("vmin", "vmax"), path="speed")
+    vmin = _checked("speed.vmin", SpeedModel.fixed, raw["vmin"]).v_mps
+    return _checked("speed.vmax", SpeedModel.uniform, vmin, raw["vmax"])
+
+
+def _resolve_seed(mc_doc: Mapping, env: Optional[Mapping[str, str]]):
+    """The mc block's seed, else the integer in SEED_ENV_VAR, else 0."""
+    env = os.environ if env is None else env
+    if "seed" in mc_doc or SEED_ENV_VAR not in env:
+        return mc_doc.get("seed", 0)
     try:
-        return int(raw)
+        return int(env[SEED_ENV_VAR])
     except ValueError:
         raise ScenarioValidationError(
-            "mc.seed", f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
+            "mc.seed", f"{SEED_ENV_VAR} must be an integer, got {env[SEED_ENV_VAR]!r}"
         ) from None
 
 
-def _parse_mc(raw, env: Mapping[str, str]) -> SimControls:
-    if not isinstance(raw, dict):
-        raise ScenarioValidationError("mc", f"must be a mapping, got {raw!r}")
-    extra = set(raw) - {"samples", "seed", "batches"}
-    if extra:
-        raise ScenarioValidationError("mc", f"unknown keys: {sorted(extra)}")
-    if "samples" not in raw:
-        raise ScenarioValidationError("mc.samples", "is required when an mc block is present")
-    samples = _integer(raw, "samples", "mc.samples")
-    seed = _resolve_seed(raw, env)
-    batches = _integer(raw, "batches", "mc.batches") if "batches" in raw else 1
-    try:
-        return SimControls(samples=samples, seed=seed, batches=batches)
-    except InvalidParameterError as exc:
-        msg = str(exc)
-        key = "samples" if "samples" in msg else ("batches" if "batches" in msg else "seed")
-        raise ScenarioValidationError(f"mc.{key}", msg) from exc
+def _parse_mc(raw, env: Optional[Mapping[str, str]]) -> SimControls:
+    _shape(raw, ("samples", "seed", "batches"), required=("samples",), path="mc")
+    samples = _checked("mc.samples", SimControls, raw["samples"], 0).samples
+    seed = _checked("mc.seed", SimControls, samples, _resolve_seed(raw, env)).seed
+    return _checked("mc.batches", SimControls, samples, seed, raw.get("batches", 1))
 
 
 def scenario_from_dict(doc: dict, env: Optional[Mapping[str, str]] = None) -> Scenario:
-    """Validate a plain mapping into a Scenario; paths name offending keys."""
-    env = os.environ if env is None else env
-    unknown = set(doc) - _SCENARIO_KEYS
-    if unknown:
-        raise ScenarioValidationError(sorted(unknown)[0], "is not a recognized scenario key")
+    """Validate a plain mapping into a Scenario; paths name offending keys.
 
-    if "cell_radius_m" not in doc:
-        raise ScenarioValidationError("cell_radius_m", "is required")
-    radius = _number(doc, "cell_radius_m", "cell_radius_m")
-    if not radius > 0:
-        raise ScenarioValidationError("cell_radius_m", f"must be positive, got {radius:.9g}")
+    A key set to null counts as absent wherever the key is optional.
+    """
+    _shape(doc, _SCENARIO_KEYS, required=("cell_radius_m", "overlap_m", "speed"))
+    given = {key for key, value in doc.items() if value is not None}
+    if ("delay_s" in given) == ("handoff_type" in given):
+        raise ScenarioValidationError("delay_s", "give exactly one of delay_s or handoff_type")
+    if "delay_s" in given and "delay_profile" in given:
+        raise ScenarioValidationError("delay_profile", "is only meaningful together with handoff_type")
 
-    if "overlap_m" not in doc:
-        raise ScenarioValidationError("overlap_m", "is required")
-    overlap = _number(doc, "overlap_m", "overlap_m")
-    bound = SQRT3 / 2.0 * radius
-    if not 0.0 <= overlap < bound:
-        raise ScenarioValidationError(
-            "overlap_m", f"must lie in [0, {bound:.9g}) for this cell radius, got {overlap:.9g}"
-        )
-    geometry = CellGeometry(cell_radius_m=radius, overlap_m=overlap)
-
-    if "speed" not in doc:
-        raise ScenarioValidationError("speed", "is required")
+    radius = _checked("cell_radius_m", CellGeometry, doc["cell_radius_m"]).cell_radius_m
+    geometry = _checked("overlap_m", CellGeometry, radius, doc["overlap_m"])
     speed = _parse_speed(doc["speed"])
 
-    has_delay = "delay_s" in doc
-    has_type = "handoff_type" in doc
-    if has_delay and has_type:
-        raise ScenarioValidationError("delay_s", "give either delay_s or handoff_type, not both")
-    if not has_delay and not has_type:
-        raise ScenarioValidationError("delay_s", "one of delay_s or handoff_type is required")
-
-    delay_s = None
     handoff_type = None
-    if has_delay:
-        delay_s = _number(doc, "delay_s", "delay_s")
-        if not delay_s >= 0:
-            raise ScenarioValidationError("delay_s", f"must be nonnegative, got {delay_s:.9g}")
-        if "delay_profile" in doc:
-            raise ScenarioValidationError(
-                "delay_profile", "is only meaningful together with handoff_type"
-            )
-    else:
-        raw_type = doc["handoff_type"]
+    if "handoff_type" in given:
         try:
-            handoff_type = HandoffType(raw_type)
+            handoff_type = HandoffType(doc["handoff_type"])
         except ValueError:
             valid = ", ".join(t.value for t in HandoffType)
             raise ScenarioValidationError(
-                "handoff_type", f"must be one of {valid}, got {raw_type!r}"
+                "handoff_type", f"must be one of {valid}, got {doc['handoff_type']!r}"
             ) from None
 
     profile = DelayProfile()
-    if "delay_profile" in doc and doc["delay_profile"] is not None:
-        profile = _parse_delay_profile(doc["delay_profile"], "delay_profile")
+    if "delay_profile" in given:
+        raw = _shape(doc["delay_profile"], ("intra_s", "inter_s", "link_layer_s"), path="delay_profile")
+        values = {key: value for key, value in raw.items() if value is not None}
+        profile = _checked("delay_profile", DelayProfile, **values)
 
     topology = None
-    if "topology" in doc and doc["topology"] is not None:
-        try:
-            topology = NetworkTopology.from_dict(doc["topology"])
-        except InvalidParameterError as exc:
-            raise ScenarioValidationError("topology", str(exc)) from exc
+    if "topology" in given:
+        topology = _checked("topology", NetworkTopology.from_dict, doc["topology"])
+    mc = _parse_mc(doc["mc"], env) if "mc" in given else None
 
-    mc = None
-    if "mc" in doc and doc["mc"] is not None:
-        mc = _parse_mc(doc["mc"], env)
-
-    return Scenario(
+    return _checked(
+        "delay_s",
+        Scenario,
         geometry=geometry,
         speed=speed,
-        delay_s=delay_s,
+        delay_s=doc.get("delay_s"),
         handoff_type=handoff_type,
         delay_profile=profile,
         topology=topology,
@@ -289,62 +228,21 @@ def parse_scenario(text: str, env: Optional[Mapping[str, str]] = None) -> Scenar
     return scenario_from_dict(_load_yaml_mapping(text, "scenario"), env=env)
 
 
-def _values_tuple(raw, path: str) -> Tuple[float, ...]:
-    values = raw if isinstance(raw, list) else [raw]
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-            raise ScenarioValidationError(f"{path}[{i}]", f"must be a finite number, got {v!r}")
-        out.append(float(v))
-    if not out:
-        raise ScenarioValidationError(path, "must not be empty")
-    return tuple(out)
-
-
 def parse_sweep_spec(text: str, env: Optional[Mapping[str, str]] = None) -> SweepSpec:
     """Parse sweep YAML: kind, axis {start, stop, steps}, fixed values, optional mc."""
     return sweep_spec_from_dict(_load_yaml_mapping(text, "sweep spec"), env=env)
 
 
 def sweep_spec_from_dict(doc: dict, env: Optional[Mapping[str, str]] = None) -> SweepSpec:
-    env = os.environ if env is None else env
-    unknown = set(doc) - _SWEEP_KEYS
-    if unknown:
-        raise ScenarioValidationError(sorted(unknown)[0], "is not a recognized sweep key")
-    for key in ("kind", "axis", "cell_radius_m"):
-        if key not in doc:
-            raise ScenarioValidationError(key, "is required")
-    kind = doc["kind"]
-    raw_axis = doc["axis"]
-    if not isinstance(raw_axis, dict):
-        raise ScenarioValidationError("axis", "must be a mapping with start, stop, steps")
-    extra = set(raw_axis) - {"start", "stop", "steps"}
-    if extra:
-        raise ScenarioValidationError("axis", f"unknown keys: {sorted(extra)}")
-    for key in ("start", "stop", "steps"):
-        if key not in raw_axis:
-            raise ScenarioValidationError(f"axis.{key}", "is required")
-    axis_kwargs = {
-        "start": _number(raw_axis, "start", "axis.start"),
-        "stop": _number(raw_axis, "stop", "axis.stop"),
-        "steps": _integer(raw_axis, "steps", "axis.steps"),
-    }
+    _shape(doc, _SWEEP_KEYS, required=("kind", "axis", "cell_radius_m"))
+    axis_keys = ("start", "stop", "steps")
+    axis = _checked("axis", Axis, **_shape(doc["axis"], axis_keys, required=axis_keys, path="axis"))
+    # a single series value stands for a list of one
+    series = {key: doc[key] if isinstance(doc[key], list) else [doc[key]]
+              for key in ("cell_radius_m", "overlap_m") if key in doc}
+    fixed = {key: doc[key] for key in ("speed_mps", "delay_s") if key in doc}
     mc = _parse_mc(doc["mc"], env) if doc.get("mc") is not None else None
-    kwargs = dict(
-        kind=kind,
-        cell_radius_m=_values_tuple(doc["cell_radius_m"], "cell_radius_m"),
-        mc=mc,
-    )
-    if "overlap_m" in doc:
-        kwargs["overlap_m"] = _values_tuple(doc["overlap_m"], "overlap_m")
-    if "speed_mps" in doc:
-        kwargs["speed_mps"] = _number(doc, "speed_mps", "speed_mps")
-    if "delay_s" in doc:
-        kwargs["delay_s"] = _number(doc, "delay_s", "delay_s")
-    try:
-        return SweepSpec(axis=Axis(**axis_kwargs), **kwargs)
-    except InvalidParameterError as exc:
-        raise ScenarioValidationError("sweep", str(exc)) from exc
+    return _checked("sweep", SweepSpec, kind=doc["kind"], axis=axis, mc=mc, **series, **fixed)
 
 
 # ======================================================================
@@ -546,98 +444,79 @@ def execute(
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="output path (default: stdout)")
+    output.add_argument("--format", default="csv", choices=("csv", "svg"),
+                        help="output format; svg only applies to sweep")
+
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", default=None, help="scenario YAML file")
+    scenario.add_argument("--cell-radius-m", type=float, default=None)
+    scenario.add_argument("--overlap-m", type=float, default=None)
+    scenario.add_argument("--speed-mps", type=float, default=None, help="fixed speed in m/s")
+    scenario.add_argument("--speed-kmh", type=float, default=None,
+                          help="fixed speed in km/h (converted to m/s)")
+    scenario.add_argument("--vmin-mps", type=float, default=None, help="uniform speed lower bound")
+    scenario.add_argument("--vmax-mps", type=float, default=None, help="uniform speed upper bound")
+    delay = scenario.add_mutually_exclusive_group()
+    delay.add_argument("--delay-s", type=float, default=None, help="signaling delay in seconds")
+    delay.add_argument("--handoff-type", default=None,
+                       choices=tuple(t.value for t in HandoffType),
+                       help="pick the delay from the profile instead of --delay-s")
+
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--samples", type=int, default=None, help="override mc samples")
+    mc.add_argument("--seed", type=int, default=None, help="override mc seed")
+    mc.add_argument("--batches", type=int, default=None, help="override mc batches")
+
     parser = argparse.ArgumentParser(
         prog="handoff-lab",
         description="False-handoff and handoff-failure calculator for overlapping cells.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p):
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", default="csv", choices=("csv", "svg"),
-                       help="output format; svg only applies to sweep")
-
-    def add_scenario(p, with_mc: bool):
-        p.add_argument("--scenario", default=None, help="scenario YAML file")
-        p.add_argument("--cell-radius-m", type=float, default=None)
-        p.add_argument("--overlap-m", type=float, default=None)
-        p.add_argument("--speed-mps", type=float, default=None, help="fixed speed in m/s")
-        p.add_argument("--speed-kmh", type=float, default=None,
-                       help="fixed speed in km/h (converted to m/s)")
-        p.add_argument("--vmin-mps", type=float, default=None, help="uniform speed lower bound")
-        p.add_argument("--vmax-mps", type=float, default=None, help="uniform speed upper bound")
-        p.add_argument("--delay-s", type=float, default=None, help="signaling delay in seconds")
-        p.add_argument("--handoff-type", default=None,
-                       choices=tuple(t.value for t in HandoffType),
-                       help="pick the delay from the profile instead of --delay-s")
-        if with_mc:
-            p.add_argument("--samples", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--batches", type=int, default=None)
-
-    p = sub.add_parser("analytic", help="closed-form results for one scenario")
-    add_scenario(p, with_mc=False)
-    add_output(p)
-
-    p = sub.add_parser("simulate", help="analytic row plus Monte Carlo estimates")
-    add_scenario(p, with_mc=True)
-    add_output(p)
-
-    p = sub.add_parser("sweep", help="evaluate a sweep spec into a table or chart")
+    sub.add_parser("analytic", parents=[scenario, output],
+                   help="closed-form results for one scenario")
+    sub.add_parser("simulate", parents=[scenario, mc, output],
+                   help="analytic row plus Monte Carlo estimates")
+    p = sub.add_parser("sweep", parents=[mc, output],
+                       help="evaluate a sweep spec into a table or chart")
     p.add_argument("--spec", required=True, help="sweep spec YAML file")
-    p.add_argument("--samples", type=int, default=None, help="override mc samples")
-    p.add_argument("--seed", type=int, default=None, help="override mc seed")
-    p.add_argument("--batches", type=int, default=None, help="override mc batches")
-    add_output(p)
-
-    p = sub.add_parser("adapt", help="solve for the overlap matching a target failure probability")
-    add_scenario(p, with_mc=False)
+    p = sub.add_parser("adapt", parents=[scenario, output],
+                       help="solve for the overlap matching a target failure probability")
     p.add_argument("--target-pf", type=float, required=True)
-    add_output(p)
-
-    p = sub.add_parser("classify", help="classify a handoff between two base stations")
-    add_scenario(p, with_mc=False)
+    p = sub.add_parser("classify", parents=[scenario, output],
+                       help="classify a handoff between two base stations")
     p.add_argument("--from-bs", required=True)
     p.add_argument("--to-bs", required=True)
-    add_output(p)
-
     return parser
 
 
 def _merge_flags(doc: dict, args: argparse.Namespace) -> dict:
     """Overlay command-line flags onto a scenario document."""
     doc = dict(doc)
-    if args.cell_radius_m is not None:
-        doc["cell_radius_m"] = args.cell_radius_m
-    if args.overlap_m is not None:
-        doc["overlap_m"] = args.overlap_m
+    for key in ("cell_radius_m", "overlap_m"):
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
 
-    speed_flags = [
-        args.speed_mps is not None,
-        args.speed_kmh is not None,
-        args.vmin_mps is not None or args.vmax_mps is not None,
-    ]
-    if sum(speed_flags) > 1:
+    speeds = []
+    if args.speed_mps is not None:
+        speeds.append(args.speed_mps)
+    if args.speed_kmh is not None:
+        speeds.append(args.speed_kmh / 3.6)
+    if args.vmin_mps is not None or args.vmax_mps is not None:
+        # a missing bound is left for the shape check to name
+        bounds = {"vmin": args.vmin_mps, "vmax": args.vmax_mps}
+        speeds.append({key: value for key, value in bounds.items() if value is not None})
+    if len(speeds) > 1:
         raise ScenarioValidationError(
             "speed", "give one of --speed-mps, --speed-kmh, or --vmin-mps/--vmax-mps"
         )
-    if args.speed_mps is not None:
-        doc["speed"] = args.speed_mps
-    elif args.speed_kmh is not None:
-        doc["speed"] = args.speed_kmh / 3.6
-    elif args.vmin_mps is not None or args.vmax_mps is not None:
-        if args.vmin_mps is None or args.vmax_mps is None:
-            raise ScenarioValidationError("speed", "--vmin-mps and --vmax-mps go together")
-        doc["speed"] = {"vmin": args.vmin_mps, "vmax": args.vmax_mps}
+    if speeds:
+        doc["speed"] = speeds[0]
 
-    if args.delay_s is not None and args.handoff_type is not None:
-        raise ScenarioValidationError("delay_s", "give either --delay-s or --handoff-type")
-    if args.delay_s is not None:
-        doc["delay_s"] = args.delay_s
-        doc.pop("handoff_type", None)
-    if args.handoff_type is not None:
-        doc["handoff_type"] = args.handoff_type
-        doc.pop("delay_s", None)
+    # the flags are mutually exclusive, and the one left None counts as absent
+    if args.delay_s is not None or args.handoff_type is not None:
+        doc.update(delay_s=args.delay_s, handoff_type=args.handoff_type)
 
     return _merge_mc_flags(doc, args)
 
@@ -646,10 +525,8 @@ def _merge_mc_flags(doc: dict, args: argparse.Namespace) -> dict:
     """Overlay --samples/--seed/--batches onto the document's mc block."""
     for flag in ("samples", "seed", "batches"):
         value = getattr(args, flag, None)
-        if value is not None:
-            mc_doc = {} if doc.get("mc") is None else doc["mc"]
-            if not isinstance(mc_doc, dict):
-                raise ScenarioValidationError("mc", "must be a mapping")
+        mc_doc = {} if doc.get("mc") is None else doc["mc"]
+        if value is not None and isinstance(mc_doc, dict):  # any other mc fails the shape check
             doc["mc"] = {**mc_doc, flag: value}
     return doc
 
@@ -675,12 +552,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc = _load_yaml_mapping(_read_text(args.scenario), "scenario") if args.scenario else {}
         doc = _merge_flags(doc, args)
         scenario = scenario_from_dict(doc, env=os.environ)
-        kwargs = {}
-        if args.command == "adapt":
-            kwargs["target_pf"] = args.target_pf
-        if args.command == "classify":
-            kwargs["from_bs"] = args.from_bs
-            kwargs["to_bs"] = args.to_bs
+        kwargs = {key: getattr(args, key) for key in ("target_pf", "from_bs", "to_bs") if key in args}
         return execute(args.command, scenario=scenario, sink=sink, **kwargs)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

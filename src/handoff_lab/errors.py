@@ -51,16 +51,21 @@ def coerce_numbers(
     """Store the named fields of a frozen dataclass as plain float (or int).
 
     Any real (integral with integer=True) number is accepted, numpy scalars
-    included; bools and everything else raise InvalidParameterError, and so
-    do infinities and NaN with finite=True.  With each=True every field is a
-    sequence, stored as a tuple of such numbers.
+    included; bools, integers beyond float range and everything else raise
+    InvalidParameterError, and so do infinities and NaN with finite=True.
+    With each=True every field is a sequence, stored as a tuple of such
+    numbers.
     """
     kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
 
     def coerce(value, name):
         if isinstance(value, bool) or not isinstance(value, kind):
             raise InvalidParameterError(f"{name} must be {what}, got {value!r}")
-        value = int(value) if integer else float(value)
+        try:
+            value = int(value) if integer else float(value)
+        except OverflowError:
+            # no repr: a long enough integer refuses conversion to a string
+            raise InvalidParameterError(f"{name} must be {what} within float range") from None
         if finite and not math.isfinite(value):
             raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         return value

@@ -34,6 +34,9 @@ Point = Tuple[float, float]
 
 SQRT3 = math.sqrt(3.0)
 
+# How far outside [0, 1] the chord parameter of a hit may fall by roundoff.
+_ENDPOINT_SLACK = 4 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class CellGeometry:
@@ -159,7 +162,9 @@ def ray_chord_crossing_many(frame: LocalFrame, headings_rad: np.ndarray) -> np.n
     """Vectorized ray/segment intersection; NaN marks a miss.
 
     Solves trigger + t*dir = start + s*(end - start) per heading and accepts
-    t >= 0, 0 <= s <= 1.  Same endpoint convention as the scalar form.
+    t >= 0, 0 <= s <= 1.  Same endpoint convention as the scalar form: s
+    may sit _ENDPOINT_SLACK outside [0, 1], because a ray aimed exactly at
+    an endpoint (or an ulp inside it) lands there only up to roundoff.
     """
     px, py = frame.trigger_point
     ax = frame.chord_start[0] - px
@@ -182,5 +187,5 @@ def ray_chord_crossing_many(frame: LocalFrame, headings_rad: np.ndarray) -> np.n
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (ax * ey - ay * ex) / den
         s = (ax * dy - ay * dx) / den
-    hit = (den != 0.0) & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
+    hit = (den != 0.0) & (t >= 0.0) & (s >= -_ENDPOINT_SLACK) & (s <= 1.0 + _ENDPOINT_SLACK)
     return np.where(hit, t, np.nan)

@@ -195,8 +195,9 @@ def crossing_time_ecdf(
     parts = _map_batches(ctl, one, workers)
     times = np.sort(np.concatenate(parts))
     n = len(times)
-    # a heading within an ulp of the half-angle can miss the chord by
-    # roundoff; its NaN sorts last and is refused as the scalar CDF refuses it
+    # every heading in [-h, h] hits the chord, edges included, so no time is
+    # NaN; a NaN, were one to appear, would sort last and be refused here as
+    # the scalar CDF refuses it
     _check_tau(float(times[-1]))
     model_cdf = _cdf_many(derive_geometry(geom), v_mps, times)
     ranks = np.arange(1, n + 1)

@@ -16,6 +16,7 @@ from .errors import (
     InvalidParameterError,
     UnknownBaseStationError,
     UnsupportedHandoffTypeError,
+    coerce_numbers,
 )
 
 
@@ -126,6 +127,9 @@ class DelayProfile:
     link_layer_s: Optional[float] = None
 
     def __post_init__(self):
+        coerce_numbers(self, "intra_s", "inter_s", finite=True)
+        if self.link_layer_s is not None:
+            coerce_numbers(self, "link_layer_s", finite=True)
         if not self.intra_s > 0:
             raise InvalidParameterError(f"intra_s must be positive, got {self.intra_s!r}")
         if not self.inter_s >= self.intra_s:

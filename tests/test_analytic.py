@@ -54,6 +54,8 @@ def test_speed_model_validation():
         (lambda: SpeedModel.fixed(True), False),
         (lambda: SpeedModel.uniform(False, 60.0), False),
         (lambda: SpeedModel.fixed("50"), False),
+        (lambda: SpeedModel.fixed(10**400), False),
+        (lambda: SpeedModel.uniform(40, 10**400), False),
     ],
 )
 def test_speed_model_numeric_inputs(make, ok):

@@ -1,7 +1,10 @@
+import copy
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handoff_lab.analytic import (
     SpeedModel,
@@ -19,8 +22,9 @@ from handoff_lab.cli import (
     parse_sweep_spec,
     render_csv,
     scenario_from_dict,
+    sweep_spec_from_dict,
 )
-from handoff_lab.errors import ScenarioParseError, ScenarioValidationError
+from handoff_lab.errors import HandoffLabError, ScenarioParseError, ScenarioValidationError
 from handoff_lab.geometry import CellGeometry
 from handoff_lab.montecarlo import SimControls, estimate_failure, estimate_false_handoff
 from handoff_lab.topology import HandoffType
@@ -139,6 +143,16 @@ def test_validation_error_paths():
         == "delay_profile"
     )
     assert validation_path(MINIMAL + "topology: {systems: []}") == "topology"
+
+
+def test_mc_error_paths_name_the_key():
+    assert validation_path(MINIMAL + "mc: {samples: 10, batches: 20}") == "mc.batches"
+    assert validation_path(MINIMAL + "mc: {samples: 10, seed: -1}") == "mc.seed"
+    sweep = "kind: false_vs_overlap\naxis: {start: 0, stop: 100, steps: 3}\ncell_radius_m: 1000\n"
+    for mc, path in (("{samples: 10, batches: 20}", "mc.batches"), ("{samples: 10, seed: -1}", "mc.seed")):
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_sweep_spec(sweep + f"mc: {mc}", env={})
+        assert err.value.path == path
 
 
 def test_seed_resolution_order():
@@ -351,6 +365,22 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_main_integer_beyond_float_range_names_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(MINIMAL.replace("1000", "9" * 400))
+    assert main(["analytic", "--scenario", str(path)]) == 2
+    assert "cell_radius_m" in capsys.readouterr().err
+
+
+def test_main_refuses_delay_with_handoff_type(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--cell-radius-m", "1000", "--overlap-m", "0", "--speed-mps", "50",
+              "--delay-s", "3", "--handoff-type", "inter"])
+    assert exc.value.code == 2
+    assert "--delay-s" in capsys.readouterr().err
+
+
 def test_main_adapt_solves(capsys, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     code = main(
@@ -461,3 +491,73 @@ def test_no_stray_files(tmp_path, capsys, monkeypatch):
     assert code == 0
     capsys.readouterr()
     assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# any mapping: a result or a package error
+# ----------------------------------------------------------------------
+
+VALID_DOCS = (
+    (scenario_from_dict, {
+        "cell_radius_m": 1000, "overlap_m": 50, "speed": {"vmin": 40, "vmax": 60},
+        "handoff_type": "intra",
+        "delay_profile": {"intra_s": 1.0, "inter_s": 2.0, "link_layer_s": 0.1},
+        "topology": {"systems": [{"system_id": "s1", "gfa_id": "g1",
+                                  "fas": [{"fa_id": "f1", "bs_ids": ["b1", "b2"]}]}]},
+        "mc": {"samples": 100, "seed": 3, "batches": 2},
+    }),
+    (scenario_from_dict, {"cell_radius_m": 1000.0, "overlap_m": 0, "speed": 50, "delay_s": 3}),
+    (sweep_spec_from_dict, {
+        "kind": "failure_vs_speed", "axis": {"start": 10, "stop": 80, "steps": 4},
+        "cell_radius_m": 1000, "overlap_m": [0, 50], "delay_s": 3,
+        "mc": {"samples": 100, "seed": 7, "batches": 2},
+    }),
+    (sweep_spec_from_dict, {
+        "kind": "failure_vs_delay", "axis": {"start": 0, "stop": 8, "steps": 5},
+        "cell_radius_m": [1500], "overlap_m": 100, "speed_mps": 20,
+    }),
+)
+
+# what safe_load can produce: inf and NaN among the floats, integers beyond
+# float range, and keys that are not strings
+YAML_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(-10**6, 10**6),
+    st.integers(2**1024, 10**400),
+    st.integers(-10**400, -2**1024),
+    st.text(max_size=8),
+)
+YAML_VALUES = st.recursive(
+    YAML_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8) | st.integers(-3, 3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_parsers_give_a_result_or_a_package_error(data):
+    # one key of a valid document, nested or not, present or not, takes any
+    # YAML value; the parser must return or raise a HandoffLabError
+    parse, doc = data.draw(st.sampled_from(VALID_DOCS))
+    doc = copy.deepcopy(doc)
+    paths = [*key_paths(doc), ("delay_s",), ("handoff_type",), ("speed_mps",), ("mc", "seed")]
+    path = data.draw(st.sampled_from(paths))
+    target = doc
+    for key in path[:-1]:
+        target = target.setdefault(key, {})
+    target[path[-1]] = data.draw(YAML_VALUES)
+    try:
+        parse(doc, env={})
+    except HandoffLabError:
+        pass

@@ -129,6 +129,8 @@ def test_invalid_geometry_rejected(radius, overlap):
         (True, 0.0, False),
         (1000.0, False, False),
         ("1000", 0.0, False),
+        pytest.param(10**400, 0.0, False, id="radius-beyond-float-range"),
+        pytest.param(1000.0, 10**400, False, id="overlap-beyond-float-range"),
     ],
 )
 def test_geometry_numeric_inputs(radius, overlap, ok):
@@ -184,6 +186,22 @@ def test_ray_matches_secant_inside_half_angle():
         for outside in rng.uniform(1.001, math.pi / dg.chord_half_angle_rad, 5):
             beta = min(outside * dg.chord_half_angle_rad, math.pi)
             assert ray_chord_crossing(frame, beta) is None
+
+
+def test_ray_edge_headings_hit_and_just_outside_miss():
+    # a heading at the half-angle, or an ulp inside it, grazes a chord
+    # endpoint and must hit whatever the roundoff; 1e-12 outside must miss
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        a = rng.uniform(100, 4000)
+        geom = CellGeometry(a, rng.uniform(0, 0.99 * SQRT3 * a / 2))
+        frame = local_frame(geom)
+        h = derive_geometry(geom).chord_half_angle_rad
+        inside = np.nextafter(h, 0.0)
+        edge = ray_chord_crossing_many(frame, np.array([h, -h, inside, -inside]))
+        assert not np.isnan(edge).any()
+        outside = ray_chord_crossing_many(frame, np.array([h, -h]) * (1 + 1e-12))
+        assert np.isnan(outside).all()
 
 
 def test_ray_batch_matches_scalar():

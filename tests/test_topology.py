@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from handoff_lab.errors import (
@@ -193,6 +195,33 @@ def test_delay_profile_validation():
         DelayProfile(intra_s=2.0, inter_s=1.0)
     with pytest.raises(InvalidParameterError):
         DelayProfile(link_layer_s=-0.1)
+
+
+@pytest.mark.parametrize(
+    "kwargs,ok",
+    [
+        ({"intra_s": np.float32(1.0)}, True),
+        ({"inter_s": np.int64(4)}, True),
+        ({"link_layer_s": np.float64(0.2)}, True),
+        ({"intra_s": "1"}, False),
+        ({"intra_s": True}, False),
+        ({"link_layer_s": False}, False),
+        ({"intra_s": math.inf, "inter_s": math.inf}, False),
+        ({"link_layer_s": math.nan}, False),
+        ({"inter_s": 10**400}, False),
+    ],
+)
+def test_delay_profile_numeric_inputs(kwargs, ok):
+    # bools, strings and non-finite values are rejected, numpy scalars are
+    # stored as plain float
+    if not ok:
+        with pytest.raises(InvalidParameterError):
+            DelayProfile(**kwargs)
+        return
+    profile = DelayProfile(**kwargs)
+    for key, value in kwargs.items():
+        assert type(getattr(profile, key)) is float
+        assert getattr(profile, key) == float(value)
 
 
 # ----------------------------------------------------------------------
