@@ -113,6 +113,8 @@ def _load_yaml_mapping(text: str, what: str) -> dict:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{what} is not valid YAML: {exc}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ScenarioParseError(f"{what} could not be read: {exc}") from exc
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):

@@ -166,6 +166,20 @@ def ray_chord_crossing_many(frame: LocalFrame, headings_rad: np.ndarray) -> np.n
     may sit _ENDPOINT_SLACK outside [0, 1], because a ray aimed exactly at
     an endpoint (or an ulp inside it) lands there only up to roundoff.
     """
+    h = np.array(headings_rad, dtype=float)  # a copy: _ray_chord_into overwrites it
+    a, b, c = (np.empty_like(h) for _ in range(3))
+    hit, tmp = (np.empty(h.shape, dtype=bool) for _ in range(2))
+    return _ray_chord_into(frame, h, a, b, c, hit, tmp)
+
+
+def _ray_chord_into(frame: LocalFrame, h, a, b, c, hit, tmp) -> np.ndarray:
+    """ray_chord_crossing_many computed in caller-owned buffers, allocating none.
+
+    h holds the headings and is overwritten; a, b, c are float buffers and
+    hit, tmp bool buffers, all of h's shape.  Returns b, which then holds
+    the distances.  The float operations and their order are those of the
+    plain expression form, so every distance is the same bit for bit.
+    """
     px, py = frame.trigger_point
     ax = frame.chord_start[0] - px
     ay = frame.chord_start[1] - py
@@ -177,15 +191,34 @@ def ray_chord_crossing_many(frame: LocalFrame, headings_rad: np.ndarray) -> np.n
     norm = math.hypot(ux, uy)
     ux, uy = ux / norm, uy / norm
 
-    headings_rad = np.asarray(headings_rad, dtype=float)
-    c = np.cos(headings_rad)
-    sn = np.sin(headings_rad)
-    dx = c * ux - sn * uy
-    dy = c * uy + sn * ux
-
-    den = dx * ey - dy * ex
+    np.cos(h, out=a)
+    np.sin(h, out=h)
+    # direction: dx = cos*ux - sin*uy into b, dy = cos*uy + sin*ux into a
+    np.multiply(a, ux, out=b)
+    np.multiply(h, uy, out=c)
+    np.subtract(b, c, out=b)
+    np.multiply(a, uy, out=a)
+    np.multiply(h, ux, out=h)
+    np.add(a, h, out=a)
+    # den = dx*ey - dy*ex into c
+    np.multiply(b, ey, out=c)
+    np.multiply(a, ex, out=h)
+    np.subtract(c, h, out=c)
+    # s = (ax*dy - ay*dx)/den into a, t = (ax*ey - ay*ex)/den into b
+    np.multiply(a, ax, out=a)
+    np.multiply(b, ay, out=b)
+    np.subtract(a, b, out=a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (ax * ey - ay * ex) / den
-        s = (ax * dy - ay * dx) / den
-    hit = (den != 0.0) & (t >= 0.0) & (s >= -_ENDPOINT_SLACK) & (s <= 1.0 + _ENDPOINT_SLACK)
-    return np.where(hit, t, np.nan)
+        np.divide(a, c, out=a)
+        np.divide(ax * ey - ay * ex, c, out=b)
+
+    # a hit has den != 0, t >= 0 and s within the slack of [0, 1]; the
+    # first needs no test, since den == 0 makes s infinite or NaN
+    np.greater_equal(b, 0.0, out=hit)
+    np.greater_equal(a, -_ENDPOINT_SLACK, out=tmp)
+    np.logical_and(hit, tmp, out=hit)
+    np.less_equal(a, 1.0 + _ENDPOINT_SLACK, out=tmp)
+    np.logical_and(hit, tmp, out=hit)
+    np.logical_not(hit, out=hit)
+    np.copyto(b, np.nan, where=hit)
+    return b

@@ -7,22 +7,31 @@ the intersection distance divided by speed.
 
 Reproducibility contract: streams come from numpy's Philox4x64 counter-based
 generator keyed by (seed, batch_index), so every batch owns an independent
-substream.  Batches are reduced in batch order regardless of how they were
-executed, which makes results identical under any worker count.
+substream.  In a batch of nb samples, drawn quantity k sits at draws
+[k*nb, (k+1)*nb) of that substream: k = 0 holds the headings, k = 1 the
+speeds of a uniform speed model.  Every estimator runs through one kernel
+that cuts each batch into chunks of 2**16 samples (the last one shorter)
+and draws a chunk straight from its offset in the substream, so memory is
+bounded by the chunk, not the batch, and every draw equals the one a
+whole-batch Generator.uniform call gives.  Chunk boundaries depend only on
+the batch sizes, never on the worker count; workers split the chunks, and
+counts (integers) and per-sample values do not depend on who computed
+them, so results are identical under any worker count.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 from .analytic import SpeedModel, _cdf_many, _check_tau
 from .errors import InvalidParameterError, coerce_numbers
-from .geometry import CellGeometry, derive_geometry, local_frame, ray_chord_crossing_many
+from .geometry import CellGeometry, LocalFrame, _ray_chord_into, derive_geometry, local_frame
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 1 << 16  # samples per kernel chunk, whatever the batch size
 
 
 @dataclass(frozen=True)
@@ -83,23 +92,88 @@ def derive_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _substream(seed: int, batch_index: int) -> np.random.Generator:
-    key = np.array([seed, batch_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _batch_sizes(samples: int, batches: int) -> List[int]:
     base, rem = divmod(samples, batches)
     return [base + 1 if i < rem else base for i in range(batches)]
 
 
-def _map_batches(ctl: SimControls, fn: Callable, workers: int) -> list:
-    """Run fn(batch_index, batch_size) per batch; results come back in batch order."""
-    sizes = _batch_sizes(ctl.samples, ctl.batches)
+def _sample(
+    frame: LocalFrame,
+    half_range: float,
+    ctl: SimControls,
+    workers: int,
+    *,
+    speed: Optional[SpeedModel] = None,
+    tau: Optional[float] = None,
+    out: Optional[np.ndarray] = None,
+) -> int:
+    """The one Monte Carlo kernel: every sample of ctl, drawn and reduced in
+    chunks of _CHUNK samples, in buffers allocated once per worker.
+
+    Per sample it draws a heading uniform on [-half_range, half_range),
+    finds the exact ray/chord distance (NaN for a miss) and, given a speed,
+    divides it by the sample's speed into a crossing time.  Then either the
+    values go to out[sample] (out given), or it returns how many are below
+    tau (tau given; NaN compares false), or how many are misses (neither).
+    """
+    chunks, first = [], 0
+    for batch, nb in enumerate(_batch_sizes(ctl.samples, ctl.batches)):
+        chunks += [(batch, nb, start, min(_CHUNK, nb - start), first + start)
+                   for start in range(0, nb, _CHUNK)]
+        first += nb
+    width = min(_CHUNK, -(-ctl.samples // ctl.batches))  # the largest batch, at most a chunk
+    drawn = speed is not None and speed.kind == "uniform"
+
+    def run(jobs) -> int:
+        key, counter = [ctl.seed, 0], [0, 0, 0, 0]
+        state = {"bit_generator": "Philox", "state": {"key": key, "counter": counter},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        bitgen = np.random.Philox(key=ctl.seed)
+        gen = np.random.Generator(bitgen)
+
+        def uniform(buf, batch, position, m, lo, hi):
+            # Generator.uniform(lo, hi) values position..position+m-1 of
+            # substream (seed, batch), bit for bit.  Philox makes four words
+            # per counter value, so the draw starts at the block holding
+            # `position` and skips up to 3 words: buf has 3 spare slots.
+            key[1] = batch
+            counter[0], skip = divmod(position, 4)
+            bitgen.state = state
+            gen.random(out=buf[:skip + m])
+            x = buf[skip:skip + m]
+            x *= hi - lo
+            x += lo
+            return x
+
+        h, v, a, b, c = np.empty((5, width + 3))
+        hit, tmp = np.empty((2, width), dtype=bool)
+        count = 0
+        for batch, nb, start, m, at in jobs:
+            heading = uniform(h, batch, start, m, -half_range, half_range)
+            dist = _ray_chord_into(frame, heading, a[:m], b[:m], c[:m], hit[:m], tmp[:m])
+            t = dist if out is None else out[at:at + m]
+            if drawn:
+                # a batch's speeds follow its nb headings in its substream
+                np.divide(dist, uniform(v, batch, nb + start, m, speed.vmin_mps, speed.vmax_mps), out=t)
+            elif speed is not None:
+                np.divide(dist, speed.v_mps, out=t)
+            if out is not None:
+                continue
+            if tau is None:
+                np.isnan(t, out=hit[:m])
+            else:
+                np.less(t, tau, out=hit[:m])
+            count += int(np.count_nonzero(hit[:m]))
+        return count
+
+    workers = min(workers, len(chunks))
     if workers <= 1:
-        return [fn(i, nb) for i, nb in enumerate(sizes)]
+        return run(chunks)
+    # chunks are dealt to workers in a fixed way; counts are integers and
+    # every value lands in its own slot of out, so no result depends on the
+    # worker count
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(ctl.batches), sizes))
+        return sum(pool.map(run, [chunks[w::workers] for w in range(workers)]))
 
 
 def _binomial(hits: int, ctl: SimControls) -> Estimate:
@@ -119,15 +193,7 @@ def estimate_false_handoff(geom: CellGeometry, ctl: SimControls, *, workers: int
     is pure segment intersection, so this estimate is a genuinely independent
     check of the closed-form false-handoff probability.
     """
-    frame = local_frame(geom)
-
-    def one(i: int, nb: int) -> int:
-        rng = _substream(ctl.seed, i)
-        theta = rng.uniform(-math.pi, math.pi, nb)
-        dist = ray_chord_crossing_many(frame, theta)
-        return int(np.count_nonzero(np.isnan(dist)))
-
-    misses = sum(_map_batches(ctl, one, workers))
+    misses = _sample(local_frame(geom), math.pi, ctl, workers)
     return _binomial(misses, ctl)
 
 
@@ -152,20 +218,8 @@ def estimate_failure(
         model = speed
     else:
         model = SpeedModel.fixed(speed)
-    frame = local_frame(geom)
     half_angle = derive_geometry(geom).chord_half_angle_rad
-
-    def one(i: int, nb: int) -> int:
-        rng = _substream(ctl.seed, i)
-        beta = rng.uniform(-half_angle, half_angle, nb)
-        dist = ray_chord_crossing_many(frame, beta)
-        if model.kind == "fixed":
-            t = dist / model.v_mps
-        else:
-            t = dist / rng.uniform(model.vmin_mps, model.vmax_mps, nb)
-        return int(np.count_nonzero(t < tau_s))  # NaN compares false
-
-    hits = sum(_map_batches(ctl, one, workers))
+    hits = _sample(local_frame(geom), half_angle, ctl, workers, speed=model, tau=tau_s)
     return _binomial(hits, ctl)
 
 
@@ -183,17 +237,10 @@ def crossing_time_ecdf(
     """
     if not (math.isfinite(v_mps) and v_mps > 0):
         raise InvalidParameterError(f"v_mps must be positive, got {v_mps!r}")
-    frame = local_frame(geom)
     half_angle = derive_geometry(geom).chord_half_angle_rad
-
-    def one(i: int, nb: int) -> np.ndarray:
-        rng = _substream(ctl.seed, i)
-        beta = rng.uniform(-half_angle, half_angle, nb)
-        dist = ray_chord_crossing_many(frame, beta)
-        return dist / v_mps
-
-    parts = _map_batches(ctl, one, workers)
-    times = np.sort(np.concatenate(parts))
+    times = np.empty(ctl.samples)
+    _sample(local_frame(geom), half_angle, ctl, workers, speed=SpeedModel.fixed(v_mps), out=times)
+    times.sort()
     n = len(times)
     # every heading in [-h, h] hits the chord, edges included, so no time is
     # NaN; a NaN, were one to appear, would sort last and be refused here as

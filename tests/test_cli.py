@@ -407,6 +407,18 @@ mc: {samples: 20000, seed: 7, batches: 2}
 """
 
 
+@pytest.mark.parametrize("command,flag,doc", [("analytic", "--scenario", MINIMAL),
+                                               ("sweep", "--spec", SWEEP_DOC)],
+                         ids=["scenario", "sweep"])
+def test_main_integer_past_digit_limit_is_a_parse_error(tmp_path, capsys, monkeypatch, command, flag, doc):
+    # yaml.safe_load raises a plain ValueError for integers over 4300 digits
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    path = tmp_path / "doc.yaml"
+    path.write_text(doc.replace("1000", "9" * 5000))
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "could not be read" in capsys.readouterr().err
+
+
 def test_sweep_runs_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     spec = tmp_path / "sweep.yaml"

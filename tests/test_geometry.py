@@ -218,6 +218,43 @@ def test_ray_batch_matches_scalar():
             assert got == expected
 
 
+def expression_form(frame, headings):
+    """ray_chord_crossing_many as plain array expressions, each allocating
+    its result: the reference the in-buffer form must match bit for bit."""
+    px, py = frame.trigger_point
+    ax, ay = frame.chord_start[0] - px, frame.chord_start[1] - py
+    ex = frame.chord_end[0] - frame.chord_start[0]
+    ey = frame.chord_end[1] - frame.chord_start[1]
+    ux, uy = frame.chord_midpoint[0] - px, frame.chord_midpoint[1] - py
+    norm = math.hypot(ux, uy)
+    ux, uy = ux / norm, uy / norm
+    c, sn = np.cos(headings), np.sin(headings)
+    dx = c * ux - sn * uy
+    dy = c * uy + sn * ux
+    den = dx * ey - dy * ex
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (ax * ey - ay * ex) / den
+        s = (ax * dy - ay * dx) / den
+    eps = 4 * np.finfo(float).eps
+    hit = (den != 0.0) & (t >= 0.0) & (s >= -eps) & (s <= 1.0 + eps)
+    return np.where(hit, t, np.nan)
+
+
+def test_ray_batch_matches_expression_form():
+    # canonical frames and a rotated, shifted one, where every direction
+    # and chord component is nonzero
+    def rot(x, y):
+        return (3.0 + x * math.cos(0.7) - y * math.sin(0.7), -2.0 + x * math.sin(0.7) + y * math.cos(0.7))
+
+    rng = np.random.default_rng(23)
+    frames = [local_frame(CellGeometry(a, ov)) for a, ov in ((1000.0, 0.0), (800.0, 150.0), (50.0, 40.0))]
+    frames.append(LocalFrame(rot(0.0, 0.0), rot(300.0, 420.0), rot(300.0, -420.0), rot(300.0, 0.0)))
+    for frame in frames:
+        headings = rng.uniform(-math.pi, math.pi, 20_000)
+        got = ray_chord_crossing_many(frame, headings)
+        assert got.tobytes() == expression_form(frame, headings).tobytes()
+
+
 def test_ray_heading_domain_enforced():
     frame = local_frame(CellGeometry(1000.0, 0.0))
     for bad in (-math.pi, 4.0, -3.5, math.nan):

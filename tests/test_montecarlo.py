@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +108,65 @@ def test_worker_count_does_not_change_results():
     assert estimate_failure(KM_CELL, 50.0, 3.0, ctl, workers=1) == estimate_failure(
         KM_CELL, 50.0, 3.0, ctl, workers=4
     )
+
+
+def test_worker_count_does_not_change_single_batch_results():
+    # one batch of several chunks: workers split the chunks of one substream
+    ctl = SimControls(samples=3 * 65536 + 7, seed=56)
+    model = SpeedModel.uniform(40.0, 60.0)
+    assert estimate_failure(KM_CELL, model, 3.0, ctl, workers=1) == estimate_failure(
+        KM_CELL, model, 3.0, ctl, workers=3
+    )
+    one = crossing_time_ecdf(KM_CELL, 50.0, ctl, workers=1)
+    three = crossing_time_ecdf(KM_CELL, 50.0, ctl, workers=3)
+    assert one.times_s.tobytes() == three.times_s.tobytes()
+    assert one.ks_stat == three.ks_stat
+
+
+# Captured before the estimators drew in chunks of 2**16 samples: sizes on
+# either side of one and several chunks, odd batch sizes, and speed draws
+# that start 0..3 words into a Philox block.
+PINNED_GEOMETRY = CellGeometry(1000.0, 150.0)
+PINNED = [
+    # samples, batches, false-handoff, fixed-speed failure, uniform-speed failure
+    (65535, 1, 0.6431372549019608, 0.6957351033798733, 0.6783703364614329),
+    (65535, 2, 0.6442816815442131, 0.6962691691462577, 0.6772869459067674),
+    (65536, 1, 0.6431427001953125, 0.69573974609375, 0.6772918701171875),
+    (65536, 2, 0.644287109375, 0.6962738037109375, 0.676239013671875),
+    (65537, 1, 0.6431328867662541, 0.6957443886659445, 0.6774951554083952),
+    (65537, 2, 0.6442772784839098, 0.6962784381341838, 0.6759692997848543),
+    (196611, 1, 0.6437025395323761, 0.6965225750339503, 0.6762999018366216),
+    (196611, 2, 0.6429752150184883, 0.6976262772683115, 0.6769712783109796),
+]
+
+
+@pytest.mark.parametrize("samples,batches,p_false,p_fixed,p_uniform", PINNED,
+                         ids=[f"{row[0]}-in-{row[1]}" for row in PINNED])
+def test_estimates_pinned_across_chunk_boundaries(samples, batches, p_false, p_fixed, p_uniform):
+    ctl = SimControls(samples, 11, batches)
+    assert estimate_false_handoff(PINNED_GEOMETRY, ctl).p_hat == p_false
+    assert estimate_failure(PINNED_GEOMETRY, 50.0, 8.0, ctl).p_hat == p_fixed
+    uniform = SpeedModel.uniform(40.0, 60.0)
+    assert estimate_failure(PINNED_GEOMETRY, uniform, 8.0, ctl).p_hat == p_uniform
+
+
+def test_ecdf_pinned_across_chunk_boundaries():
+    report = crossing_time_ecdf(PINNED_GEOMETRY, 50.0, SimControls(2**17 + 5, 11, 3))
+    digest = hashlib.sha256(report.times_s.tobytes()).hexdigest()
+    assert digest == "9fd8dd06b55d835c01afc0fcd2c37778f276e129f021172a7707b41b01598c8c"
+    assert report.ks_stat == 0.002035108993638457
+
+
+def test_memory_is_bounded_by_the_chunk():
+    # 2e6 samples in one batch would need ~146 MB drawn whole
+    ctl = SimControls(samples=2_000_000, seed=4)
+    tracemalloc.start()
+    try:
+        estimate_failure(KM_CELL, SpeedModel.uniform(40.0, 60.0), 3.0, ctl, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_ecdf_repeat_runs_are_byte_identical():
