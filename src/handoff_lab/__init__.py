@@ -3,7 +3,13 @@
 Closed-form false-handoff and handoff-failure probabilities, Monte Carlo
 cross-checks, an agent-hierarchy classifier for handoff delays, parameter
 sweeps, and a small CLI.
+
+The Monte Carlo and sweep names load their modules, and with them numpy, on
+first access, so the closed forms and the CLI's closed-form commands start
+without numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -30,7 +36,6 @@ from .errors import (
     UnknownBaseStationError,
     UnsupportedHandoffTypeError,
 )
-from .experiments import Axis, SweepSpec, SweepTable, run_sweep
 from .geometry import (
     CellGeometry,
     DerivedGeometry,
@@ -38,15 +43,6 @@ from .geometry import (
     derive_geometry,
     local_frame,
     ray_chord_crossing,
-)
-from .montecarlo import (
-    EcdfReport,
-    Estimate,
-    SimControls,
-    crossing_time_ecdf,
-    derive_seed,
-    estimate_failure,
-    estimate_false_handoff,
 )
 from .topology import (
     AccessSystem,
@@ -57,6 +53,29 @@ from .topology import (
     classify_handoff,
     delay_for,
 )
+
+_LAZY = {
+    **dict.fromkeys(("Axis", "SweepSpec", "SweepTable", "run_sweep"), "experiments"),
+    **dict.fromkeys(
+        ("EcdfReport", "Estimate", "SimControls", "crossing_time_ecdf", "derive_seed",
+         "estimate_failure", "estimate_false_handoff"),
+        "montecarlo",
+    ),
+}
+
+
+def __getattr__(name):
+    # PEP 562: resolve a lazy name once, then bind it like an eager import
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "__version__",

@@ -20,12 +20,15 @@ delay tau has elapsed, so the failure probability is exactly F(tau).
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, coerce_numbers
 from .geometry import CellGeometry, DerivedGeometry, _derive, derive_geometry
+
+# numpy is imported by _cdf_many alone, so the scalar closed forms run
+# without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 
@@ -173,7 +176,7 @@ def _cdf(dg: DerivedGeometry, v: float, tau: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _cdf_many(dg: DerivedGeometry, v, tau) -> np.ndarray:
+def _cdf_many(dg: DerivedGeometry, v, tau) -> "np.ndarray":
     """_cdf over arrays: v and tau broadcast, and every element equals the
     scalar _cdf bit for bit.
 
@@ -182,6 +185,8 @@ def _cdf_many(dg: DerivedGeometry, v, tau) -> np.ndarray:
     from libm's acos in the last ulp on about 9% of inputs on AVX-512
     hardware, so the interior elements go through math.acos one by one.
     """
+    import numpy as np
+
     v = np.asarray(v, dtype=float)
     tau = np.asarray(tau, dtype=float)
     t_min, t_max = _support(dg, v)

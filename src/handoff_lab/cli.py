@@ -4,13 +4,20 @@ Scenarios live in small YAML documents (flags can override or replace any
 key), results leave as CSV with 9 significant digits or, for sweeps, as a
 minimal SVG line chart.  Exit status is 0 on success, 2 when the input
 failed to parse or validate, 1 when a computation could not finish.
+
+The Monte Carlo and sweep modules, and with them numpy, are imported only
+where a command samples or sweeps, so analytic, adapt and classify start
+without numpy.
 """
 
+from __future__ import annotations
+
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import yaml
 
@@ -30,9 +37,7 @@ from .errors import (
     ScenarioValidationError,
     coerce_numbers,
 )
-from .experiments import Axis, SweepSpec, SweepTable, run_sweep
 from .geometry import CellGeometry
-from .montecarlo import SimControls, estimate_failure, estimate_false_handoff
 from .topology import (
     DelayProfile,
     HandoffType,
@@ -40,6 +45,10 @@ from .topology import (
     classify_handoff,
     delay_for,
 )
+
+if TYPE_CHECKING:
+    from .experiments import SweepSpec, SweepTable
+    from .montecarlo import SimControls
 
 SEED_ENV_VAR = "HANDOFF_LAB_SEED"
 
@@ -57,6 +66,10 @@ _SCENARIO_KEYS = {
 }
 
 _SWEEP_KEYS = {"kind", "axis", "cell_radius_m", "overlap_m", "speed_mps", "delay_s", "mc"}
+
+# libyaml's parser where PyYAML was built with it; both build the same
+# documents through SafeLoader's constructor
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # ======================================================================
@@ -110,10 +123,10 @@ class OutputSink:
 
 def _load_yaml_mapping(text: str, what: str) -> dict:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{what} is not valid YAML: {exc}") from exc
-    except ValueError as exc:  # an integer literal past Python's digit limit
+    except ValueError as exc:  # an integer past Python's digit limit; libyaml on a lone surrogate
         raise ScenarioParseError(f"{what} could not be read: {exc}") from exc
     if doc is None:
         doc = {}
@@ -169,6 +182,8 @@ def _resolve_seed(mc_doc: Mapping, env: Optional[Mapping[str, str]]):
 
 
 def _parse_mc(raw, env: Optional[Mapping[str, str]]) -> SimControls:
+    from .montecarlo import SimControls
+
     _shape(raw, ("samples", "seed", "batches"), required=("samples",), path="mc")
     samples = _checked("mc.samples", SimControls, raw["samples"], 0).samples
     seed = _checked("mc.seed", SimControls, samples, _resolve_seed(raw, env)).seed
@@ -236,6 +251,8 @@ def parse_sweep_spec(text: str, env: Optional[Mapping[str, str]] = None) -> Swee
 
 
 def sweep_spec_from_dict(doc: dict, env: Optional[Mapping[str, str]] = None) -> SweepSpec:
+    from .experiments import Axis, SweepSpec
+
     _shape(doc, _SWEEP_KEYS, required=("kind", "axis", "cell_radius_m"))
     axis_keys = ("start", "stop", "steps")
     axis = _checked("axis", Axis, **_shape(doc["axis"], axis_keys, required=axis_keys, path="axis"))
@@ -391,6 +408,8 @@ def execute(
     if command == "simulate":
         if scenario.mc is None:
             raise ScenarioValidationError("mc", "simulate needs an mc block (samples, seed)")
+        from .montecarlo import estimate_failure, estimate_false_handoff
+
         columns, row = _analytic_row(scenario)
         geom = scenario.geometry
         tau = scenario.resolved_delay_s()
@@ -403,6 +422,8 @@ def execute(
         return 0
 
     if command == "sweep":
+        from .experiments import run_sweep
+
         table = run_sweep(sweep)
         if sink.format == "svg":
             sink.write(render_sweep_svg(table))
@@ -445,6 +466,17 @@ def execute(
 # ======================================================================
 
 
+def _probability(text: str) -> float:
+    """--target-pf's type: a probability in (0, 1]; argparse exits 2 on anything else."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a probability in (0, 1], got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -485,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="sweep spec YAML file")
     p = sub.add_parser("adapt", parents=[scenario, output],
                        help="solve for the overlap matching a target failure probability")
-    p.add_argument("--target-pf", type=float, required=True)
+    p.add_argument("--target-pf", type=_probability, required=True)
     p = sub.add_parser("classify", parents=[scenario, output],
                        help="classify a handoff between two base stations")
     p.add_argument("--from-bs", required=True)

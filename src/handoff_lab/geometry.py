@@ -23,19 +23,23 @@ from the trigger point to the chord midpoint.
 """
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .errors import InvalidParameterError, coerce_numbers
+
+# numpy is imported inside the array functions, which only the sampler
+# uses, so the closed forms run without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 Point = Tuple[float, float]
 
 SQRT3 = math.sqrt(3.0)
 
 # How far outside [0, 1] the chord parameter of a hit may fall by roundoff.
-_ENDPOINT_SLACK = 4 * np.finfo(float).eps
+_ENDPOINT_SLACK = 4 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -153,12 +157,12 @@ def ray_chord_crossing(frame: LocalFrame, heading_rad: float) -> Optional[float]
     """
     if not (math.isfinite(heading_rad) and -math.pi < heading_rad <= math.pi):
         raise InvalidParameterError(f"heading_rad must lie in (-pi, pi], got {heading_rad!r}")
-    out = ray_chord_crossing_many(frame, np.array([heading_rad]))
+    out = ray_chord_crossing_many(frame, [heading_rad])
     dist = float(out[0])
     return None if math.isnan(dist) else dist
 
 
-def ray_chord_crossing_many(frame: LocalFrame, headings_rad: np.ndarray) -> np.ndarray:
+def ray_chord_crossing_many(frame: LocalFrame, headings_rad: "np.ndarray") -> "np.ndarray":
     """Vectorized ray/segment intersection; NaN marks a miss.
 
     Solves trigger + t*dir = start + s*(end - start) per heading and accepts
@@ -166,13 +170,15 @@ def ray_chord_crossing_many(frame: LocalFrame, headings_rad: np.ndarray) -> np.n
     may sit _ENDPOINT_SLACK outside [0, 1], because a ray aimed exactly at
     an endpoint (or an ulp inside it) lands there only up to roundoff.
     """
+    import numpy as np
+
     h = np.array(headings_rad, dtype=float)  # a copy: _ray_chord_into overwrites it
     a, b, c = (np.empty_like(h) for _ in range(3))
     hit, tmp = (np.empty(h.shape, dtype=bool) for _ in range(2))
     return _ray_chord_into(frame, h, a, b, c, hit, tmp)
 
 
-def _ray_chord_into(frame: LocalFrame, h, a, b, c, hit, tmp) -> np.ndarray:
+def _ray_chord_into(frame: LocalFrame, h, a, b, c, hit, tmp) -> "np.ndarray":
     """ray_chord_crossing_many computed in caller-owned buffers, allocating none.
 
     h holds the headings and is overwritten; a, b, c are float buffers and
@@ -180,6 +186,8 @@ def _ray_chord_into(frame: LocalFrame, h, a, b, c, hit, tmp) -> np.ndarray:
     the distances.  The float operations and their order are those of the
     plain expression form, so every distance is the same bit for bit.
     """
+    import numpy as np
+
     px, py = frame.trigger_point
     ax = frame.chord_start[0] - px
     ay = frame.chord_start[1] - py

@@ -20,6 +20,7 @@ them, so results are identical under any worker count.
 """
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Union
@@ -32,6 +33,12 @@ from .geometry import CellGeometry, LocalFrame, _ray_chord_into, derive_geometry
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 16  # samples per kernel chunk, whatever the batch size
+
+# One Philox bit generator and its Generator per thread, built on first use:
+# constructing a Philox draws OS entropy for a seed sequence the kernel never
+# uses, and the kernel sets the whole state before every draw, so reuse
+# changes no value.
+_generators = threading.local()
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,15 @@ def derive_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _thread_generator():
+    """This thread's (Philox, Generator) pair, built on its first call."""
+    pair = getattr(_generators, "pair", None)
+    if pair is None:
+        bitgen = np.random.Philox(key=0)
+        pair = _generators.pair = bitgen, np.random.Generator(bitgen)
+    return pair
+
+
 def _batch_sizes(samples: int, batches: int) -> List[int]:
     base, rem = divmod(samples, batches)
     return [base + 1 if i < rem else base for i in range(batches)]
@@ -128,8 +144,7 @@ def _sample(
         key, counter = [ctl.seed, 0], [0, 0, 0, 0]
         state = {"bit_generator": "Philox", "state": {"key": key, "counter": counter},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        bitgen = np.random.Philox(key=ctl.seed)
-        gen = np.random.Generator(bitgen)
+        bitgen, gen = _thread_generator()
 
         def uniform(buf, batch, position, m, lo, hi):
             # Generator.uniform(lo, hi) values position..position+m-1 of

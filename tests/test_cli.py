@@ -3,6 +3,7 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -393,6 +394,17 @@ def test_main_adapt_solves(capsys, monkeypatch):
     assert float(rows[0][2]) == pytest.approx(0.2199, abs=1e-8)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.1", "1.5", "abc"])
+def test_main_adapt_refuses_a_target_pf_outside_0_1(capsys, value):
+    # malformed input exits 2 at the parser; a valid but unreachable target
+    # still exits 1 (test_main_exit_codes)
+    flags = ["--cell-radius-m", "1000", "--overlap-m", "0", "--speed-mps", "50", "--delay-s", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(["adapt", *flags, "--target-pf", value])
+    assert exc.value.code == 2
+    assert "--target-pf" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # sweep output files
 # ----------------------------------------------------------------------
@@ -573,3 +585,54 @@ def test_parsers_give_a_result_or_a_package_error(data):
         parse(doc, env={})
     except HandoffLabError:
         pass
+
+
+# ----------------------------------------------------------------------
+# libyaml and pure-Python YAML parsing
+# ----------------------------------------------------------------------
+
+# the scenario and sweep documents the tests parse, valid or not, and the
+# fuzz test's valid documents written out as YAML
+YAML_DOCS = (
+    MINIMAL,
+    TOPOLOGY_DOC,
+    SWEEP_DOC,
+    "cell_radius_m: 1000\noverlap_m: 0\nspeed: 50\nhandoff_type: intra\n"
+    "delay_profile: {intra_s: 0.7, inter_s: 5.0}",
+    "cell_radius_m: 1000\noverlap_m: 0\nspeed: {vmin: 40, vmax: 60}\ndelay_s: 3",
+    "cell_radius_m: 1000\noverlap_m: 0\nspeed: 50\nhandoff_type: inter\n",
+    MINIMAL + "mc: {samples: 50000, seed: 11, batches: 2}",
+    MINIMAL + "mc: {samples: 10, batches: 20}",
+    MINIMAL + "bogus_key: 1",
+    MINIMAL + "delay_profile: {intra_s: 1}",
+    MINIMAL + "topology: {systems: []}",
+    MINIMAL.replace("1000", "9" * 400),
+    "- just\n- a\n- list",
+    "kind: false_vs_overlap\naxis: {start: 0, stop: 100, steps: 3}\ncell_radius_m: 1000\n"
+    "mc: {samples: 10, seed: -1}",
+    "kind: failure_vs_speed\naxis: {start: 10, stop: 80, steps: 4}\ncell_radius_m: 1000",
+    "kind: failure_vs_speed\naxis: {start: 10, stop: 80, steps: 8}\ncell_radius_m: 1000\n"
+    "overlap_m: [0, 50]\ndelay_s: 3\nmc: {samples: 50000, seed: 7, batches: 4}\n",
+    *(yaml.safe_dump(doc) for _, doc in VALID_DOCS),
+)
+
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+
+
+@needs_libyaml
+@pytest.mark.parametrize("text", YAML_DOCS)
+def test_libyaml_and_python_loaders_build_equal_documents(text):
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+@pytest.mark.parametrize("text", ["cell_radius_m: [unclosed", MINIMAL.replace("1000", "9" * 5000),
+                                  MINIMAL + "name: \ud800"],
+                         ids=["syntax", "digit-limit", "surrogate"])
+def test_both_loaders_report_a_parse_error(monkeypatch, loader, text):
+    # the loaders raise different errors for some of these: libyaml a
+    # UnicodeEncodeError for the lone surrogate, the Python parser a ReaderError
+    monkeypatch.setattr("handoff_lab.cli._YAML_LOADER", getattr(yaml, loader))
+    with pytest.raises(ScenarioParseError):
+        parse_scenario(text, env={})

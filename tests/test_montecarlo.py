@@ -100,6 +100,20 @@ def test_repeat_runs_are_identical():
     assert a == b
 
 
+def test_calls_reuse_the_thread_generator(monkeypatch):
+    # building a Philox draws OS entropy, so a thread builds one on its first
+    # call only; the state set before every draw keeps reuse exact
+    ctl = SimControls(samples=1_001, seed=9, batches=3)
+    uniform = SpeedModel.uniform(20.0, 60.0)
+    first = estimate_failure(KM_CELL, uniform, 3.0, ctl)
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *args, **kwargs: built.append(1) or philox(*args, **kwargs))
+    estimate_false_handoff(KM_CELL, SimControls(samples=7, seed=2**64 - 1))
+    assert estimate_failure(KM_CELL, uniform, 3.0, ctl) == first
+    assert built == []
+
+
 def test_worker_count_does_not_change_results():
     ctl = SimControls(samples=80_000, seed=55, batches=8)
     assert estimate_false_handoff(KM_CELL, ctl, workers=1) == estimate_false_handoff(
