@@ -567,10 +567,12 @@ def _merge_mc_flags(doc: dict, args: argparse.Namespace) -> dict:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path!r} is not UTF-8 text: {exc}") from exc
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -33,6 +33,10 @@ from .geometry import CellGeometry, LocalFrame, _ray_chord_into, derive_geometry
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 16  # samples per kernel chunk, whatever the batch size
+# Candidate margin of the KS screen in crossing_time_ecdf.  It only has to
+# exceed twice the ~1e-15 error of the fast CDF; a wider margin admits more
+# candidates but never changes the statistic.
+_KS_SCREEN = 1e-9
 
 # One Philox bit generator and its Generator per thread, built on first use:
 # constructing a Philox draws OS entropy for a seed sequence the kernel never
@@ -245,27 +249,44 @@ def crossing_time_ecdf(
 
     Returns the sorted sample, the Kolmogorov-Smirnov sup statistic against
     the closed-form distribution, and the sample size.  At 95% confidence
-    the statistic should stay below 1.36/sqrt(n).  The model distribution is
-    evaluated over the whole sample in one vectorised call whose every value
-    equals the scalar crossing_time_cdf bit for bit, so the statistic is the
-    one a per-sample loop would give.
+    the statistic should stay below 1.36/sqrt(n).
+
+    The statistic is the one a per-sample loop over the scalar
+    crossing_time_cdf gives, bit for bit, found by a screen.  The model
+    distribution is first evaluated over the whole sample with numpy's
+    arccos (analytic._cdf_many with exact=False), which is within about
+    1e-15 of the exact value because the chord half-angle exceeds pi/4.
+    Every sample whose KS difference, D+ = i/n - F or D- = F - (i-1)/n,
+    lies within _KS_SCREEN = 1e-9 of that difference's maximum is a
+    candidate.  At the exact argmax the approximate difference lies within
+    twice the approximation error of the approximate maximum, far below
+    1e-9, so the exact argmax is always a candidate.  Only the candidates,
+    usually one per difference, are then evaluated exactly with libm's
+    acos, and the statistic is the largest exact difference among them.
     """
     if not (math.isfinite(v_mps) and v_mps > 0):
         raise InvalidParameterError(f"v_mps must be positive, got {v_mps!r}")
-    half_angle = derive_geometry(geom).chord_half_angle_rad
+    dg = derive_geometry(geom)
     times = np.empty(ctl.samples)
-    _sample(local_frame(geom), half_angle, ctl, workers, speed=SpeedModel.fixed(v_mps), out=times)
+    _sample(local_frame(geom), dg.chord_half_angle_rad, ctl, workers,
+            speed=SpeedModel.fixed(v_mps), out=times)
     times.sort()
     n = len(times)
     # every heading in [-h, h] hits the chord, edges included, so no time is
     # NaN; a NaN, were one to appear, would sort last and be refused here as
     # the scalar CDF refuses it
     _check_tau(float(times[-1]))
-    model_cdf = _cdf_many(derive_geometry(geom), v_mps, times)
-    ranks = np.arange(1, n + 1)
-    ks = max(
-        float((ranks / n - model_cdf).max()),
-        float((model_cdf - (ranks - 1) / n).max()),
-    )
+    fast = _cdf_many(dg, v_mps, times, exact=False)
+    # the ECDF is levels[i] just below sample i and levels[i + 1] at it; one
+    # difference array serves D+ and then D-, so the step's peak memory
+    # stays below that of the CDF call above
+    levels = np.arange(n + 1) / n
+    diff = levels[1:] - fast
+    near = diff >= diff.max() - _KS_SCREEN
+    np.subtract(fast, levels[:-1], out=diff)
+    near |= diff >= diff.max() - _KS_SCREEN
+    near = np.flatnonzero(near)
+    model = _cdf_many(dg, v_mps, times[near])
+    ks = max(float((levels[near + 1] - model).max()), float((model - levels[near]).max()))
     times.setflags(write=False)
     return EcdfReport(times_s=times, ks_stat=ks, n=n)

@@ -493,6 +493,26 @@ def test_adapt_overlap_pinned(args, overlap_m):
     assert adapt_overlap(*args).overlap_m == overlap_m
 
 
+@pytest.mark.parametrize(
+    "args,bits",
+    [
+        ((1000.0, 50.0, 3.0, 0.3), ("0x1.2f046481a8416p+2", "0x1.3333332db3d56p-2", "0x1.2bdfef7c8c940p-1")),
+        ((1000.0, 50.0, 3.0, 0.05), ("0x1.f6e97104e0451p+3", "0x1.9999991ae27eep-5", "0x1.2e9bb6499764dp-1")),
+        ((500.0, 30.0, 4.0, 0.5), ("0x1.f66b108aefc01p+4", "0x1.00000003dad52p-1", "0x1.3950ffd1b899ep-1")),
+        ((2500.0, 33.3, 15.0, 0.2), ("0x1.2b653685ad112p+7", "0x1.999999a5d922bp-3", "0x1.38b24df983304p-1")),
+        ((1200.0, 20.0, 10.0, 0.3), ("0x1.8b8748e8f8e36p+4", "0x1.3333333338ed7p-2", "0x1.2fcb455967834p-1")),
+        # the zero-overlap failure probability itself: a tie at the bracket edge
+        ((800.0, 40.0, 3.5, 0.5338979978355056), ("0x0.0p+0", "0x1.115b141034edap-1", "0x1.2aaaaaaaaaaabp-1")),
+    ],
+)
+def test_adapt_overlap_solution_bits_pinned(args, bits):
+    # frozen from the solver whose DerivedGeometry was a frozen dataclass;
+    # the record's type must not move any field of the solution
+    solution = adapt_overlap(*args)
+    got = (solution.overlap_m, solution.failure_probability, solution.false_handoff_probability)
+    assert tuple(x.hex() for x in got) == bits
+
+
 def test_adapt_overlap_round_trip():
     rng = np.random.default_rng(47)
     done = 0

@@ -431,6 +431,20 @@ def test_main_integer_past_digit_limit_is_a_parse_error(tmp_path, capsys, monkey
     assert "could not be read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,doc", [("analytic", "--scenario", MINIMAL),
+                                               ("sweep", "--spec", SWEEP_DOC)],
+                         ids=["scenario", "sweep"])
+def test_main_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch, command, flag, doc):
+    # a valid document plus a comment holding byte 0xff, which no UTF-8 text has
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    path = tmp_path / "doc.yaml"
+    path.write_bytes(doc.encode() + b"# \xff\n")
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "not UTF-8" in err
+
+
 def test_sweep_runs_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     spec = tmp_path / "sweep.yaml"

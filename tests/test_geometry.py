@@ -73,6 +73,16 @@ def test_derive_tangent_cells():
     assert dg.chord_half_angle_rad == pytest.approx(5 * math.pi / 12, rel=1e-12)
 
 
+def test_derived_geometry_is_immutable_and_hashable():
+    dg = derive_geometry(CellGeometry(1000.0, 200.0))
+    with pytest.raises(AttributeError):
+        dg.half_chord_m = 1.0
+    assert dg.half_chord_m == pytest.approx(615.470054, abs=1e-6)
+    again = derive_geometry(CellGeometry(1000.0, 200.0))
+    assert hash(dg) == hash(again)
+    assert {dg: 1}[again] == 1
+
+
 def test_derive_matches_hexagon_construction():
     for a, overlap in [(1000.0, 200.0), (1000.0, 0.0), (750.0, 123.0), (250.0, 40.0)]:
         dg = derive_geometry(CellGeometry(a, overlap))

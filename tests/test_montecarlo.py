@@ -4,16 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handoff_lab.analytic import (
     SpeedModel,
+    _cdf_many,
     crossing_time_cdf,
     crossing_time_support,
     expected_failure_over_speed,
     false_handoff_probability,
 )
 from handoff_lab.errors import InvalidParameterError
-from handoff_lab.geometry import CellGeometry
+from handoff_lab.geometry import CellGeometry, derive_geometry
 from handoff_lab.montecarlo import (
     Estimate,
     SimControls,
@@ -275,6 +278,46 @@ def test_ecdf_ks_equals_scalar_cdf_loop(geom, v):
     ranks = np.arange(1, n + 1)
     ks = max(float((ranks / n - model).max()), float((model - (ranks - 1) / n).max()))
     assert report.ks_stat == ks
+
+
+def _ks_over(model) -> float:
+    n = len(model)
+    ranks = np.arange(1, n + 1)
+    return max(float((ranks / n - model).max()), float((model - (ranks - 1) / n).max()))
+
+
+def _loop_ks(geom, v, times) -> float:
+    return _ks_over(np.array([crossing_time_cdf(geom, v, float(t)) for t in times]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    a=st.floats(100.0, 5000.0),
+    overlap_frac=st.floats(0.0, 0.999),
+    v=st.floats(1.0, 60.0),
+    samples=st.integers(1, 20_000),
+    batches=st.integers(1, 8),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_ecdf_ks_screen_equals_scalar_cdf_loop(a, overlap_frac, v, samples, batches, seed):
+    # the screened KS step gives exactly what a per-sample loop over the
+    # scalar closed form gives, over the whole parameter space
+    geom = CellGeometry(a, overlap_frac * math.sqrt(3.0) / 2.0 * a)
+    ctl = SimControls(samples=samples, seed=seed, batches=min(batches, samples))
+    report = crossing_time_ecdf(geom, v, ctl)
+    assert report.ks_stat == _loop_ks(geom, v, report.times_s)
+
+
+def test_ecdf_ks_is_exact_where_numpy_arccos_is_not():
+    # here numpy's arccos and libm's acos differ in the last ulp at the
+    # sample that maximises the KS difference, so a KS step on numpy's
+    # arccos alone gives another statistic; the screen must not
+    report = crossing_time_ecdf(KM_CELL, 50.0, SimControls(samples=2_000, seed=1))
+    exact = _loop_ks(KM_CELL, 50.0, report.times_s)
+    fast = _ks_over(_cdf_many(derive_geometry(KM_CELL), 50.0, report.times_s, exact=False))
+    if fast == exact:
+        pytest.skip("numpy's arccos agrees with libm's acos at the maximising sample here")
+    assert report.ks_stat == exact
 
 
 def test_ecdf_times_live_on_support():
