@@ -18,7 +18,6 @@ from .analytic import (
     OverlapSolution,
     SpeedModel,
     adapt_overlap,
-    crossing_time,
     crossing_time_cdf,
     crossing_time_pdf,
     crossing_time_support,
@@ -42,7 +41,6 @@ from .geometry import (
     LocalFrame,
     derive_geometry,
     local_frame,
-    ray_chord_crossing,
 )
 from .topology import (
     AccessSystem,
@@ -106,7 +104,6 @@ __all__ = [
     "UnsupportedHandoffTypeError",
     "adapt_overlap",
     "classify_handoff",
-    "crossing_time",
     "crossing_time_cdf",
     "crossing_time_ecdf",
     "crossing_time_pdf",
@@ -120,6 +117,5 @@ __all__ = [
     "false_handoff_probability",
     "handoff_failure_probability",
     "local_frame",
-    "ray_chord_crossing",
     "run_sweep",
 ]

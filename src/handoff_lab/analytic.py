@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
-from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, coerce_numbers
+from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, _real_or_nan, coerce_numbers
 from .geometry import CellGeometry, DerivedGeometry, _derive, derive_geometry
 
 # numpy is imported by _cdf_many alone, so the scalar closed forms run
@@ -75,26 +75,24 @@ class SpeedModel:
 
 @dataclass(frozen=True)
 class CrossingTimeSupport:
-    """Support of the chord-crossing time at one speed."""
+    """Support of the chord-crossing time at one speed; 0 < t_min_s < t_max_s."""
 
     t_min_s: float
     t_max_s: float
 
-    def __post_init__(self):
-        if not (0 < self.t_min_s < self.t_max_s):
-            raise InvalidParameterError(
-                f"support needs 0 < t_min < t_max, got [{self.t_min_s!r}, {self.t_max_s!r}]"
-            )
+
+def _check_speed(v_mps: float) -> float:
+    v = _real_or_nan(v_mps)
+    if not (math.isfinite(v) and v > 0):
+        raise OutOfDomainError(f"speed must be a positive number, got {v_mps!r}")
+    return v
 
 
-def _check_speed(v_mps: float):
-    if not (math.isfinite(v_mps) and v_mps > 0):
-        raise OutOfDomainError(f"speed must be positive, got {v_mps!r}")
-
-
-def _check_tau(tau_s: float):
-    if not (math.isfinite(tau_s) and tau_s >= 0):
+def _check_tau(tau_s: float) -> float:
+    tau = _real_or_nan(tau_s)
+    if not (math.isfinite(tau) and tau >= 0):
         raise OutOfDomainError(f"tau_s must be finite and nonnegative, got {tau_s!r}")
+    return tau
 
 
 def _support(dg: DerivedGeometry, v: float) -> Tuple[float, float]:
@@ -114,7 +112,7 @@ def crossing_time_support(geom: CellGeometry, v_mps: float) -> CrossingTimeSuppo
     latest grazes a chord endpoint, longer by the secant of the chord
     half-angle.
     """
-    _check_speed(v_mps)
+    v_mps = _check_speed(v_mps)
     t_min, t_max = _support(derive_geometry(geom), v_mps)
     return CrossingTimeSupport(t_min_s=t_min, t_max_s=t_max)
 
@@ -131,23 +129,6 @@ def false_handoff_probability(geom: CellGeometry) -> float:
     return 1.0 - dg.chord_half_angle_rad / math.pi
 
 
-def crossing_time(geom: CellGeometry, v_mps: float, heading_rad: float) -> float:
-    """Time to reach the chord along one heading.
-
-    Equals the trigger-to-chord distance times sec(heading), divided by
-    the speed.  Defined only for headings strictly inside the chord
-    half-angle on either side; anything else never crosses and raises
-    OutOfDomainError.
-    """
-    _check_speed(v_mps)
-    dg = derive_geometry(geom)
-    if not (math.isfinite(heading_rad) and abs(heading_rad) < dg.chord_half_angle_rad):
-        raise OutOfDomainError(
-            f"heading {heading_rad!r} does not cross the chord (|heading| >= {dg.chord_half_angle_rad:.9g})"
-        )
-    return dg.trigger_to_chord_m / math.cos(heading_rad) / v_mps
-
-
 def crossing_time_pdf(geom: CellGeometry, v_mps: float, t_s: float) -> float:
     """Density of the chord-crossing time at a fixed speed.
 
@@ -155,7 +136,7 @@ def crossing_time_pdf(geom: CellGeometry, v_mps: float, t_s: float) -> float:
     1/sqrt singularity at t_min; returns 0 outside, including at t_min
     itself.
     """
-    _check_speed(v_mps)
+    v_mps = _check_speed(v_mps)
     dg = derive_geometry(geom)
     span = dg.mirror_span_m
     t_min, t_max = _support(dg, v_mps)
@@ -216,9 +197,7 @@ def crossing_time_cdf(geom: CellGeometry, v_mps: float, tau_s: float) -> float:
     across the support, 1 from t_max on.  The branches meet continuously
     at both ends.
     """
-    _check_speed(v_mps)
-    _check_tau(tau_s)
-    return _cdf(derive_geometry(geom), v_mps, tau_s)
+    return _cdf(derive_geometry(geom), _check_speed(v_mps), _check_tau(tau_s))
 
 
 def handoff_failure_probability(geom: CellGeometry, v_mps: float, tau_s: float) -> float:
@@ -265,7 +244,7 @@ def expected_failure_over_speed(geom: CellGeometry, model: SpeedModel, tau_s: fl
     """
     if model.kind != "uniform":
         raise InvalidParameterError("expected_failure_over_speed needs a uniform speed model")
-    _check_tau(tau_s)
+    tau_s = _check_tau(tau_s)
     if tau_s == 0.0:
         return 0.0
     dg = derive_geometry(geom)
@@ -302,10 +281,10 @@ def adapt_overlap(
     Raises NotBracketedError when no overlap in that range can reach the
     target.  Ties at a bracket edge return the edge.
     """
-    _check_speed(v_mps)
-    _check_tau(tau_s)
+    v_mps, tau_s = _check_speed(v_mps), _check_tau(tau_s)
+    target_pf, given = _real_or_nan(target_pf), target_pf
     if not (math.isfinite(target_pf) and target_pf > 0):
-        raise NotBracketedError(f"target_pf must be positive, got {target_pf!r}")
+        raise NotBracketedError(f"target_pf must be a positive number, got {given!r}")
 
     # Every bisection point lies in [0, hi] with hi below the overlap bound,
     # so the radius is checked once and each step skips CellGeometry.

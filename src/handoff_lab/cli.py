@@ -394,11 +394,6 @@ def execute(
         raise InvalidParameterError(f"unknown command {command!r}")
     if sink.format == "svg" and command != "sweep":
         raise ScenarioValidationError("format", "svg output is only available for sweep")
-    if command == "sweep":
-        if sweep is None:
-            raise InvalidParameterError("sweep command needs a sweep spec")
-    elif scenario is None:
-        raise InvalidParameterError(f"{command} command needs a scenario")
 
     if command == "analytic":
         columns, row = _analytic_row(scenario)

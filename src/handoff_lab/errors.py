@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the numeric field check.
+"""Exception types shared across the package, and the numeric input checks.
 
 Everything derives from HandoffLabError so callers can catch broadly.
 The CLI maps these onto exit codes; library users get ordinary
@@ -79,3 +79,15 @@ def coerce_numbers(
         else:
             value = coerce(value, name)
         object.__setattr__(obj, name, value)
+
+
+def _real_or_nan(value) -> float:
+    """value as a float (numpy scalars too); NaN for a bool, a non-number or a huge int."""
+    if type(value) is float:  # the common case, without the ABC check below
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan

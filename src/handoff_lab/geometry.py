@@ -25,7 +25,7 @@ from the trigger point to the chord midpoint.
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .errors import InvalidParameterError, coerce_numbers
 
@@ -83,31 +83,12 @@ class DerivedGeometry(NamedTuple):
 
 @dataclass(frozen=True)
 class LocalFrame:
-    """Concrete coordinates for the trigger point and the chord."""
+    """Concrete coordinates for the trigger point and the chord (unchecked)."""
 
     trigger_point: Point
     chord_start: Point
     chord_end: Point
     chord_midpoint: Point
-
-    def __post_init__(self):
-        mx = 0.5 * (self.chord_start[0] + self.chord_end[0])
-        my = 0.5 * (self.chord_start[1] + self.chord_end[1])
-        span = math.dist(self.chord_start, self.chord_end)
-        depth = math.dist(self.trigger_point, self.chord_midpoint)
-        tol = 1e-9 * max(span, depth, 1.0)
-        if span <= 0.0 or depth <= 0.0:
-            raise InvalidParameterError("degenerate frame: chord or trigger-to-midpoint has zero length")
-        if math.dist((mx, my), self.chord_midpoint) > tol:
-            raise InvalidParameterError("chord_midpoint is not the midpoint of the chord")
-        # The trigger point must face the chord: its line to the midpoint is
-        # perpendicular to the chord.
-        ex = self.chord_end[0] - self.chord_start[0]
-        ey = self.chord_end[1] - self.chord_start[1]
-        ax = self.chord_midpoint[0] - self.trigger_point[0]
-        ay = self.chord_midpoint[1] - self.trigger_point[1]
-        if abs(ex * ax + ey * ay) > tol * max(span, depth):
-            raise InvalidParameterError("trigger-to-midpoint is not perpendicular to the chord")
 
 
 def derive_geometry(geom: CellGeometry) -> DerivedGeometry:
@@ -147,28 +128,15 @@ def local_frame(geom: CellGeometry) -> LocalFrame:
     )
 
 
-def ray_chord_crossing(frame: LocalFrame, heading_rad: float) -> Optional[float]:
-    """Distance from the trigger point to where a ray crosses the chord.
-
-    The heading is measured from the trigger-to-midpoint axis and must lie
-    in (-pi, pi].  Returns None when the ray misses the chord segment.  A
-    ray exactly through a chord endpoint counts as crossing (measure-zero
-    convention, fixed for determinism).
-    """
-    if not (math.isfinite(heading_rad) and -math.pi < heading_rad <= math.pi):
-        raise InvalidParameterError(f"heading_rad must lie in (-pi, pi], got {heading_rad!r}")
-    out = ray_chord_crossing_many(frame, [heading_rad])
-    dist = float(out[0])
-    return None if math.isnan(dist) else dist
-
-
 def ray_chord_crossing_many(frame: LocalFrame, headings_rad: "np.ndarray") -> "np.ndarray":
-    """Vectorized ray/segment intersection; NaN marks a miss.
+    """Distance from the trigger point to where each ray crosses the chord,
+    NaN for a miss; headings are measured from the trigger-to-midpoint axis.
 
     Solves trigger + t*dir = start + s*(end - start) per heading and accepts
-    t >= 0, 0 <= s <= 1.  Same endpoint convention as the scalar form: s
-    may sit _ENDPOINT_SLACK outside [0, 1], because a ray aimed exactly at
-    an endpoint (or an ulp inside it) lands there only up to roundoff.
+    t >= 0, 0 <= s <= 1.  A ray exactly through a chord endpoint crosses
+    (measure-zero convention, fixed for determinism): s may sit
+    _ENDPOINT_SLACK outside [0, 1], because a ray aimed exactly at an
+    endpoint (or an ulp inside it) lands there only up to roundoff.
     """
     import numpy as np
 

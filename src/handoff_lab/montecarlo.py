@@ -28,7 +28,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .analytic import SpeedModel, _cdf_many, _check_tau
-from .errors import InvalidParameterError, coerce_numbers
+from .errors import InvalidParameterError, _real_or_nan, coerce_numbers
 from .geometry import CellGeometry, LocalFrame, _ray_chord_into, derive_geometry, local_frame
 
 _MASK64 = (1 << 64) - 1
@@ -73,13 +73,6 @@ class Estimate:
     std_err: float
     n: int
     seed: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.p_hat <= 1.0):
-            raise InvalidParameterError(f"p_hat must lie in [0, 1], got {self.p_hat!r}")
-        expected = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n)
-        if abs(self.std_err - expected) > 1e-12:
-            raise InvalidParameterError("std_err is inconsistent with p_hat and n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,14 +224,15 @@ def estimate_failure(
     its speed.  `speed` is either a fixed value in m/s or a SpeedModel;
     uniform models draw one speed per trajectory.
     """
-    if not (math.isfinite(tau_s) and tau_s >= 0):
+    tau = _real_or_nan(tau_s)
+    if not (math.isfinite(tau) and tau >= 0):
         raise InvalidParameterError(f"tau_s must be finite and nonnegative, got {tau_s!r}")
     if isinstance(speed, SpeedModel):
         model = speed
     else:
         model = SpeedModel.fixed(speed)
     half_angle = derive_geometry(geom).chord_half_angle_rad
-    hits = _sample(local_frame(geom), half_angle, ctl, workers, speed=model, tau=tau_s)
+    hits = _sample(local_frame(geom), half_angle, ctl, workers, speed=model, tau=tau)
     return _binomial(hits, ctl)
 
 
@@ -264,19 +258,17 @@ def crossing_time_ecdf(
     usually one per difference, are then evaluated exactly with libm's
     acos, and the statistic is the largest exact difference among them.
     """
-    if not (math.isfinite(v_mps) and v_mps > 0):
-        raise InvalidParameterError(f"v_mps must be positive, got {v_mps!r}")
+    speed = SpeedModel.fixed(v_mps)
     dg = derive_geometry(geom)
     times = np.empty(ctl.samples)
-    _sample(local_frame(geom), dg.chord_half_angle_rad, ctl, workers,
-            speed=SpeedModel.fixed(v_mps), out=times)
+    _sample(local_frame(geom), dg.chord_half_angle_rad, ctl, workers, speed=speed, out=times)
     times.sort()
     n = len(times)
     # every heading in [-h, h] hits the chord, edges included, so no time is
     # NaN; a NaN, were one to appear, would sort last and be refused here as
     # the scalar CDF refuses it
     _check_tau(float(times[-1]))
-    fast = _cdf_many(dg, v_mps, times, exact=False)
+    fast = _cdf_many(dg, speed.v_mps, times, exact=False)
     # the ECDF is levels[i] just below sample i and levels[i + 1] at it; one
     # difference array serves D+ and then D-, so the step's peak memory
     # stays below that of the CDF call above
@@ -286,7 +278,7 @@ def crossing_time_ecdf(
     np.subtract(fast, levels[:-1], out=diff)
     near |= diff >= diff.max() - _KS_SCREEN
     near = np.flatnonzero(near)
-    model = _cdf_many(dg, v_mps, times[near])
+    model = _cdf_many(dg, speed.v_mps, times[near])
     ks = max(float((levels[near + 1] - model).max()), float((model - levels[near]).max()))
     times.setflags(write=False)
     return EcdfReport(times_s=times, ks_stat=ks, n=n)

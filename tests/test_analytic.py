@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from handoff_lab.analytic import (
-    CrossingTimeSupport,
     SpeedModel,
     _cdf_many,
     adapt_overlap,
-    crossing_time,
     crossing_time_cdf,
     crossing_time_pdf,
     crossing_time_support,
@@ -24,7 +22,7 @@ from handoff_lab.analytic import (
 )
 from handoff_lab.errors import InvalidParameterError, NotBracketedError, OutOfDomainError
 from handoff_lab.geometry import CellGeometry, derive_geometry
-from handoff_lab.montecarlo import SimControls, estimate_failure, estimate_false_handoff
+from handoff_lab.montecarlo import SimControls, crossing_time_ecdf, estimate_failure, estimate_false_handoff
 
 SQRT3 = math.sqrt(3.0)
 KM_CELL = CellGeometry(1000.0, 0.0)
@@ -119,29 +117,13 @@ def test_false_handoff_scale_free():
 # crossing time and its support
 # ----------------------------------------------------------------------
 
-def test_crossing_time_values():
-    assert crossing_time(KM_CELL, 50.0, 0.0) == pytest.approx(2.67949, abs=1e-5)
-    assert crossing_time(KM_CELL, 100.0, 0.0) == pytest.approx(1.33975, abs=1e-5)
-    half_angle = derive_geometry(KM_CELL).chord_half_angle_rad
-    grazing = crossing_time(KM_CELL, 50.0, half_angle - 1e-9)
-    assert grazing == pytest.approx(10.3528, abs=1e-4)
-
-
-def test_crossing_time_domain():
-    half_angle = derive_geometry(KM_CELL).chord_half_angle_rad
-    for bad in (half_angle, half_angle + 0.1, -half_angle, math.pi):
-        with pytest.raises(OutOfDomainError):
-            crossing_time(KM_CELL, 50.0, bad)
-    with pytest.raises(OutOfDomainError):
-        crossing_time(KM_CELL, 0.0, 0.0)
-    with pytest.raises(OutOfDomainError):
-        crossing_time(KM_CELL, -50.0, 0.0)
-
-
 def test_support_endpoints():
     support = crossing_time_support(KM_CELL, 50.0)
     assert support.t_min_s == pytest.approx(2.679491924, abs=1e-9)
     assert support.t_max_s == pytest.approx(10.352761804, abs=1e-9)
+    support = crossing_time_support(KM_CELL, 100.0)
+    assert support.t_min_s == pytest.approx(1.339745962, abs=1e-9)
+    assert support.t_max_s == pytest.approx(5.176380902, abs=1e-9)
 
 
 def test_support_secant_relation():
@@ -153,6 +135,7 @@ def test_support_secant_relation():
         geom = CellGeometry(a, overlap)
         dg = derive_geometry(geom)
         support = crossing_time_support(geom, v)
+        assert 0.0 < support.t_min_s < support.t_max_s
         assert support.t_max_s == pytest.approx(
             support.t_min_s / math.cos(dg.chord_half_angle_rad), rel=1e-12
         )
@@ -161,10 +144,6 @@ def test_support_secant_relation():
 def test_support_validation():
     with pytest.raises(OutOfDomainError):
         crossing_time_support(KM_CELL, 0.0)
-    with pytest.raises(InvalidParameterError):
-        CrossingTimeSupport(t_min_s=3.0, t_max_s=2.0)
-    with pytest.raises(InvalidParameterError):
-        CrossingTimeSupport(t_min_s=0.0, t_max_s=2.0)
 
 
 # ----------------------------------------------------------------------
@@ -314,11 +293,70 @@ def test_cdf_array_form_property(a, overlap_frac, speeds, delay_fracs):
     assert np.all(np.diff(got, axis=1) >= 0.0)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    a=st.floats(100.0, 5000.0),
+    overlap_fracs=st.lists(st.floats(0.0, 0.99), min_size=2, max_size=2),
+    speeds=st.lists(st.floats(0.5, 120.0), min_size=2, max_size=2),
+    delay_frac=st.floats(0.0, 1.5),
+)
+def test_cdf_monotone_in_speed_and_overlap(a, overlap_fracs, speeds, delay_frac):
+    # a faster mobile or a shallower overlap reaches the chord sooner, so
+    # fails at least as often; the delay spans the support at both speeds
+    (ov_lo, ov_hi), (v_lo, v_hi) = sorted(overlap_fracs), sorted(speeds)
+    shallow, deep = (CellGeometry(a, f * SQRT3 / 2.0 * a) for f in (ov_lo, ov_hi))
+    tau = delay_frac * crossing_time_support(deep, v_lo).t_max_s
+    assert crossing_time_cdf(shallow, v_lo, tau) <= crossing_time_cdf(shallow, v_hi, tau) + 1e-15
+    assert crossing_time_cdf(deep, v_lo, tau) <= crossing_time_cdf(deep, v_hi, tau) + 1e-15
+    assert crossing_time_cdf(deep, v_lo, tau) <= crossing_time_cdf(shallow, v_lo, tau) + 1e-15
+    assert crossing_time_cdf(deep, v_hi, tau) <= crossing_time_cdf(shallow, v_hi, tau) + 1e-15
+
+
 def test_cdf_validation():
     with pytest.raises(OutOfDomainError):
         crossing_time_cdf(KM_CELL, 0.0, 3.0)
     with pytest.raises(OutOfDomainError):
         crossing_time_cdf(KM_CELL, 50.0, -0.5)
+
+
+# Each scalar numeric argument of the closed forms and estimators: a call
+# taking that argument alone, a valid value exact in float32, and the error
+# the call raises for a non-finite value.
+_NUM_CTL = SimControls(samples=2_000, seed=3)
+NUMERIC_ARGUMENTS = {
+    "support-v": (lambda x: crossing_time_support(KM_CELL, x), 50.0, OutOfDomainError),
+    "pdf-v": (lambda x: crossing_time_pdf(KM_CELL, x, 3.0), 50.0, OutOfDomainError),
+    "cdf-v": (lambda x: crossing_time_cdf(KM_CELL, x, 3.0), 50.0, OutOfDomainError),
+    "cdf-tau": (lambda x: crossing_time_cdf(KM_CELL, 50.0, x), 3.0, OutOfDomainError),
+    "failure-v": (lambda x: handoff_failure_probability(KM_CELL, x, 3.0), 50.0, OutOfDomainError),
+    "failure-tau": (lambda x: handoff_failure_probability(KM_CELL, 50.0, x), 3.0, OutOfDomainError),
+    "speed-average-tau": (
+        lambda x: expected_failure_over_speed(KM_CELL, SpeedModel.uniform(40.0, 60.0), x),
+        3.0, OutOfDomainError),
+    "adapt-v": (lambda x: adapt_overlap(1000.0, x, 3.0, 0.25), 50.0, OutOfDomainError),
+    "adapt-tau": (lambda x: adapt_overlap(1000.0, 50.0, x, 0.25), 3.0, OutOfDomainError),
+    "adapt-target": (lambda x: adapt_overlap(1000.0, 50.0, 3.0, x), 0.25, NotBracketedError),
+    "estimate-v": (lambda x: estimate_failure(KM_CELL, x, 3.0, _NUM_CTL), 50.0, InvalidParameterError),
+    "estimate-tau": (lambda x: estimate_failure(KM_CELL, 50.0, x, _NUM_CTL), 3.0, InvalidParameterError),
+    "ecdf-v": (lambda x: crossing_time_ecdf(KM_CELL, x, _NUM_CTL).ks_stat, 50.0, InvalidParameterError),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, True, "3", None, 10**400, np.float32],
+                         ids=["inf", "bool", "str", "none", "huge-int", "float32"])
+@pytest.mark.parametrize("name", NUMERIC_ARGUMENTS)
+def test_numeric_arguments(name, value):
+    # bools, non-numbers and integers beyond float range raise what a
+    # non-finite value raises; a numpy scalar gives what the float of the
+    # same value gives
+    call, good, error = NUMERIC_ARGUMENTS[name]
+    if value is np.float32:
+        # repr, because a float32 compares equal to a float after rounding
+        # the float to float32
+        assert repr(call(np.float32(good))) == repr(call(good))
+        return
+    with pytest.raises(error):
+        call(value)
 
 
 def test_failure_probability_is_the_cdf():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handoff_lab.errors import InvalidParameterError
 from handoff_lab.geometry import (
@@ -9,7 +11,6 @@ from handoff_lab.geometry import (
     LocalFrame,
     derive_geometry,
     local_frame,
-    ray_chord_crossing,
     ray_chord_crossing_many,
 )
 
@@ -155,24 +156,23 @@ def test_geometry_numeric_inputs(radius, overlap, ok):
 
 
 # ----------------------------------------------------------------------
-# ray_chord_crossing
+# ray_chord_crossing_many
 # ----------------------------------------------------------------------
 
 def test_ray_straight_ahead():
     frame = local_frame(CellGeometry(1000.0, 0.0))
-    assert ray_chord_crossing(frame, 0.0) == pytest.approx(133.9746, abs=1e-4)
+    assert ray_chord_crossing_many(frame, [0.0])[0] == pytest.approx(133.9746, abs=1e-4)
 
 
 def test_ray_beyond_half_angle_misses():
     frame = local_frame(CellGeometry(1000.0, 0.0))
-    assert ray_chord_crossing(frame, math.radians(80.0)) is None
-    assert ray_chord_crossing(frame, math.radians(-80.0)) is None
-    assert ray_chord_crossing(frame, math.pi) is None
+    headings = [math.radians(80.0), math.radians(-80.0), math.pi]
+    assert np.isnan(ray_chord_crossing_many(frame, headings)).all()
 
 
 def test_ray_near_half_angle_frozen_value():
     frame = local_frame(CellGeometry(1000.0, 0.0))
-    dist = ray_chord_crossing(frame, math.radians(74.9))
+    dist = ray_chord_crossing_many(frame, [math.radians(74.9)])[0]
     assert dist == pytest.approx(514.288973, abs=1e-6)
     # cross-check the right-triangle form hypot(reach, reach*tan(heading))
     dg = derive_geometry(CellGeometry(1000.0, 0.0))
@@ -188,14 +188,13 @@ def test_ray_matches_secant_inside_half_angle():
         geom = CellGeometry(a, overlap)
         dg = derive_geometry(geom)
         frame = local_frame(geom)
-        for frac in rng.uniform(-0.999, 0.999, 10):
-            beta = frac * dg.chord_half_angle_rad
-            dist = ray_chord_crossing(frame, beta)
-            assert dist is not None
-            assert dist == pytest.approx(dg.trigger_to_chord_m / math.cos(beta), rel=1e-9)
-        for outside in rng.uniform(1.001, math.pi / dg.chord_half_angle_rad, 5):
-            beta = min(outside * dg.chord_half_angle_rad, math.pi)
-            assert ray_chord_crossing(frame, beta) is None
+        betas = rng.uniform(-0.999, 0.999, 10) * dg.chord_half_angle_rad
+        dists = ray_chord_crossing_many(frame, betas)
+        assert not np.isnan(dists).any()
+        assert dists == pytest.approx(dg.trigger_to_chord_m / np.cos(betas), rel=1e-9)
+        outside = rng.uniform(1.001, math.pi / dg.chord_half_angle_rad, 5)
+        betas = np.minimum(outside * dg.chord_half_angle_rad, math.pi)
+        assert np.isnan(ray_chord_crossing_many(frame, betas)).all()
 
 
 def test_ray_edge_headings_hit_and_just_outside_miss():
@@ -212,20 +211,6 @@ def test_ray_edge_headings_hit_and_just_outside_miss():
         assert not np.isnan(edge).any()
         outside = ray_chord_crossing_many(frame, np.array([h, -h]) * (1 + 1e-12))
         assert np.isnan(outside).all()
-
-
-def test_ray_batch_matches_scalar():
-    geom = CellGeometry(800.0, 150.0)
-    frame = local_frame(geom)
-    rng = np.random.default_rng(19)
-    betas = rng.uniform(-math.pi, math.pi, 500)
-    batch = ray_chord_crossing_many(frame, betas)
-    for beta, expected in zip(betas, batch):
-        got = ray_chord_crossing(frame, float(beta))
-        if math.isnan(expected):
-            assert got is None
-        else:
-            assert got == expected
 
 
 def expression_form(frame, headings):
@@ -265,30 +250,21 @@ def test_ray_batch_matches_expression_form():
         assert got.tobytes() == expression_form(frame, headings).tobytes()
 
 
-def test_ray_heading_domain_enforced():
-    frame = local_frame(CellGeometry(1000.0, 0.0))
-    for bad in (-math.pi, 4.0, -3.5, math.nan):
-        with pytest.raises(InvalidParameterError):
-            ray_chord_crossing(frame, bad)
-
-
-def test_local_frame_is_self_consistent():
-    geom = CellGeometry(1200.0, 300.0)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(a=st.floats(1.0, 1e5), overlap_frac=st.floats(0.0, 0.999))
+def test_local_frame_is_self_consistent(a, overlap_frac):
+    # what the sampler's ray/segment intersection assumes of a frame: both
+    # spans nonzero, chord_midpoint the true midpoint of the chord, and the
+    # trigger-to-midpoint axis perpendicular to the chord
+    geom = CellGeometry(a, overlap_frac * SQRT3 / 2.0 * a)
     dg = derive_geometry(geom)
     frame = local_frame(geom)
-    assert math.dist(frame.trigger_point, frame.chord_midpoint) == pytest.approx(dg.trigger_to_chord_m, rel=1e-12)
-    assert math.dist(frame.chord_start, frame.chord_end) == pytest.approx(
-        2 * dg.half_chord_m, rel=1e-12
-    )
-
-
-def test_local_frame_rejects_inconsistent_points():
-    with pytest.raises(InvalidParameterError):
-        LocalFrame(trigger_point=(0, 0), chord_start=(100, 50), chord_end=(100, -50),
-                   chord_midpoint=(100, 10))
-    with pytest.raises(InvalidParameterError):
-        LocalFrame(trigger_point=(0, 10), chord_start=(100, 50), chord_end=(100, -50),
-                   chord_midpoint=(100, 0))
-    with pytest.raises(InvalidParameterError):
-        LocalFrame(trigger_point=(100, 0), chord_start=(100, 0), chord_end=(100, 0),
-                   chord_midpoint=(100, 0))
+    span = math.dist(frame.chord_start, frame.chord_end)
+    depth = math.dist(frame.trigger_point, frame.chord_midpoint)
+    assert span == pytest.approx(2 * dg.half_chord_m, rel=1e-12) and span > 0.0
+    assert depth == pytest.approx(dg.trigger_to_chord_m, rel=1e-12) and depth > 0.0
+    mid = [0.5 * (p + q) for p, q in zip(frame.chord_start, frame.chord_end)]
+    assert math.dist(mid, frame.chord_midpoint) <= 1e-12 * span
+    chord = np.subtract(frame.chord_end, frame.chord_start)
+    axis = np.subtract(frame.chord_midpoint, frame.trigger_point)
+    assert abs(chord @ axis) <= 1e-12 * span * depth

@@ -18,7 +18,6 @@ from handoff_lab.analytic import (
 from handoff_lab.errors import InvalidParameterError
 from handoff_lab.geometry import CellGeometry, derive_geometry
 from handoff_lab.montecarlo import (
-    Estimate,
     SimControls,
     crossing_time_ecdf,
     derive_seed,
@@ -72,14 +71,6 @@ def test_controls_numeric_inputs(samples, seed, batches, ok):
     ctl = SimControls(samples, seed, batches)
     assert (type(ctl.samples), type(ctl.seed), type(ctl.batches)) == (int, int, int)
     assert ctl == SimControls(int(samples), int(seed), int(batches))
-
-
-def test_estimate_requires_consistent_error():
-    Estimate(p_hat=0.25, std_err=math.sqrt(0.25 * 0.75 / 100), n=100, seed=3)
-    with pytest.raises(InvalidParameterError):
-        Estimate(p_hat=0.25, std_err=0.9, n=100, seed=3)
-    with pytest.raises(InvalidParameterError):
-        Estimate(p_hat=1.5, std_err=0.0, n=100, seed=3)
 
 
 def test_single_sample_estimate_is_degenerate():
@@ -161,10 +152,18 @@ PINNED = [
                          ids=[f"{row[0]}-in-{row[1]}" for row in PINNED])
 def test_estimates_pinned_across_chunk_boundaries(samples, batches, p_false, p_fixed, p_uniform):
     ctl = SimControls(samples, 11, batches)
-    assert estimate_false_handoff(PINNED_GEOMETRY, ctl).p_hat == p_false
-    assert estimate_failure(PINNED_GEOMETRY, 50.0, 8.0, ctl).p_hat == p_fixed
     uniform = SpeedModel.uniform(40.0, 60.0)
-    assert estimate_failure(PINNED_GEOMETRY, uniform, 8.0, ctl).p_hat == p_uniform
+    estimates = [
+        (estimate_false_handoff(PINNED_GEOMETRY, ctl), p_false),
+        (estimate_failure(PINNED_GEOMETRY, 50.0, 8.0, ctl), p_fixed),
+        (estimate_failure(PINNED_GEOMETRY, uniform, 8.0, ctl), p_uniform),
+    ]
+    for est, p in estimates:
+        assert est.p_hat == p
+        # the binomial standard error of that proportion over all samples
+        assert 0.0 <= est.p_hat <= 1.0
+        assert est.std_err == math.sqrt(p * (1.0 - p) / samples)
+        assert (est.n, est.seed) == (samples, 11)
 
 
 def test_ecdf_pinned_across_chunk_boundaries():
