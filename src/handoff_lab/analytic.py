@@ -134,12 +134,13 @@ def crossing_time_pdf(geom: CellGeometry, v_mps: float, t_s: float) -> float:
 
     Supported on the open interval (t_min, t_max) with an integrable
     1/sqrt singularity at t_min; returns 0 outside, including at t_min
-    itself.
+    itself, and for a t_s that is not a finite real number.
     """
     v_mps = _check_speed(v_mps)
     dg = derive_geometry(geom)
     span = dg.mirror_span_m
     t_min, t_max = _support(dg, v_mps)
+    t_s = _real_or_nan(t_s)
     if not math.isfinite(t_s) or t_s <= t_min or t_s >= t_max:
         return 0.0
     return span / (dg.chord_half_angle_rad * t_s * math.sqrt((2.0 * v_mps * t_s) ** 2 - span ** 2))

@@ -5,9 +5,8 @@ key), results leave as CSV with 9 significant digits or, for sweeps, as a
 minimal SVG line chart.  Exit status is 0 on success, 2 when the input
 failed to parse or validate, 1 when a computation could not finish.
 
-The Monte Carlo and sweep modules, and with them numpy, are imported only
-where a command samples or sweeps, so analytic, adapt and classify start
-without numpy.
+numpy is imported only where a command samples or sweeps, so analytic,
+adapt and classify start without it, even for a scenario with an mc block.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ if TYPE_CHECKING:
     from .montecarlo import SimControls
 
 SEED_ENV_VAR = "HANDOFF_LAB_SEED"
-
-COMMANDS = ("analytic", "simulate", "sweep", "adapt", "classify")
 
 _SCENARIO_KEYS = {
     "cell_radius_m",
@@ -100,25 +97,6 @@ class Scenario:
         if self.delay_s is not None:
             return self.delay_s
         return delay_for(self.delay_profile, self.handoff_type)
-
-
-@dataclass(frozen=True)
-class OutputSink:
-    """Where results go: csv or svg, to a path or stdout (path None or "-")."""
-
-    format: str = "csv"
-    path: Optional[str] = None
-
-    def __post_init__(self):
-        if self.format not in ("csv", "svg"):
-            raise InvalidParameterError(f"format must be 'csv' or 'svg', got {self.format!r}")
-
-    def write(self, text: str):
-        if self.path is None or self.path == "-":
-            sys.stdout.write(text)
-        else:
-            with open(self.path, "w", newline="") as fh:
-                fh.write(text)
 
 
 def _load_yaml_mapping(text: str, what: str) -> dict:
@@ -374,86 +352,68 @@ def _analytic_row(scenario: Scenario) -> Tuple[Tuple[str, ...], Tuple[float, ...
     return columns, (pa, t_min, t_max, pf)
 
 
-def execute(
-    command: str,
-    *,
-    scenario: Optional[Scenario] = None,
-    sweep: Optional[SweepSpec] = None,
-    sink: Optional[OutputSink] = None,
-    from_bs: Optional[str] = None,
-    to_bs: Optional[str] = None,
-    target_pf: Optional[float] = None,
-) -> int:
-    """Run one command against a parsed scenario or sweep spec.
-
-    Writes to the sink only; raises package errors for the caller (or main)
-    to map onto exit codes.
-    """
-    sink = sink if sink is not None else OutputSink()
-    if command not in COMMANDS:
-        raise InvalidParameterError(f"unknown command {command!r}")
-    if sink.format == "svg" and command != "sweep":
+def _scenario(args: argparse.Namespace) -> Scenario:
+    """The scenario file, if any, with the flags merged in; only then is svg refused."""
+    doc = _load_yaml_mapping(_read_text(args.scenario), "scenario") if args.scenario else {}
+    scenario = scenario_from_dict(_merge_flags(doc, args), env=os.environ)
+    if args.format == "svg":
         raise ScenarioValidationError("format", "svg output is only available for sweep")
+    return scenario
 
-    if command == "analytic":
-        columns, row = _analytic_row(scenario)
-        sink.write(render_csv(columns, [row]))
-        return 0
 
-    if command == "simulate":
-        if scenario.mc is None:
-            raise ScenarioValidationError("mc", "simulate needs an mc block (samples, seed)")
-        from .montecarlo import estimate_failure, estimate_false_handoff
+def _analytic(args: argparse.Namespace) -> str:
+    columns, row = _analytic_row(_scenario(args))
+    return render_csv(columns, [row])
 
-        columns, row = _analytic_row(scenario)
-        geom = scenario.geometry
-        tau = scenario.resolved_delay_s()
-        speed = scenario.speed if scenario.speed.kind == "uniform" else scenario.speed.v_mps
-        est_pa = estimate_false_handoff(geom, scenario.mc)
-        est_pf = estimate_failure(geom, speed, tau, scenario.mc)
-        columns = columns + ("pa_estimate", "pa_std_err", "pf_estimate", "pf_std_err")
-        row = row + (est_pa.p_hat, est_pa.std_err, est_pf.p_hat, est_pf.std_err)
-        sink.write(render_csv(columns, [row]))
-        return 0
 
-    if command == "sweep":
-        from .experiments import run_sweep
+def _simulate(args: argparse.Namespace) -> str:
+    scenario = _scenario(args)
+    if scenario.mc is None:
+        raise ScenarioValidationError("mc", "simulate needs an mc block (samples, seed)")
+    from .montecarlo import estimate_failure, estimate_false_handoff
 
-        table = run_sweep(sweep)
-        if sink.format == "svg":
-            sink.write(render_sweep_svg(table))
-        else:
-            sink.write(render_csv(table.columns, table.rows, table.provenance))
-        return 0
+    columns, row = _analytic_row(scenario)
+    geom = scenario.geometry
+    est_pa = estimate_false_handoff(geom, scenario.mc)
+    est_pf = estimate_failure(geom, scenario.speed, scenario.resolved_delay_s(), scenario.mc)
+    columns = columns + ("pa_estimate", "pa_std_err", "pf_estimate", "pf_std_err")
+    row = row + (est_pa.p_hat, est_pa.std_err, est_pf.p_hat, est_pf.std_err)
+    return render_csv(columns, [row])
 
-    if command == "adapt":
-        if scenario.speed.kind != "fixed":
-            raise ScenarioValidationError("speed", "adapt requires a fixed speed")
-        if target_pf is None:
-            raise ScenarioValidationError("target_pf", "is required for adapt")
-        solution = adapt_overlap(
-            scenario.geometry.cell_radius_m,
-            scenario.speed.v_mps,
-            scenario.resolved_delay_s(),
-            target_pf,
-        )
-        sink.write(
-            render_csv(
-                ("overlap_m", "false_handoff_probability", "failure_probability"),
-                [(solution.overlap_m, solution.false_handoff_probability, solution.failure_probability)],
-            )
-        )
-        return 0
 
-    # classify
+def _sweep(args: argparse.Namespace) -> str:
+    from .experiments import run_sweep
+
+    doc = _load_yaml_mapping(_read_text(args.spec), "sweep spec")
+    table = run_sweep(sweep_spec_from_dict(_merge_mc_flags(doc, args), env=os.environ))
+    if args.format == "svg":
+        return render_sweep_svg(table)
+    return render_csv(table.columns, table.rows, table.provenance)
+
+
+def _adapt(args: argparse.Namespace) -> str:
+    scenario = _scenario(args)
+    if scenario.speed.kind != "fixed":
+        raise ScenarioValidationError("speed", "adapt requires a fixed speed")
+    solution = adapt_overlap(
+        scenario.geometry.cell_radius_m,
+        scenario.speed.v_mps,
+        scenario.resolved_delay_s(),
+        args.target_pf,
+    )
+    return render_csv(
+        ("overlap_m", "false_handoff_probability", "failure_probability"),
+        [(solution.overlap_m, solution.false_handoff_probability, solution.failure_probability)],
+    )
+
+
+def _classify(args: argparse.Namespace) -> str:
+    scenario = _scenario(args)
     if scenario.topology is None:
         raise ScenarioValidationError("topology", "classify needs a topology block")
-    if not from_bs or not to_bs:
-        raise ScenarioValidationError("from_bs", "classify needs --from-bs and --to-bs")
-    kind = classify_handoff(scenario.topology, from_bs, to_bs)
+    kind = classify_handoff(scenario.topology, args.from_bs, args.to_bs)
     delay = delay_for(scenario.delay_profile, kind)
-    sink.write(render_csv(("handoff_type", "delay_s"), [(kind.value, delay)]))
-    return 0
+    return render_csv(("handoff_type", "delay_s"), [(kind.value, delay)])
 
 
 # ======================================================================
@@ -504,19 +464,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("analytic", parents=[scenario, output],
-                   help="closed-form results for one scenario")
+                   help="closed-form results for one scenario").set_defaults(run=_analytic)
     sub.add_parser("simulate", parents=[scenario, mc, output],
-                   help="analytic row plus Monte Carlo estimates")
+                   help="analytic row plus Monte Carlo estimates").set_defaults(run=_simulate)
     p = sub.add_parser("sweep", parents=[mc, output],
                        help="evaluate a sweep spec into a table or chart")
     p.add_argument("--spec", required=True, help="sweep spec YAML file")
+    p.set_defaults(run=_sweep)
     p = sub.add_parser("adapt", parents=[scenario, output],
                        help="solve for the overlap matching a target failure probability")
     p.add_argument("--target-pf", type=_probability, required=True)
+    p.set_defaults(run=_adapt)
     p = sub.add_parser("classify", parents=[scenario, output],
                        help="classify a handoff between two base stations")
     p.add_argument("--from-bs", required=True)
     p.add_argument("--to-bs", required=True)
+    p.set_defaults(run=_classify)
     return parser
 
 
@@ -571,20 +534,16 @@ def _read_text(path: str) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        sink = OutputSink(format=args.format, path=args.out)
-        if args.command == "sweep":
-            doc = _load_yaml_mapping(_read_text(args.spec), "sweep spec")
-            spec = sweep_spec_from_dict(_merge_mc_flags(doc, args), env=os.environ)
-            return execute("sweep", sweep=spec, sink=sink)
-
-        doc = _load_yaml_mapping(_read_text(args.scenario), "scenario") if args.scenario else {}
-        doc = _merge_flags(doc, args)
-        scenario = scenario_from_dict(doc, env=os.environ)
-        kwargs = {key: getattr(args, key) for key in ("target_pf", "from_bs", "to_bs") if key in args}
-        return execute(args.command, scenario=scenario, sink=sink, **kwargs)
+        # argparse chose the subcommand's function; a run that fails writes no file
+        text = args.run(args)
+        if args.out is None or args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        return 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         # bad input exits 2; a computation that could not finish exits 1

@@ -19,17 +19,21 @@ counts (integers) and per-sample values do not depend on who computed
 them, so results are identical under any worker count.
 """
 
+from __future__ import annotations
+
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from .analytic import SpeedModel, _cdf_many, _check_tau
 from .errors import InvalidParameterError, _real_or_nan, coerce_numbers
 from .geometry import CellGeometry, LocalFrame, _ray_chord_into, derive_geometry, local_frame
+
+# numpy is imported inside the functions that sample, so a scenario's mc
+# block (SimControls) parses without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 16  # samples per kernel chunk, whatever the batch size
@@ -98,6 +102,8 @@ def derive_seed(seed: int, index: int) -> int:
 
 def _thread_generator():
     """This thread's (Philox, Generator) pair, built on its first call."""
+    import numpy as np
+
     pair = getattr(_generators, "pair", None)
     if pair is None:
         bitgen = np.random.Philox(key=0)
@@ -129,6 +135,8 @@ def _sample(
     values go to out[sample] (out given), or it returns how many are below
     tau (tau given; NaN compares false), or how many are misses (neither).
     """
+    import numpy as np
+
     chunks, first = [], 0
     for batch, nb in enumerate(_batch_sizes(ctl.samples, ctl.batches)):
         chunks += [(batch, nb, start, min(_CHUNK, nb - start), first + start)
@@ -184,6 +192,8 @@ def _sample(
     # chunks are dealt to workers in a fixed way; counts are integers and
     # every value lands in its own slot of out, so no result depends on the
     # worker count
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(run, [chunks[w::workers] for w in range(workers)]))
 
@@ -258,6 +268,8 @@ def crossing_time_ecdf(
     usually one per difference, are then evaluated exactly with libm's
     acos, and the statistic is the largest exact difference among them.
     """
+    import numpy as np
+
     speed = SpeedModel.fixed(v_mps)
     dg = derive_geometry(geom)
     times = np.empty(ctl.samples)

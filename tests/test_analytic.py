@@ -321,11 +321,12 @@ def test_cdf_validation():
 
 # Each scalar numeric argument of the closed forms and estimators: a call
 # taking that argument alone, a valid value exact in float32, and the error
-# the call raises for a non-finite value.
+# the call raises for a non-finite value, or the value it returns for one.
 _NUM_CTL = SimControls(samples=2_000, seed=3)
 NUMERIC_ARGUMENTS = {
     "support-v": (lambda x: crossing_time_support(KM_CELL, x), 50.0, OutOfDomainError),
     "pdf-v": (lambda x: crossing_time_pdf(KM_CELL, x, 3.0), 50.0, OutOfDomainError),
+    "pdf-t": (lambda x: crossing_time_pdf(KM_CELL, 50.0, x), 3.0, 0.0),
     "cdf-v": (lambda x: crossing_time_cdf(KM_CELL, x, 3.0), 50.0, OutOfDomainError),
     "cdf-tau": (lambda x: crossing_time_cdf(KM_CELL, 50.0, x), 3.0, OutOfDomainError),
     "failure-v": (lambda x: handoff_failure_probability(KM_CELL, x, 3.0), 50.0, OutOfDomainError),
@@ -346,17 +347,19 @@ NUMERIC_ARGUMENTS = {
                          ids=["inf", "bool", "str", "none", "huge-int", "float32"])
 @pytest.mark.parametrize("name", NUMERIC_ARGUMENTS)
 def test_numeric_arguments(name, value):
-    # bools, non-numbers and integers beyond float range raise what a
-    # non-finite value raises; a numpy scalar gives what the float of the
-    # same value gives
-    call, good, error = NUMERIC_ARGUMENTS[name]
+    # bools, non-numbers and integers beyond float range raise or return
+    # what a non-finite value does; a numpy scalar gives what the float of
+    # the same value gives
+    call, good, nonfinite = NUMERIC_ARGUMENTS[name]
     if value is np.float32:
         # repr, because a float32 compares equal to a float after rounding
         # the float to float32
         assert repr(call(np.float32(good))) == repr(call(good))
-        return
-    with pytest.raises(error):
-        call(value)
+    elif isinstance(nonfinite, float):
+        assert call(value) == nonfinite
+    else:
+        with pytest.raises(nonfinite):
+            call(value)
 
 
 def test_failure_probability_is_the_cdf():
@@ -410,6 +413,30 @@ def test_expected_failure_agrees_with_sampling():
     value = expected_failure_over_speed(KM_CELL, model, 3.0)
     est = estimate_failure(KM_CELL, model, 3.0, SimControls(samples=MC_N, seed=1))
     assert abs(value - est.p_hat) <= 3.0 * est.std_err
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    a=st.floats(100.0, 5000.0),
+    overlap_frac=st.floats(0.0, 0.99),
+    speeds=st.lists(st.floats(0.5, 120.0), min_size=2, max_size=2, unique=True),
+    delay_fracs=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2),
+)
+def test_expected_failure_between_range_ends_and_monotone_in_delay(a, overlap_frac, speeds, delay_fracs):
+    # the failure probability is nondecreasing in speed and in delay, so its
+    # average over [vmin, vmax] lies between its values at the two ends and
+    # grows with the delay; the delays reach from below the support at vmax
+    # (never fails) to past it at vmin (always fails)
+    geom = CellGeometry(a, overlap_frac * SQRT3 / 2.0 * a)
+    vmin, vmax = sorted(speeds)
+    model = SpeedModel.uniform(vmin, vmax)
+    t_max = crossing_time_support(geom, vmin).t_max_s
+    taus = [f * t_max for f in sorted(delay_fracs)]
+    values = [expected_failure_over_speed(geom, model, tau) for tau in taus]
+    for tau, value in zip(taus, values):
+        assert handoff_failure_probability(geom, vmin, tau) - 1e-15 <= value
+        assert value <= handoff_failure_probability(geom, vmax, tau) + 1e-15
+    assert values[0] <= values[1] + 1e-15
 
 
 def test_expected_failure_slow_range_is_zero():

@@ -16,8 +16,6 @@ from handoff_lab.analytic import (
 )
 from handoff_lab.cli import (
     SEED_ENV_VAR,
-    OutputSink,
-    execute,
     main,
     parse_scenario,
     parse_sweep_spec,
@@ -179,11 +177,16 @@ def read_csv(text: str):
     return header, rows
 
 
+def run_scenario(tmp_path, command, doc, *flags):
+    """main on doc written to a scenario file, with the output to out.csv."""
+    path = tmp_path / "scenario.yaml"
+    path.write_text(doc)
+    return main([command, "--scenario", str(path), "--out", str(tmp_path / "out.csv"), *flags])
+
+
 def test_analytic_command_values(tmp_path):
-    out = tmp_path / "row.csv"
-    sc = parse_scenario(MINIMAL, env={})
-    execute("analytic", scenario=sc, sink=OutputSink(path=str(out)))
-    header, rows = read_csv(out.read_text())
+    assert run_scenario(tmp_path, "analytic", MINIMAL) == 0
+    header, rows = read_csv((tmp_path / "out.csv").read_text())
     assert header == ["false_handoff_probability", "t_min_s", "t_max_s", "failure_probability"]
     assert rows[0][0] == "0.583333333"
     geom = CellGeometry(1000.0, 0.0)
@@ -199,13 +202,9 @@ def test_analytic_command_values(tmp_path):
 
 
 def test_analytic_command_uniform_speed(tmp_path):
-    out = tmp_path / "row.csv"
-    sc = parse_scenario(
-        "cell_radius_m: 1000\noverlap_m: 0\nspeed: {vmin: 40, vmax: 60}\ndelay_s: 3",
-        env={},
-    )
-    execute("analytic", scenario=sc, sink=OutputSink(path=str(out)))
-    _, rows = read_csv(out.read_text())
+    doc = "cell_radius_m: 1000\noverlap_m: 0\nspeed: {vmin: 40, vmax: 60}\ndelay_s: 3"
+    assert run_scenario(tmp_path, "analytic", doc) == 0
+    _, rows = read_csv((tmp_path / "out.csv").read_text())
     geom = CellGeometry(1000.0, 0.0)
     assert float(rows[0][1]) == pytest.approx(
         crossing_time_support(geom, 60.0).t_min_s, rel=1e-8
@@ -219,10 +218,8 @@ def test_analytic_command_uniform_speed(tmp_path):
 
 
 def test_simulate_command_matches_library(tmp_path):
-    out = tmp_path / "sim.csv"
-    sc = parse_scenario(MINIMAL + "mc: {samples: 50000, seed: 11, batches: 2}", env={})
-    execute("simulate", scenario=sc, sink=OutputSink(path=str(out)))
-    header, rows = read_csv(out.read_text())
+    assert run_scenario(tmp_path, "simulate", MINIMAL + "mc: {samples: 50000, seed: 11, batches: 2}") == 0
+    header, rows = read_csv((tmp_path / "out.csv").read_text())
     assert header[-4:] == ["pa_estimate", "pa_std_err", "pf_estimate", "pf_std_err"]
     geom = CellGeometry(1000.0, 0.0)
     ctl = SimControls(samples=50_000, seed=11, batches=2)
@@ -234,27 +231,21 @@ def test_simulate_command_matches_library(tmp_path):
     assert float(rows[0][7]) == pytest.approx(est_pf.std_err, rel=1e-6)
 
 
-def test_simulate_requires_mc_block():
-    sc = parse_scenario(MINIMAL, env={})
-    with pytest.raises(ScenarioValidationError) as err:
-        execute("simulate", scenario=sc, sink=OutputSink())
-    assert err.value.path == "mc"
+def test_simulate_requires_mc_block(tmp_path, capsys):
+    assert run_scenario(tmp_path, "simulate", MINIMAL) == 2
+    assert capsys.readouterr().err.startswith("error: mc: ")
 
 
 def test_classify_command(tmp_path):
-    out = tmp_path / "cls.csv"
-    sc = parse_scenario(TOPOLOGY_DOC, env={})
-    execute("classify", scenario=sc, sink=OutputSink(path=str(out)), from_bs="bs11", to_bs="bs12")
-    header, rows = read_csv(out.read_text())
+    assert run_scenario(tmp_path, "classify", TOPOLOGY_DOC, "--from-bs", "bs11", "--to-bs", "bs12") == 0
+    header, rows = read_csv((tmp_path / "out.csv").read_text())
     assert header == ["handoff_type", "delay_s"]
     assert rows[0] == ["intra", "1.5"]
 
 
-def test_svg_rejected_outside_sweep():
-    sc = parse_scenario(MINIMAL, env={})
-    with pytest.raises(ScenarioValidationError) as err:
-        execute("analytic", scenario=sc, sink=OutputSink(format="svg"))
-    assert err.value.path == "format"
+def test_svg_rejected_outside_sweep(tmp_path, capsys):
+    assert run_scenario(tmp_path, "analytic", MINIMAL, "--format", "svg") == 2
+    assert capsys.readouterr().err.startswith("error: format: ")
 
 
 # ----------------------------------------------------------------------

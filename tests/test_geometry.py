@@ -236,16 +236,18 @@ def expression_form(frame, headings):
 
 
 def test_ray_batch_matches_expression_form():
-    # canonical frames and a rotated, shifted one, where every direction
-    # and chord component is nonzero
+    # canonical frames, a rotated, shifted one, where every direction and
+    # chord component is nonzero, and one whose chord runs parallel to
+    # heading 0: that ray has den == 0 and must miss without a warning
     def rot(x, y):
         return (3.0 + x * math.cos(0.7) - y * math.sin(0.7), -2.0 + x * math.sin(0.7) + y * math.cos(0.7))
 
     rng = np.random.default_rng(23)
     frames = [local_frame(CellGeometry(a, ov)) for a, ov in ((1000.0, 0.0), (800.0, 150.0), (50.0, 40.0))]
     frames.append(LocalFrame(rot(0.0, 0.0), rot(300.0, 420.0), rot(300.0, -420.0), rot(300.0, 0.0)))
+    frames.append(LocalFrame((0.0, 0.0), (0.0, 1.0), (2.0, 1.0), (1.0, 0.0)))
     for frame in frames:
-        headings = rng.uniform(-math.pi, math.pi, 20_000)
+        headings = np.append(rng.uniform(-math.pi, math.pi, 20_000), 0.0)
         got = ray_chord_crossing_many(frame, headings)
         assert got.tobytes() == expression_form(frame, headings).tobytes()
 

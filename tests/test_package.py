@@ -24,19 +24,24 @@ topology:
   systems:
     - {system_id: s1, gfa_id: g1, fas: [{fa_id: f1, bs_ids: [b1]}, {fa_id: f2, bs_ids: [b2]}]}
 """
+# a sampling block, which the closed-form commands parse but never run
+MC_BLOCK = "mc:\n  samples: 1000\n  seed: 1\n"
 FLAGS = ["--cell-radius-m", "1000", "--overlap-m", "0", "--speed-mps", "50", "--delay-s", "3"]
 
 
 @pytest.mark.parametrize("argv", [
     ["analytic", *FLAGS],
     ["analytic", "--scenario", "{scenario}"],
+    ["analytic", "--scenario", "{with_mc}"],
     ["adapt", *FLAGS, "--target-pf", "0.2199"],
     ["classify", "--scenario", "{scenario}", "--from-bs", "b1", "--to-bs", "b2"],
-], ids=["analytic-flags", "analytic-scenario", "adapt", "classify"])
+], ids=["analytic-flags", "analytic-scenario", "analytic-scenario-with-mc", "adapt", "classify"])
 def test_closed_form_commands_do_not_load_numpy(tmp_path, argv):
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text(SCENARIO)
-    argv = [arg.format(scenario=scenario) for arg in argv]
+    with_mc = tmp_path / "with-mc.yaml"
+    with_mc.write_text(SCENARIO + MC_BLOCK)
+    argv = [arg.format(scenario=scenario, with_mc=with_mc) for arg in argv]
     out = run_python("-X", "importtime", "-m", "handoff_lab.cli", *argv)
     assert out.returncode == 0, out.stderr
     # -X importtime writes one "import time: self | cumulative | name" line

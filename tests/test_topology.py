@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handoff_lab.errors import (
     InvalidParameterError,
@@ -53,9 +55,22 @@ def test_three_handoff_classes():
     assert classify_handoff(topo, "bs20", "bs21") is HandoffType.LINK_LAYER
 
 
-def test_classification_is_symmetric():
-    topo = two_system_topology()
-    stations = ["bs10", "bs11", "bs12", "bs20", "bs21"]
+@st.composite
+def topologies(draw):
+    """1-3 systems of 1-3 foreign agents, each with 1-3 base stations."""
+    shape = draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3), min_size=1, max_size=3))
+    ids = itertools.count()
+    return NetworkTopology(systems=tuple(
+        AccessSystem(system_id=f"s{s}", gfa_id=f"g{s}", fas=tuple(
+            ForeignAgent(fa_id=f"f{s}_{f}", bs_ids=tuple(f"b{next(ids)}" for _ in range(n)))
+            for f, n in enumerate(sizes)))
+        for s, sizes in enumerate(shape)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(topo=topologies())
+def test_classification_is_symmetric(topo):
+    stations = [bs for system in topo.systems for fa in system.fas for bs in fa.bs_ids]
     for a, b in itertools.combinations(stations, 2):
         assert classify_handoff(topo, a, b) is classify_handoff(topo, b, a)
 
