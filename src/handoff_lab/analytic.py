@@ -183,11 +183,22 @@ def _cdf_many(dg: DerivedGeometry, v, tau, *, exact: bool = True) -> "np.ndarray
     t_min, t_max = _support(dg, v)
     out = (tau >= t_max).astype(float)
     inside = (tau > t_min) & (tau < t_max)
-    v_in = np.broadcast_to(v, out.shape)[inside]
-    tau_in = np.broadcast_to(tau, out.shape)[inside]
-    cos = dg.mirror_span_m / (2.0 * v_in * tau_in)
-    angle = np.fromiter(map(math.acos, cos), float, len(cos)) if exact else np.arccos(cos)
-    out[inside] = np.clip(angle / dg.chord_half_angle_rad, 0.0, 1.0)
+    # one fresh array x of interior values (a scalar speed stays scalar);
+    # every step then runs in place on it, in the scalar form's order
+    if v.ndim == 0:
+        x = np.broadcast_to(tau, out.shape)[inside]
+        x *= 2.0 * v
+    else:
+        x = np.broadcast_to(v, out.shape)[inside]
+        x *= 2.0
+        x *= tau if tau.ndim == 0 else np.broadcast_to(tau, out.shape)[inside]
+    np.divide(dg.mirror_span_m, x, out=x)
+    if exact:
+        x = np.fromiter(map(math.acos, x), float, len(x))
+    else:
+        np.arccos(x, out=x)
+    x /= dg.chord_half_angle_rad
+    out[inside] = np.clip(x, 0.0, 1.0, out=x)
     return out
 
 

@@ -142,17 +142,21 @@ def ray_chord_crossing_many(frame: LocalFrame, headings_rad: "np.ndarray") -> "n
 
     h = np.array(headings_rad, dtype=float)  # a copy: _ray_chord_into overwrites it
     a, b, c = (np.empty_like(h) for _ in range(3))
-    hit, tmp = (np.empty(h.shape, dtype=bool) for _ in range(2))
-    return _ray_chord_into(frame, h, a, b, c, hit, tmp)
+    miss, tmp = (np.empty(h.shape, dtype=bool) for _ in range(2))
+    dist = _ray_chord_into(frame, h, a, b, c, miss, tmp)
+    np.copyto(dist, np.nan, where=miss)
+    return dist
 
 
-def _ray_chord_into(frame: LocalFrame, h, a, b, c, hit, tmp) -> "np.ndarray":
+def _ray_chord_into(frame: LocalFrame, h, a, b, c, miss, tmp) -> "np.ndarray":
     """ray_chord_crossing_many computed in caller-owned buffers, allocating none.
 
     h holds the headings and is overwritten; a, b, c are float buffers and
-    hit, tmp bool buffers, all of h's shape.  Returns b, which then holds
-    the distances.  The float operations and their order are those of the
-    plain expression form, so every distance is the same bit for bit.
+    miss, tmp bool buffers, all of h's shape.  Returns b, which then holds
+    the distances of the hits, and miss is True where the ray misses; b is
+    not NaN-filled there, which is left to callers that keep the distances.
+    The float operations and their order are those of the plain expression
+    form, so every distance is the same bit for bit.
     """
     import numpy as np
 
@@ -190,11 +194,10 @@ def _ray_chord_into(frame: LocalFrame, h, a, b, c, hit, tmp) -> "np.ndarray":
 
     # a hit has den != 0, t >= 0 and s within the slack of [0, 1]; the
     # first needs no test, since den == 0 makes s infinite or NaN
-    np.greater_equal(b, 0.0, out=hit)
+    np.greater_equal(b, 0.0, out=miss)
     np.greater_equal(a, -_ENDPOINT_SLACK, out=tmp)
-    np.logical_and(hit, tmp, out=hit)
+    np.logical_and(miss, tmp, out=miss)
     np.less_equal(a, 1.0 + _ENDPOINT_SLACK, out=tmp)
-    np.logical_and(hit, tmp, out=hit)
-    np.logical_not(hit, out=hit)
-    np.copyto(b, np.nan, where=hit)
+    np.logical_and(miss, tmp, out=miss)
+    np.logical_not(miss, out=miss)
     return b

@@ -17,6 +17,21 @@ whole-batch Generator.uniform call gives.  Chunk boundaries depend only on
 the batch sizes, never on the worker count; workers split the chunks, and
 counts (integers) and per-sample values do not depend on who computed
 them, so results are identical under any worker count.
+
+The false-handoff estimator draws headings over the whole circle, and about
+half of them point away from the chord.  The kernel screens those out
+before any trig: in the frame of geometry.local_frame the trigger point is
+the origin and the whole chord lies on the line x = trigger_to_chord_m > 0,
+so a heading with |h| > pi/2 + _SCREEN_MARGIN moves toward negative x and
+is counted as a miss.  Each such heading has cos(h) < -0.99e-6, for which
+the exact intersection gives a negative ray parameter and rejects it as
+well, so the miss count is the same integer, every draw stays where the
+substream puts it, and every output byte is unchanged.  The remaining
+headings are compacted and go through the exact ray/segment intersection
+as before, and their misses are counted from its miss mask.  The screen
+uses only that half-plane, never the chord's half-angle or any other
+closed-form quantity, so the estimate stays independent of the closed form
+it checks.
 """
 
 from __future__ import annotations
@@ -41,6 +56,16 @@ _CHUNK = 1 << 16  # samples per kernel chunk, whatever the batch size
 # exceed twice the ~1e-15 error of the fast CDF; a wider margin admits more
 # candidates but never changes the statistic.
 _KS_SCREEN = 1e-9
+# The false-handoff screen counts a heading h with |h| > _FORWARD as a miss
+# unevaluated.  The margin keeps cos(h) below -0.99e-6 for every screened
+# heading, far from any roundoff of the ray's direction, so the exact
+# intersection rejects it too (t < 0).
+_SCREEN_MARGIN = 1e-6
+_FORWARD = math.pi / 2 + _SCREEN_MARGIN
+# The screen packs kept headings this many at a time.  np.compress allocates
+# an 8-byte index per kept element, and packing a whole chunk at once raised
+# the peak RSS of mc_bulk by about 1.2 MB; 8192 keeps each index under 64 kB.
+_PACK = 8192
 
 # One Philox bit generator and its Generator per thread, built on first use:
 # constructing a Philox draws OS entropy for a seed sequence the kernel never
@@ -134,6 +159,9 @@ def _sample(
     divides it by the sample's speed into a crossing time.  Then either the
     values go to out[sample] (out given), or it returns how many are below
     tau (tau given; NaN compares false), or how many are misses (neither).
+    Counting misses needs no distances: headings past +-_FORWARD (none
+    when half_range is below it) are counted without evaluation and the
+    rest from the intersection's miss mask (see the module docstring).
     """
     import numpy as np
 
@@ -170,20 +198,31 @@ def _sample(
         count = 0
         for batch, nb, start, m, at in jobs:
             heading = uniform(h, batch, start, m, -half_range, half_range)
+            if tau is None and out is None:
+                # headings past +-_FORWARD miss; the rest are packed into v
+                forward = hit[:m]
+                np.less_equal(heading, _FORWARD, out=forward)
+                forward &= np.greater_equal(heading, -_FORWARD, out=tmp[:m])
+                k = 0
+                for i in range(0, m, _PACK):
+                    kept = forward[i:i + _PACK]
+                    n = int(np.count_nonzero(kept))
+                    np.compress(kept, heading[i:i + _PACK], out=v[k:k + n])
+                    k += n
+                count += m - k
+                _ray_chord_into(frame, v[:k], a[:k], b[:k], c[:k], hit[:k], tmp[:k])
+                count += int(np.count_nonzero(hit[:k]))
+                continue
             dist = _ray_chord_into(frame, heading, a[:m], b[:m], c[:m], hit[:m], tmp[:m])
+            np.copyto(dist, np.nan, where=hit[:m])
             t = dist if out is None else out[at:at + m]
             if drawn:
                 # a batch's speeds follow its nb headings in its substream
                 np.divide(dist, uniform(v, batch, nb + start, m, speed.vmin_mps, speed.vmax_mps), out=t)
             elif speed is not None:
                 np.divide(dist, speed.v_mps, out=t)
-            if out is not None:
-                continue
-            if tau is None:
-                np.isnan(t, out=hit[:m])
-            else:
-                np.less(t, tau, out=hit[:m])
-            count += int(np.count_nonzero(hit[:m]))
+            if out is None:
+                count += int(np.count_nonzero(np.less(t, tau, out=hit[:m])))
         return count
 
     workers = min(workers, len(chunks))

@@ -50,7 +50,7 @@ class AccessSystem:
 
 
 class NetworkTopology:
-    """Validated forest of systems; identifiers are globally unique."""
+    """Validated forest of systems; identifiers are nonempty and globally unique."""
 
     def __init__(self, systems: Sequence[AccessSystem]):
         systems = tuple(systems)
@@ -58,6 +58,8 @@ class NetworkTopology:
             raise InvalidParameterError("topology needs at least one system")
         seen: Dict[str, str] = {}
         for kind, ident in _iter_identifiers(systems):
+            if not ident:
+                raise InvalidParameterError(f"empty {kind} (identifiers must be nonempty strings)")
             if ident in seen:
                 raise InvalidParameterError(
                     f"duplicate identifier {ident!r} ({kind} vs earlier {seen[ident]})"

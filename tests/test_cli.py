@@ -243,6 +243,12 @@ def test_classify_command(tmp_path):
     assert rows[0] == ["intra", "1.5"]
 
 
+def test_classify_refuses_empty_base_station_id(tmp_path, capsys):
+    doc = TOPOLOGY_DOC.replace("bs_ids: [bs10, bs11]", 'bs_ids: ["", bs11]')
+    assert run_scenario(tmp_path, "classify", doc, "--from-bs", "", "--to-bs", "bs20") == 2
+    assert capsys.readouterr().err.startswith("error: topology: empty bs_id")
+
+
 def test_svg_rejected_outside_sweep(tmp_path, capsys):
     assert run_scenario(tmp_path, "analytic", MINIMAL, "--format", "svg") == 2
     assert capsys.readouterr().err.startswith("error: format: ")

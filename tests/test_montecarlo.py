@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from handoff_lab import montecarlo
 from handoff_lab.analytic import (
     SpeedModel,
     _cdf_many,
@@ -14,9 +15,10 @@ from handoff_lab.analytic import (
     crossing_time_support,
     expected_failure_over_speed,
     false_handoff_probability,
+    handoff_failure_probability,
 )
 from handoff_lab.errors import InvalidParameterError
-from handoff_lab.geometry import CellGeometry, derive_geometry
+from handoff_lab.geometry import CellGeometry, LocalFrame, derive_geometry, local_frame, ray_chord_crossing_many
 from handoff_lab.montecarlo import (
     SimControls,
     crossing_time_ecdf,
@@ -26,6 +28,35 @@ from handoff_lab.montecarlo import (
 )
 
 KM_CELL = CellGeometry(1000.0, 0.0)
+
+geometries = st.builds(
+    lambda a, frac: CellGeometry(a, frac * math.sqrt(3.0) / 2.0 * a),
+    st.floats(100.0, 5000.0),
+    st.floats(0.0, 0.999),
+)
+
+
+def _bare_frame(reach, half):
+    return LocalFrame((0.0, 0.0), (reach, half), (reach, -half), (reach, 0.0))
+
+
+@st.composite
+def forward_frames(draw):
+    """(geometry or None, frame): the canonical frame of a cell geometry, or
+    a bare one of the same layout (trigger at the origin, chord on the line
+    x = reach > 0) whose chord subtends nearly a half-turn, half-angles
+    from pi/2 - 0.5 to pi/2 - 1e-7, so that only the half-plane keeps a
+    heading just past pi/2 off it."""
+    if draw(st.booleans()):
+        geom = draw(geometries)
+        return geom, local_frame(geom)
+    reach = draw(st.floats(1e-3, 1e3))
+    half = reach * math.tan(math.pi / 2 - draw(st.floats(1e-7, 0.5)))
+    return None, _bare_frame(reach, half)
+
+
+# a chord subtending all but 2e-3 rad of a half-turn
+WIDE_CHORD = (None, _bare_frame(1.0, math.tan(math.pi / 2 - 1e-3)))
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +204,54 @@ def test_ecdf_pinned_across_chunk_boundaries():
     assert report.ks_stat == 0.002035108993638457
 
 
+@st.composite
+def chunk_straddling_controls(draw):
+    """SimControls whose batches hold a few samples, or 1 or 2 chunks of
+    2**16 give or take 2, plus a remainder spread over the batches."""
+    batches = draw(st.integers(1, 3))
+    chunks = draw(st.integers(0, 2))
+    nb = draw(st.integers(1, 300)) if chunks == 0 else chunks * 2**16 + draw(st.integers(-2, 2))
+    samples = batches * nb + draw(st.integers(0, batches - 1))
+    return SimControls(samples, draw(st.integers(0, 2**64 - 1)), batches)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(source=forward_frames(), ctl=chunk_straddling_controls(), workers=st.integers(1, 2))
+@example(source=WIDE_CHORD, ctl=SimControls(2**17 + 1, 7, 2), workers=2)
+def test_false_handoff_misses_equal_nan_count_of_whole_draw(source, ctl, workers):
+    # the kernel screens headings past the half-plane and counts misses
+    # from the intersection's mask; it must count exactly the NaNs of the
+    # plain intersection over every heading of every batch, drawn whole
+    geom, frame = source
+    if geom is None:
+        misses = montecarlo._sample(frame, math.pi, ctl, workers)
+    else:
+        misses = round(estimate_false_handoff(geom, ctl, workers=workers).p_hat * ctl.samples)
+    base, rem = divmod(ctl.samples, ctl.batches)
+    expected = 0
+    for batch in range(ctl.batches):
+        nb = base + (batch < rem)
+        bitgen = np.random.Philox(key=np.array([ctl.seed, batch], dtype=np.uint64))
+        headings = np.random.Generator(bitgen).uniform(-math.pi, math.pi, nb)
+        expected += int(np.count_nonzero(np.isnan(ray_chord_crossing_many(frame, headings))))
+    assert misses == expected
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(source=forward_frames())
+@example(source=WIDE_CHORD)
+def test_headings_past_the_screen_miss_the_chord(source):
+    # every heading the false-handoff screen counts as a miss unevaluated
+    # is one the exact intersection rejects, on any frame of this layout
+    edge = montecarlo._FORWARD
+    beyond = np.concatenate([
+        [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), math.pi],
+        np.random.Generator(np.random.Philox(5)).uniform(edge, math.pi, 100_000),
+    ])
+    headings = np.concatenate([beyond, -beyond])
+    assert np.isnan(ray_chord_crossing_many(source[1], headings)).all()
+
+
 def test_memory_is_bounded_by_the_chunk():
     # 2e6 samples in one batch would need ~146 MB drawn whole
     ctl = SimControls(samples=2_000_000, seed=4)
@@ -236,6 +315,36 @@ def test_failure_estimate_uniform_speed():
     expected = expected_failure_over_speed(KM_CELL, model, 3.0)
     est = estimate_failure(KM_CELL, model, 3.0, SimControls(samples=1_000_000, seed=2))
     assert abs(est.p_hat - expected) <= 3.0 * est.std_err
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    geom=geometries,
+    vmin=st.floats(1.0, 60.0),
+    spread=st.floats(1.5, 4.0),
+    share=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_estimates_agree_with_closed_forms(geom, vmin, spread, share, seed):
+    # each 2e4-sample estimate lies within 4 standard errors, taken from the
+    # closed-form p, of its closed form; every delay sits at a share of its
+    # crossing-time support, so no p is 0 or 1
+    ctl = SimControls(20_000, seed)
+    model = SpeedModel.uniform(vmin, vmin * spread)
+    support = crossing_time_support(geom, vmin)
+    tau = support.t_min_s + share * (support.t_max_s - support.t_min_s)
+    # the support over all speeds of the model runs from the fastest
+    # speed's earliest crossing to the slowest speed's latest
+    t_first = crossing_time_support(geom, model.vmax_mps).t_min_s
+    tau_u = t_first + share * (support.t_max_s - t_first)
+    pairs = [
+        (estimate_false_handoff(geom, ctl), false_handoff_probability(geom)),
+        (estimate_failure(geom, vmin, tau, ctl), handoff_failure_probability(geom, vmin, tau)),
+        (estimate_failure(geom, model, tau_u, ctl), expected_failure_over_speed(geom, model, tau_u)),
+    ]
+    for est, p in pairs:
+        assert 0.0 < p < 1.0
+        assert abs(est.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / ctl.samples)
 
 
 def test_fixed_speed_accepts_plain_number():

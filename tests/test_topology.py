@@ -163,6 +163,16 @@ def test_duplicate_identifiers_rejected():
         )
 
 
+@pytest.mark.parametrize("kind", ["system_id", "gfa_id", "fa_id", "bs_id"])
+def test_empty_identifiers_rejected(kind):
+    # an empty id is a typo in the document, and would otherwise classify
+    ids = {"system_id": "s", "gfa_id": "g", "fa_id": "f", "bs_id": "b1", kind: ""}
+    with pytest.raises(InvalidParameterError, match=f"empty {kind}"):
+        NetworkTopology(systems=(
+            AccessSystem(system_id=ids["system_id"], gfa_id=ids["gfa_id"], fas=(
+                ForeignAgent(fa_id=ids["fa_id"], bs_ids=(ids["bs_id"], "b2")),)),))
+
+
 def test_empty_containers_rejected():
     with pytest.raises(InvalidParameterError):
         ForeignAgent(fa_id="f", bs_ids=())
