@@ -162,6 +162,26 @@ def test_worker_count_does_not_change_single_batch_results():
     assert one.ks_stat == three.ks_stat
 
 
+@pytest.mark.parametrize("workers", [True, False, 0, -3, 2.5, "2", None])
+def test_workers_must_be_a_positive_integer(workers):
+    ctl = SimControls(samples=100, seed=3)
+    calls = [
+        lambda: estimate_false_handoff(KM_CELL, ctl, workers=workers),
+        lambda: estimate_failure(KM_CELL, 50.0, 3.0, ctl, workers=workers),
+        lambda: crossing_time_ecdf(KM_CELL, 50.0, ctl, workers=workers),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="workers"):
+            call()
+
+
+def test_workers_accepts_a_numpy_integer():
+    ctl = SimControls(samples=3 * 65536, seed=3, batches=2)
+    assert estimate_failure(KM_CELL, 50.0, 3.0, ctl, workers=np.int64(2)) == estimate_failure(
+        KM_CELL, 50.0, 3.0, ctl, workers=2
+    )
+
+
 # Captured before the estimators drew in chunks of 2**16 samples: sizes on
 # either side of one and several chunks, odd batch sizes, and speed draws
 # that start 0..3 words into a Philox block.
@@ -250,6 +270,65 @@ def test_headings_past_the_screen_miss_the_chord(source):
     ])
     headings = np.concatenate([beyond, -beyond])
     assert np.isnan(ray_chord_crossing_many(source[1], headings)).all()
+
+
+def _failure_runs(geom, ctl, workers):
+    uniform = SpeedModel.uniform(40.0, 60.0)
+    report = crossing_time_ecdf(geom, 50.0, ctl, workers=workers)
+    return (
+        estimate_failure(geom, 50.0, 8.0, ctl, workers=workers),
+        estimate_failure(geom, uniform, 8.0, ctl, workers=workers),
+        report.times_s.tobytes(),
+        report.ks_stat,
+    )
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(geom=geometries, ctl=chunk_straddling_controls(), workers=st.integers(1, 2))
+def test_failure_paths_equal_their_fallback(geom, ctl, workers):
+    # a margin of pi sends every chunk of the time paths through the exact
+    # intersection; the screened fast path must give the same bytes
+    fast = _failure_runs(geom, ctl, workers)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_EDGE_MARGIN", math.pi)
+        assert _failure_runs(geom, ctl, workers) == fast
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(geom=geometries)
+@example(geom=CellGeometry(1000.0, 0.0))  # smallest reach/w (0.27), H = 75 degrees
+@example(geom=CellGeometry(1000.0, 0.999 * math.sqrt(3.0) / 2.0 * 1000.0))  # reach/w and H/45deg near 1
+def test_headings_inside_the_edge_margin_hit_at_the_fast_distance(geom):
+    # every heading the time paths' screen lets through hits the chord, at
+    # exactly the distance K / (cos(h) * ey) the fast path computes
+    frame = local_frame(geom)
+    (px, py), (sx, sy), (fx, fy) = frame.trigger_point, frame.chord_start, frame.chord_end
+    ey = fy - sy
+    k_num = (sx - px) * ey - (sy - py) * (fx - sx)
+    inner = derive_geometry(geom).chord_half_angle_rad - montecarlo._EDGE_MARGIN
+    edge = np.array([inner, math.nextafter(inner, 0.0), 0.0])
+    headings = np.concatenate([
+        edge, -edge, np.random.Generator(np.random.Philox(5)).uniform(-inner, inner, 100_000),
+    ])
+    dist = ray_chord_crossing_many(frame, headings)
+    assert not np.isnan(dist).any()
+    assert dist.tobytes() == (k_num / (np.cos(headings) * ey)).tobytes()
+
+
+def test_failure_paths_skip_the_exact_intersection_at_a_pinned_seed(monkeypatch):
+    # at this seed no heading lies within the edge margin of the chord's
+    # ends, so the time paths must never run the exact intersection; the
+    # false-handoff path always does, which shows the spy sees the calls
+    calls = []
+    exact = montecarlo._ray_chord_into
+    monkeypatch.setattr(montecarlo, "_ray_chord_into", lambda *args: calls.append(1) or exact(*args))
+    ctl = SimControls(2**17 + 5, 11, 3)
+    estimate_failure(PINNED_GEOMETRY, 50.0, 8.0, ctl)
+    estimate_failure(PINNED_GEOMETRY, SpeedModel.uniform(40.0, 60.0), 8.0, ctl)
+    crossing_time_ecdf(PINNED_GEOMETRY, 50.0, ctl)
+    assert calls == []
+    estimate_false_handoff(PINNED_GEOMETRY, ctl)
+    assert len(calls) == 3
 
 
 def test_memory_is_bounded_by_the_chunk():
@@ -407,6 +486,10 @@ def _loop_ks(geom, v, times) -> float:
     batches=st.integers(1, 8),
     seed=st.integers(0, 2**64 - 1),
 )
+# the 40 derandomized draws reach a only up to 4709, overlap_frac up to
+# 0.983 and samples up to 19999; these pin the upper ends of those ranges
+@example(a=5000.0, overlap_frac=0.999, v=60.0, samples=20_000, batches=8, seed=2**64 - 1)
+@example(a=100.0, overlap_frac=0.999, v=1.0, samples=20_000, batches=1, seed=0)
 def test_ecdf_ks_screen_equals_scalar_cdf_loop(a, overlap_frac, v, samples, batches, seed):
     # the screened KS step gives exactly what a per-sample loop over the
     # scalar closed form gives, over the whole parameter space
