@@ -201,3 +201,25 @@ def _ray_chord_into(frame: LocalFrame, h, a, b, c, miss, tmp) -> "np.ndarray":
     np.logical_and(miss, tmp, out=miss)
     np.logical_not(miss, out=miss)
     return b
+
+
+def _ray_chord_hits_into(frame: LocalFrame, h) -> "np.ndarray":
+    """_ray_chord_into for headings that all hit, in local_frame's frame:
+    h is overwritten with the distances, with no sin and no miss test.
+
+    There the heading axis is +x and the chord is vertical (ux = 1, uy = 0,
+    ex = 0), so _ray_chord_into's dx is exactly cos(h) and its den exactly
+    cos(h) * ey: every distance is the same bit for bit.  Every heading
+    within the chord's half-angle hits, ends included (see
+    ray_chord_crossing_many); a miss would get a distance here, not NaN.
+    """
+    import numpy as np
+
+    px, py = frame.trigger_point
+    ax = frame.chord_start[0] - px
+    ay = frame.chord_start[1] - py
+    ex = frame.chord_end[0] - frame.chord_start[0]
+    ey = frame.chord_end[1] - frame.chord_start[1]
+    np.cos(h, out=h)
+    h *= ey
+    return np.divide(ax * ey - ay * ex, h, out=h)

@@ -34,15 +34,10 @@ closed-form quantity, so the estimate stays independent of the closed form
 it checks.
 
 The failure and crossing-time estimators draw headings only inside the
-chord's half-angle H, and a chunk whose headings all lie within
-H - _EDGE_MARGIN (1e-9 rad) hits the chord with every one: each has t > 0
-(cos(h) > 0.25) and a chord parameter s at least about 1e-9 inside [0, 1],
-far beyond its few-eps roundoff (proof in _sample's docstring).  Such a
-chunk skips sin, the miss test and the NaN fill, and takes each distance
-as K / (cos(h) * ey), the exact intersection's own arithmetic in this
-frame, so every distance is the same bit for bit.  About one chunk in
-10**4 takes the exact intersection instead.  The screen uses no quantity
-beyond the half-angle the draw already uses.
+chord's half-angle, edges included, and every such heading hits the chord,
+so they take each distance from geometry._ray_chord_hits_into, which skips
+sin and the miss test and gives the exact intersection's distance bit for
+bit (see _sample).
 """
 
 from __future__ import annotations
@@ -55,7 +50,9 @@ from typing import TYPE_CHECKING, List, Optional, Union
 
 from .analytic import SpeedModel, _cdf_many, _check_tau
 from .errors import InvalidParameterError, _real_or_nan, coerce_numbers
-from .geometry import CellGeometry, LocalFrame, _ray_chord_into, derive_geometry, local_frame
+from .geometry import (
+    CellGeometry, LocalFrame, _ray_chord_hits_into, _ray_chord_into, derive_geometry, local_frame,
+)
 
 # numpy is imported inside the functions that sample, so a scenario's mc
 # block (SimControls) parses without loading it.
@@ -78,10 +75,6 @@ _FORWARD = math.pi / 2 + _SCREEN_MARGIN
 # an 8-byte index per kept element, and packing a whole chunk at once raised
 # the peak RSS of mc_bulk by about 1.2 MB; 8192 keeps each index under 64 kB.
 _PACK = 8192
-# A time-path chunk whose headings all lie within half_range - _EDGE_MARGIN
-# skips the miss test (see _sample): the margin keeps every chord parameter
-# s at least ~1e-9 inside [0, 1], far beyond its few-eps roundoff.
-_EDGE_MARGIN = 1e-9
 
 # One Philox bit generator and its Generator per thread, built on first use:
 # constructing a Philox draws OS entropy for a seed sequence the kernel never
@@ -171,33 +164,20 @@ def _sample(
     chunks of _CHUNK samples, in buffers allocated once per worker.
 
     Per sample it draws a heading uniform on [-half_range, half_range),
-    finds the exact ray/chord distance (NaN for a miss) and, given a speed,
-    divides it by the sample's speed into a crossing time.  Then either the
-    values go to out[sample] (out given), or it returns how many are below
-    tau (tau given; NaN compares false), or how many are misses (neither).
+    finds the exact ray/chord distance and, given a speed, divides it by
+    the sample's speed into a crossing time.  Then either the values go to
+    out[sample] (out given), or it returns how many are below tau (tau
+    given), or how many are misses (neither).
     Counting misses needs no distances: headings past +-_FORWARD (none
     when half_range is below it) are counted without evaluation and the
     rest from the intersection's miss mask (see the module docstring).
 
     The time paths (tau or out given) need frame = local_frame(geom) and
     half_range at most that geometry's chord half-angle H, as their callers
-    pass.  There the trigger point is the origin, the chord runs from
-    (reach, w) to (reach, -w) and the heading axis is the x axis, so the
-    exact step's direction is (cos h, sin h) bit for bit (ux = 1, uy = 0),
-    ex = 0, ey = -2w, and its den is exactly cos(h) * ey.  A chunk whose
-    headings all satisfy |h| <= inner = half_range - _EDGE_MARGIN therefore
-    has every distance K / (cos(h) * ey), K = ax*ey - ay*ex, and no miss:
-      * t > 0: t = reach / cos(h), and cos(h) >= cos(H) > 0.25, since H
-        is at most atan(2 + sqrt(3)) = 75 degrees (zero overlap);
-      * s = 1/2 - reach*tan(h) / (2w) lies inside [0, 1] by at least
-        (reach / (2w)) * (tan(H) - tan(|h|)) >= _EDGE_MARGIN * (reach**2 +
-        w**2) / (2*reach*w) * (1 - 1e-8), and (reach**2 + w**2) /
-        (2*reach*w) >= 1 by the AM-GM inequality, so s stays about
-        _EDGE_MARGIN = 1e-9 or more away from 0 and 1;
-      * the computed s is off by a few eps (its two terms are each at most
-        1/2 of den, and cos and sin are within an ulp), which is six
-        orders of magnitude below that margin.
-    Any other chunk takes _ray_chord_into unchanged.
+    pass.  A drawn heading u*(2*half_range) - half_range with 0 <= u < 1
+    then lies in [-H, H], where every heading hits the chord (edges
+    included, see geometry.ray_chord_crossing_many), so they take the
+    distances from _ray_chord_hits_into, with no miss test and no NaN.
     """
     import numpy as np
 
@@ -210,11 +190,6 @@ def _sample(
         first += nb
     width = min(_CHUNK, -(-ctl.samples // ctl.batches))  # the largest batch, at most a chunk
     drawn = speed is not None and speed.kind == "uniform"
-    # the fast path's ey and numerator K, as _ray_chord_into computes them
-    (px, py), (sx, sy), (fx, fy) = frame.trigger_point, frame.chord_start, frame.chord_end
-    ey = fy - sy
-    k_num = (sx - px) * ey - (sy - py) * (fx - sx)
-    inner = half_range - _EDGE_MARGIN
 
     def run(jobs) -> int:
         key, counter = [ctl.seed, 0], [0, 0, 0, 0]
@@ -256,14 +231,7 @@ def _sample(
                 _ray_chord_into(frame, v[:k], a[:k], b[:k], c[:k], hit[:k], tmp[:k])
                 count += int(np.count_nonzero(hit[:k]))
                 continue
-            if heading.max() <= inner and heading.min() >= -inner:
-                # every heading hits (proof in the docstring): distances alone
-                dist = np.cos(heading, out=heading)
-                dist *= ey
-                np.divide(k_num, dist, out=dist)
-            else:
-                dist = _ray_chord_into(frame, heading, a[:m], b[:m], c[:m], hit[:m], tmp[:m])
-                np.copyto(dist, np.nan, where=hit[:m])
+            dist = _ray_chord_hits_into(frame, heading)
             t = dist if out is None else out[at:at + m]
             if drawn:
                 # a batch's speeds follow its nb headings in its substream

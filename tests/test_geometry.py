@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from handoff_lab.errors import InvalidParameterError
 from handoff_lab.geometry import (
     CellGeometry,
     LocalFrame,
+    _ray_chord_hits_into,
     derive_geometry,
     local_frame,
     ray_chord_crossing_many,
@@ -211,6 +212,23 @@ def test_ray_edge_headings_hit_and_just_outside_miss():
         assert not np.isnan(edge).any()
         outside = ray_chord_crossing_many(frame, np.array([h, -h]) * (1 + 1e-12))
         assert np.isnan(outside).all()
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(a=st.floats(100.0, 5000.0), overlap_frac=st.floats(0.0, 0.999))
+@example(a=1000.0, overlap_frac=0.0)  # smallest reach/w (0.27), half-angle 75 degrees
+@example(a=1000.0, overlap_frac=0.999)  # reach/w near 1, half-angle near 45 degrees
+def test_hits_only_step_equals_exact_step_within_the_half_angle(a, overlap_frac):
+    # the failure paths' hits-only step gives the exact step's distances
+    # byte for byte on every heading in [-H, H], ends included
+    geom = CellGeometry(a, overlap_frac * SQRT3 / 2.0 * a)
+    frame = local_frame(geom)
+    h = derive_geometry(geom).chord_half_angle_rad
+    edge = np.array([h, math.nextafter(h, 0.0), 0.0])
+    headings = np.concatenate([edge, -edge, np.random.default_rng(5).uniform(-h, h, 100_000)])
+    exact = ray_chord_crossing_many(frame, headings)
+    assert not np.isnan(exact).any()
+    assert _ray_chord_hits_into(frame, headings.copy()).tobytes() == exact.tobytes()
 
 
 def expression_form(frame, headings):

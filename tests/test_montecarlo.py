@@ -269,53 +269,10 @@ def test_headings_past_the_screen_miss_the_chord(source):
     assert np.isnan(ray_chord_crossing_many(source[1], headings)).all()
 
 
-def _failure_runs(geom, ctl, workers):
-    uniform = SpeedModel.uniform(40.0, 60.0)
-    report = crossing_time_ecdf(geom, 50.0, ctl, workers=workers)
-    return (
-        estimate_failure(geom, 50.0, 8.0, ctl, workers=workers),
-        estimate_failure(geom, uniform, 8.0, ctl, workers=workers),
-        report.times_s.tobytes(),
-        report.ks_stat,
-    )
-
-
-@settings(derandomize=True, max_examples=10, deadline=None)
-@given(geom=geometries, ctl=chunk_straddling_controls(), workers=st.integers(1, 2))
-def test_failure_paths_equal_their_fallback(geom, ctl, workers):
-    # a margin of pi sends every chunk of the time paths through the exact
-    # intersection; the screened fast path must give the same bytes
-    fast = _failure_runs(geom, ctl, workers)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "_EDGE_MARGIN", math.pi)
-        assert _failure_runs(geom, ctl, workers) == fast
-
-
-@settings(derandomize=True, max_examples=25, deadline=None)
-@given(geom=geometries)
-@example(geom=CellGeometry(1000.0, 0.0))  # smallest reach/w (0.27), H = 75 degrees
-@example(geom=CellGeometry(1000.0, 0.999 * math.sqrt(3.0) / 2.0 * 1000.0))  # reach/w near 1, H near 45 degrees
-def test_headings_inside_the_edge_margin_hit_at_the_fast_distance(geom):
-    # every heading the time paths' screen lets through hits the chord, at
-    # exactly the distance K / (cos(h) * ey) the fast path computes
-    frame = local_frame(geom)
-    (px, py), (sx, sy), (fx, fy) = frame.trigger_point, frame.chord_start, frame.chord_end
-    ey = fy - sy
-    k_num = (sx - px) * ey - (sy - py) * (fx - sx)
-    inner = derive_geometry(geom).chord_half_angle_rad - montecarlo._EDGE_MARGIN
-    edge = np.array([inner, math.nextafter(inner, 0.0), 0.0])
-    headings = np.concatenate([
-        edge, -edge, np.random.Generator(np.random.Philox(5)).uniform(-inner, inner, 100_000),
-    ])
-    dist = ray_chord_crossing_many(frame, headings)
-    assert not np.isnan(dist).any()
-    assert dist.tobytes() == (k_num / (np.cos(headings) * ey)).tobytes()
-
-
 def test_failure_paths_skip_the_exact_intersection_at_a_pinned_seed(monkeypatch):
-    # at this seed no heading lies within the edge margin of the chord's
-    # ends, so the time paths must never run the exact intersection; the
-    # false-handoff path always does, which shows the spy sees the calls
+    # the time paths take every distance from the hits-only step, never
+    # the exact intersection; the false-handoff path always runs it, which
+    # shows the spy sees the calls
     calls = []
     exact = montecarlo._ray_chord_into
     monkeypatch.setattr(montecarlo, "_ray_chord_into", lambda *args: calls.append(1) or exact(*args))
