@@ -204,14 +204,11 @@ def _ray_chord_into(frame: LocalFrame, h, a, b, c, miss, tmp) -> "np.ndarray":
 
 
 def _ray_chord_hits_into(frame: LocalFrame, h) -> "np.ndarray":
-    """_ray_chord_into for headings that all hit, in local_frame's frame:
-    h is overwritten with the distances, with no sin and no miss test.
+    """_ray_chord_into's distances, in place in h, for headings that all hit
+    in local_frame's frame: no sin, no miss test (a miss gets a distance).
 
-    There the heading axis is +x and the chord is vertical (ux = 1, uy = 0,
-    ex = 0), so _ray_chord_into's dx is exactly cos(h) and its den exactly
-    cos(h) * ey: every distance is the same bit for bit.  Every heading
-    within the chord's half-angle hits, ends included (see
-    ray_chord_crossing_many); a miss would get a distance here, not NaN.
+    There ux = 1, uy = 0 and ex = 0, so _ray_chord_into's dx is exactly
+    cos(h) and its den exactly cos(h) * ey: the same distances bit for bit.
     """
     import numpy as np
 

@@ -33,11 +33,8 @@ uses only that half-plane, never the chord's half-angle or any other
 closed-form quantity, so the estimate stays independent of the closed form
 it checks.
 
-The failure and crossing-time estimators draw headings only inside the
-chord's half-angle, edges included, and every such heading hits the chord,
-so they take each distance from geometry._ray_chord_hits_into, which skips
-sin and the miss test and gives the exact intersection's distance bit for
-bit (see _sample).
+The failure and crossing-time estimators draw only headings that hit the
+chord, so they skip sin and the miss test (see _sample).
 """
 
 from __future__ import annotations
@@ -50,9 +47,7 @@ from typing import TYPE_CHECKING, List, Optional, Union
 
 from .analytic import SpeedModel, _cdf_many, _check_tau
 from .errors import InvalidParameterError, _real_or_nan, coerce_numbers
-from .geometry import (
-    CellGeometry, LocalFrame, _ray_chord_hits_into, _ray_chord_into, derive_geometry, local_frame,
-)
+from .geometry import CellGeometry, LocalFrame, _ray_chord_hits_into, _ray_chord_into, derive_geometry, local_frame
 
 # numpy is imported inside the functions that sample, so a scenario's mc
 # block (SimControls) parses without loading it.
@@ -173,11 +168,9 @@ def _sample(
     rest from the intersection's miss mask (see the module docstring).
 
     The time paths (tau or out given) need frame = local_frame(geom) and
-    half_range at most that geometry's chord half-angle H, as their callers
-    pass.  A drawn heading u*(2*half_range) - half_range with 0 <= u < 1
-    then lies in [-H, H], where every heading hits the chord (edges
-    included, see geometry.ray_chord_crossing_many), so they take the
-    distances from _ray_chord_hits_into, with no miss test and no NaN.
+    half_range at most its chord half-angle H, as their callers pass.  Their
+    headings then lie in [-H, H], which all hit the chord (edges included,
+    see ray_chord_crossing_many), so they use _ray_chord_hits_into.
     """
     import numpy as np
 
