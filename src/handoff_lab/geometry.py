@@ -9,8 +9,9 @@ chord coincides with the shared side.
 
 A mobile triggers handoff at the point where it first enters the target
 cell's coverage disc, which sits (2 - sqrt(3))/2 * radius in front of the
-hexagon side.  Everything downstream works in a local frame holding that
-trigger point, the chord endpoints, and the chord midpoint:
+hexagon side.  Everything downstream works from two lengths, with the
+trigger point at the origin and the chord from (trigger_to_chord, half_chord)
+to (trigger_to_chord, -half_chord):
 
     trigger_to_chord = side_to_trigger + overlap
     half_chord       = radius/2 + overlap/sqrt(3)   (adjacent hexagon sides
@@ -19,7 +20,7 @@ trigger point, the chord endpoints, and the chord midpoint:
     chord_half_angle = atan(half_chord / trigger_to_chord)
 
 Angles are radians everywhere; headings are measured from the axis running
-from the trigger point to the chord midpoint.
+from the trigger point to the chord midpoint, the +x axis.
 """
 
 import math
@@ -44,7 +45,7 @@ _ENDPOINT_SLACK = 4 * sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class CellGeometry:
-    """Cell radius and chord overlap, both in meters.
+    """Cell radius in [1e-150, 1e150] and chord overlap, both in meters.
 
     The overlap must satisfy 0 <= overlap_m < sqrt(3)/2 * cell_radius_m so
     the chord stays strictly between the hexagon side and the cell center.
@@ -56,8 +57,10 @@ class CellGeometry:
     def __post_init__(self):
         coerce_numbers(self, "cell_radius_m", "overlap_m")
         a = self.cell_radius_m
-        if not (math.isfinite(a) and a > 0):
-            raise InvalidParameterError(f"cell_radius_m must be finite and positive, got {a!r}")
+        # within these radii every length and product of the ray/chord step
+        # stays normal and finite; 5e-324 gives reach 0, 1e200 an infinite t
+        if not 1e-150 <= a <= 1e150:
+            raise InvalidParameterError(f"cell_radius_m must lie in [1e-150, 1e150], got {a!r}")
         bound = SQRT3 / 2.0 * a
         ov = self.overlap_m
         if not (math.isfinite(ov) and 0.0 <= ov < bound):
@@ -83,7 +86,7 @@ class DerivedGeometry(NamedTuple):
 
 @dataclass(frozen=True)
 class LocalFrame:
-    """Concrete coordinates for the trigger point and the chord (unchecked)."""
+    """Trigger point and chord; ray_chord_crossing_many takes only local_frame's layout."""
 
     trigger_point: Point
     chord_start: Point
@@ -112,25 +115,16 @@ def _derive(a: float, overlap: float) -> DerivedGeometry:
 
 
 def local_frame(geom: CellGeometry) -> LocalFrame:
-    """Canonical frame: trigger point at the origin, chord vertical.
-
-    The chord sits at x = trigger_to_chord_m; chord_start is the +y endpoint,
-    chord_end the -y endpoint.  Headings are measured from the +x axis, which
-    points from the trigger point to the chord midpoint.
-    """
+    """The frame of the module docstring: trigger point, chord_start (+y end),
+    chord_end (-y end) and chord midpoint."""
     dg = derive_geometry(geom)
-    pr, w = dg.trigger_to_chord_m, dg.half_chord_m
-    return LocalFrame(
-        trigger_point=(0.0, 0.0),
-        chord_start=(pr, w),
-        chord_end=(pr, -w),
-        chord_midpoint=(pr, 0.0),
-    )
+    reach, w = dg.trigger_to_chord_m, dg.half_chord_m
+    return LocalFrame((0.0, 0.0), (reach, w), (reach, -w), (reach, 0.0))
 
 
 def ray_chord_crossing_many(frame: LocalFrame, headings_rad: "np.ndarray") -> "np.ndarray":
     """Distance from the trigger point to where each ray crosses the chord,
-    NaN for a miss; headings are measured from the trigger-to-midpoint axis.
+    NaN for a miss; any frame but local_frame's layout is refused.
 
     Solves trigger + t*dir = start + s*(end - start) per heading and accepts
     t >= 0, 0 <= s <= 1.  A ray exactly through a chord endpoint crosses
@@ -140,57 +134,41 @@ def ray_chord_crossing_many(frame: LocalFrame, headings_rad: "np.ndarray") -> "n
     """
     import numpy as np
 
+    reach, w = frame.chord_start
+    if not (reach > 0 and frame == LocalFrame((0.0, 0.0), (reach, w), (reach, -w), (reach, 0.0))):
+        raise InvalidParameterError(f"frame must have local_frame's layout, got {frame!r}")
     h = np.array(headings_rad, dtype=float)  # a copy: _ray_chord_into overwrites it
     a, b, c = (np.empty_like(h) for _ in range(3))
     miss, tmp = (np.empty(h.shape, dtype=bool) for _ in range(2))
-    dist = _ray_chord_into(frame, h, a, b, c, miss, tmp)
+    dist = _ray_chord_into(reach, w, h, a, b, c, miss, tmp)
     np.copyto(dist, np.nan, where=miss)
     return dist
 
 
-def _ray_chord_into(frame: LocalFrame, h, a, b, c, miss, tmp) -> "np.ndarray":
-    """ray_chord_crossing_many computed in caller-owned buffers, allocating none.
+def _ray_chord_into(reach: float, w: float, h, a, b, c, miss, tmp) -> "np.ndarray":
+    """ray_chord_crossing_many from the two lengths, in caller-owned buffers.
 
     h holds the headings and is overwritten; a, b, c are float buffers and
-    miss, tmp bool buffers, all of h's shape.  Returns b, which then holds
-    the distances of the hits, and miss is True where the ray misses; b is
-    not NaN-filled there, which is left to callers that keep the distances.
-    The float operations and their order are those of the plain expression
-    form, so every distance is the same bit for bit.
+    miss, tmp bool buffers, all of h's shape.  Returns b, holding the hits'
+    distances, and sets miss where the ray misses (b is not NaN-filled).
+    den = cos*(-2w), s = (reach*sin - w*cos)/den and t = reach*(-2w)/den are
+    the general ray/segment solution's operations in order, less its exact
+    no-ops in this frame (times 1, times 0, a zero beside a nonzero term,
+    as cos h != 0 for a double h): the same bits.
     """
     import numpy as np
 
-    px, py = frame.trigger_point
-    ax = frame.chord_start[0] - px
-    ay = frame.chord_start[1] - py
-    ex = frame.chord_end[0] - frame.chord_start[0]
-    ey = frame.chord_end[1] - frame.chord_start[1]
-    # heading 0 points at the chord midpoint; +pi/2 is 90 deg CCW from that
-    ux = frame.chord_midpoint[0] - px
-    uy = frame.chord_midpoint[1] - py
-    norm = math.hypot(ux, uy)
-    ux, uy = ux / norm, uy / norm
-
+    ey = -2.0 * w
     np.cos(h, out=a)
     np.sin(h, out=h)
-    # direction: dx = cos*ux - sin*uy into b, dy = cos*uy + sin*ux into a
-    np.multiply(a, ux, out=b)
-    np.multiply(h, uy, out=c)
-    np.subtract(b, c, out=b)
-    np.multiply(a, uy, out=a)
-    np.multiply(h, ux, out=h)
-    np.add(a, h, out=a)
-    # den = dx*ey - dy*ex into c
-    np.multiply(b, ey, out=c)
-    np.multiply(a, ex, out=h)
-    np.subtract(c, h, out=c)
-    # s = (ax*dy - ay*dx)/den into a, t = (ax*ey - ay*ex)/den into b
-    np.multiply(a, ax, out=a)
-    np.multiply(b, ay, out=b)
-    np.subtract(a, b, out=a)
+    np.multiply(a, ey, out=c)
+    np.multiply(h, reach, out=h)
+    np.multiply(a, w, out=a)
+    np.subtract(h, a, out=a)
+    # a zero-length chord divides 0 by 0
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(a, c, out=a)
-        np.divide(ax * ey - ay * ex, c, out=b)
+        np.divide(reach * ey, c, out=b)
 
     # a hit has den != 0, t >= 0 and s within the slack of [0, 1]; the
     # first needs no test, since den == 0 makes s infinite or NaN
@@ -203,20 +181,13 @@ def _ray_chord_into(frame: LocalFrame, h, a, b, c, miss, tmp) -> "np.ndarray":
     return b
 
 
-def _ray_chord_hits_into(frame: LocalFrame, h) -> "np.ndarray":
-    """_ray_chord_into's distances, in place in h, for headings that all hit
-    in local_frame's frame: no sin, no miss test (a miss gets a distance).
-
-    There ux = 1, uy = 0 and ex = 0, so _ray_chord_into's dx is exactly
-    cos(h) and its den exactly cos(h) * ey: the same distances bit for bit.
-    """
+def _ray_chord_hits_into(reach: float, w: float, h) -> "np.ndarray":
+    """_ray_chord_into's distances, in place in h, for headings that all hit:
+    reach*(-2w) / (cos(h)*(-2w)), its own operations, without sin or the
+    miss test (a miss gets a distance)."""
     import numpy as np
 
-    px, py = frame.trigger_point
-    ax = frame.chord_start[0] - px
-    ay = frame.chord_start[1] - py
-    ex = frame.chord_end[0] - frame.chord_start[0]
-    ey = frame.chord_end[1] - frame.chord_start[1]
+    ey = -2.0 * w
     np.cos(h, out=h)
     h *= ey
-    return np.divide(ax * ey - ay * ex, h, out=h)
+    return np.divide(reach * ey, h, out=h)

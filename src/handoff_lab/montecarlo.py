@@ -20,13 +20,14 @@ them, so results are identical under any worker count.
 
 The false-handoff estimator draws headings over the whole circle, and about
 half of them point away from the chord.  The kernel screens those out
-before any trig: in the frame of geometry.local_frame the trigger point is
-the origin and the whole chord lies on the line x = trigger_to_chord_m > 0,
-so a heading with |h| > pi/2 + _SCREEN_MARGIN moves toward negative x and
-is counted as a miss.  Each such heading has cos(h) < -0.99e-6, for which
-the exact intersection gives a negative ray parameter and rejects it as
-well, so the miss count is the same integer, every draw stays where the
-substream puts it, and every output byte is unchanged.  The remaining
+before any trig, from the two lengths alone: with the trigger point at the
+origin and heading 0 along +x, the whole chord lies on the line
+x = trigger_to_chord_m > 0, between y = +-half_chord_m, so a heading with
+|h| > pi/2 + _SCREEN_MARGIN moves toward negative x and is counted as a
+miss.  Each such heading has cos(h) < -0.99e-6, for which the exact
+intersection gives a negative ray parameter and rejects it as well, so the
+miss count is the same integer, every draw stays where the substream puts
+it, and every output byte is unchanged.  The remaining
 headings are compacted and go through the exact ray/segment intersection
 as before, and their misses are counted from its miss mask.  The screen
 uses only that half-plane, never the chord's half-angle or any other
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING, List, Optional, Union
 
 from .analytic import SpeedModel, _cdf_many, _check_tau
 from .errors import InvalidParameterError, _real_or_nan, coerce_numbers
-from .geometry import CellGeometry, LocalFrame, _ray_chord_hits_into, _ray_chord_into, derive_geometry, local_frame
+from .geometry import CellGeometry, DerivedGeometry, _ray_chord_hits_into, _ray_chord_into, derive_geometry
 
 # numpy is imported inside the functions that sample, so a scenario's mc
 # block (SimControls) parses without loading it.
@@ -146,7 +147,7 @@ def _batch_sizes(samples: int, batches: int) -> List[int]:
 
 
 def _sample(
-    frame: LocalFrame,
+    dg: DerivedGeometry,
     half_range: float,
     ctl: SimControls,
     workers: int,
@@ -159,18 +160,21 @@ def _sample(
     chunks of _CHUNK samples, in buffers allocated once per worker.
 
     Per sample it draws a heading uniform on [-half_range, half_range),
-    finds the exact ray/chord distance and, given a speed, divides it by
+    finds the exact ray/chord distance from dg's two lengths,
+    trigger_to_chord_m and half_chord_m, and, given a speed, divides it by
     the sample's speed into a crossing time.  Then either the values go to
     out[sample] (out given), or it returns how many are below tau (tau
     given), or how many are misses (neither).
-    Counting misses needs no distances: headings past +-_FORWARD (none
-    when half_range is below it) are counted without evaluation and the
-    rest from the intersection's miss mask (see the module docstring).
+    Counting misses needs no distances: the chord lies at x =
+    trigger_to_chord_m > 0, so headings past +-_FORWARD (none when
+    half_range is below it) move away from it and are counted without
+    evaluation, and the rest from the intersection's miss mask (see the
+    module docstring).
 
-    The time paths (tau or out given) need frame = local_frame(geom) and
-    half_range at most its chord half-angle H, as their callers pass.  Their
-    headings then lie in [-H, H], which all hit the chord (edges included,
-    see ray_chord_crossing_many), so they use _ray_chord_hits_into.
+    The time paths (tau or out given) need half_range at most dg's chord
+    half-angle H, as their callers pass.  Their headings then lie in
+    [-H, H], which all hit the chord (edges included, see
+    ray_chord_crossing_many), so they use _ray_chord_hits_into.
     """
     import numpy as np
 
@@ -183,6 +187,7 @@ def _sample(
         first += nb
     width = min(_CHUNK, -(-ctl.samples // ctl.batches))  # the largest batch, at most a chunk
     drawn = speed is not None and speed.kind == "uniform"
+    reach, w = dg.trigger_to_chord_m, dg.half_chord_m
 
     def run(jobs) -> int:
         key, counter = [ctl.seed, 0], [0, 0, 0, 0]
@@ -221,10 +226,10 @@ def _sample(
                     np.compress(kept, heading[i:i + _PACK], out=v[k:k + n])
                     k += n
                 count += m - k
-                _ray_chord_into(frame, v[:k], a[:k], b[:k], c[:k], hit[:k], tmp[:k])
+                _ray_chord_into(reach, w, v[:k], a[:k], b[:k], c[:k], hit[:k], tmp[:k])
                 count += int(np.count_nonzero(hit[:k]))
                 continue
-            dist = _ray_chord_hits_into(frame, heading)
+            dist = _ray_chord_hits_into(reach, w, heading)
             t = dist if out is None else out[at:at + m]
             if drawn:
                 # a batch's speeds follow its nb headings in its substream
@@ -264,7 +269,7 @@ def estimate_false_handoff(geom: CellGeometry, ctl: SimControls, *, workers: int
     is pure segment intersection, so this estimate is a genuinely independent
     check of the closed-form false-handoff probability.
     """
-    misses = _sample(local_frame(geom), math.pi, ctl, workers)
+    misses = _sample(derive_geometry(geom), math.pi, ctl, workers)
     return _binomial(misses, ctl)
 
 
@@ -290,8 +295,8 @@ def estimate_failure(
         model = speed
     else:
         model = SpeedModel.fixed(speed)
-    half_angle = derive_geometry(geom).chord_half_angle_rad
-    hits = _sample(local_frame(geom), half_angle, ctl, workers, speed=model, tau=tau)
+    dg = derive_geometry(geom)
+    hits = _sample(dg, dg.chord_half_angle_rad, ctl, workers, speed=model, tau=tau)
     return _binomial(hits, ctl)
 
 
@@ -322,7 +327,7 @@ def crossing_time_ecdf(
     speed = SpeedModel.fixed(v_mps)
     dg = derive_geometry(geom)
     times = np.empty(ctl.samples)
-    _sample(local_frame(geom), dg.chord_half_angle_rad, ctl, workers, speed=speed, out=times)
+    _sample(dg, dg.chord_half_angle_rad, ctl, workers, speed=speed, out=times)
     times.sort()
     n = len(times)
     # every heading in [-h, h] hits the chord, edges included, so no time is

@@ -371,6 +371,15 @@ def test_main_integer_beyond_float_range_names_key(tmp_path, capsys, monkeypatch
     assert "cell_radius_m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+@pytest.mark.parametrize("radius", ["5e-324", "1e200"])
+def test_main_refuses_a_radius_whose_arithmetic_under_or_overflows(capsys, command, radius):
+    flags = ["--cell-radius-m", radius, "--overlap-m", "0", "--speed-mps", "50", "--delay-s", "3"]
+    extra = ["--samples", "100", "--seed", "1"] if command == "simulate" else []
+    assert main([command, *flags, *extra]) == 2
+    assert "cell_radius_m:" in capsys.readouterr().err
+
+
 def test_main_refuses_delay_with_handoff_type(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analytic", "--cell-radius-m", "1000", "--overlap-m", "0", "--speed-mps", "50",

@@ -125,7 +125,9 @@ def test_chord_half_angle_strictly_decreasing_in_overlap():
 @pytest.mark.parametrize(
     "radius,overlap",
     [(1000.0, 900.0), (1000.0, -1.0), (0.0, 0.0), (-5.0, 0.0),
-     (1000.0, SQRT3 * 500.0), (math.inf, 0.0), (1000.0, math.nan)],
+     (1000.0, SQRT3 * 500.0), (math.inf, 0.0), (1000.0, math.nan),
+     # radii whose lengths or ray/chord products under- or overflow
+     (5e-324, 0.0), (1e-151, 0.0), (1e151, 0.0), (1e200, 0.0)],
 )
 def test_invalid_geometry_rejected(radius, overlap):
     with pytest.raises(InvalidParameterError):
@@ -222,18 +224,20 @@ def test_hits_only_step_equals_exact_step_within_the_half_angle(a, overlap_frac)
     # the failure paths' hits-only step gives the exact step's distances
     # byte for byte on every heading in [-H, H], ends included
     geom = CellGeometry(a, overlap_frac * SQRT3 / 2.0 * a)
-    frame = local_frame(geom)
-    h = derive_geometry(geom).chord_half_angle_rad
+    dg = derive_geometry(geom)
+    h = dg.chord_half_angle_rad
     edge = np.array([h, math.nextafter(h, 0.0), 0.0])
     headings = np.concatenate([edge, -edge, np.random.default_rng(5).uniform(-h, h, 100_000)])
-    exact = ray_chord_crossing_many(frame, headings)
+    exact = ray_chord_crossing_many(local_frame(geom), headings)
     assert not np.isnan(exact).any()
-    assert _ray_chord_hits_into(frame, headings.copy()).tobytes() == exact.tobytes()
+    hits = _ray_chord_hits_into(dg.trigger_to_chord_m, dg.half_chord_m, headings.copy())
+    assert hits.tobytes() == exact.tobytes()
 
 
 def expression_form(frame, headings):
-    """ray_chord_crossing_many as plain array expressions, each allocating
-    its result: the reference the in-buffer form must match bit for bit."""
+    """ray/chord intersection for any frame, rotated or shifted, as plain
+    array expressions: the general reference the two-length step must match
+    bit for bit in the canonical frame."""
     px, py = frame.trigger_point
     ax, ay = frame.chord_start[0] - px, frame.chord_start[1] - py
     ex = frame.chord_end[0] - frame.chord_start[0]
@@ -253,21 +257,45 @@ def expression_form(frame, headings):
     return np.where(hit, t, np.nan)
 
 
-def test_ray_batch_matches_expression_form():
-    # canonical frames, a rotated, shifted one, where every direction and
-    # chord component is nonzero, and one whose chord runs parallel to
-    # heading 0: that ray has den == 0 and must miss without a warning
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(a=st.floats(1e-150, 1e150), overlap_frac=st.floats(0.0, 0.999))
+# derandomized draws need not reach the ends of a range; these pin them
+@example(a=1e-150, overlap_frac=0.0)
+@example(a=1e-150, overlap_frac=0.999)
+@example(a=1e150, overlap_frac=0.0)
+@example(a=1e150, overlap_frac=0.999)
+def test_ray_batch_matches_expression_form(a, overlap_frac):
+    # the two-length step gives the general formula's bits, hit or miss, at
+    # and an ulp inside the chord's edges, at +-pi/2 and its neighbours, at
+    # +-0 and +-pi, and over the whole circle
+    geom = CellGeometry(a, overlap_frac * SQRT3 / 2.0 * a)
+    frame = local_frame(geom)
+    h, q = derive_geometry(geom).chord_half_angle_rad, math.pi / 2
+    edges = np.array([h, math.nextafter(h, 0.0), q, math.nextafter(q, 0.0), math.nextafter(q, 4.0), 0.0, math.pi])
+    headings = np.concatenate([edges, -edges, np.random.default_rng(23).uniform(-math.pi, math.pi, 20_000)])
+    assert ray_chord_crossing_many(frame, headings).tobytes() == expression_form(frame, headings).tobytes()
+
+
+def test_ray_batch_refuses_a_frame_not_in_the_canonical_layout():
+    # a rotated, shifted frame, one whose chord runs parallel to heading 0
+    # and the canonical one mirrored to negative x would each get wrong
+    # distances from the two-length step
     def rot(x, y):
         return (3.0 + x * math.cos(0.7) - y * math.sin(0.7), -2.0 + x * math.sin(0.7) + y * math.cos(0.7))
 
-    rng = np.random.default_rng(23)
-    frames = [local_frame(CellGeometry(a, ov)) for a, ov in ((1000.0, 0.0), (800.0, 150.0), (50.0, 40.0))]
-    frames.append(LocalFrame(rot(0.0, 0.0), rot(300.0, 420.0), rot(300.0, -420.0), rot(300.0, 0.0)))
-    frames.append(LocalFrame((0.0, 0.0), (0.0, 1.0), (2.0, 1.0), (1.0, 0.0)))
-    for frame in frames:
-        headings = np.append(rng.uniform(-math.pi, math.pi, 20_000), 0.0)
-        got = ray_chord_crossing_many(frame, headings)
-        assert got.tobytes() == expression_form(frame, headings).tobytes()
+    for frame in (
+        LocalFrame(rot(0.0, 0.0), rot(300.0, 420.0), rot(300.0, -420.0), rot(300.0, 0.0)),
+        LocalFrame((0.0, 0.0), (0.0, 1.0), (2.0, 1.0), (1.0, 0.0)),
+        LocalFrame((0.0, 0.0), (-1.0, 2.0), (-1.0, -2.0), (-1.0, 0.0)),
+    ):
+        with pytest.raises(InvalidParameterError):
+            ray_chord_crossing_many(frame, [0.0])
+    # a hand-built canonical frame with a zero-length chord is accepted; its
+    # step divides 0 by 0, and every ray misses without a warning
+    frame = LocalFrame((0.0, 0.0), (1.0, 0.0), (1.0, -0.0), (1.0, 0.0))
+    headings = np.array([0.0, -0.0, 0.5, -0.5, math.pi])
+    got = ray_chord_crossing_many(frame, headings)
+    assert np.isnan(got).all() and got.tobytes() == expression_form(frame, headings).tobytes()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -18,7 +18,7 @@ from handoff_lab.analytic import (
     handoff_failure_probability,
 )
 from handoff_lab.errors import InvalidParameterError
-from handoff_lab.geometry import CellGeometry, LocalFrame, derive_geometry, local_frame, ray_chord_crossing_many
+from handoff_lab.geometry import CellGeometry, DerivedGeometry, LocalFrame, derive_geometry, ray_chord_crossing_many
 from handoff_lab.montecarlo import (
     SimControls,
     crossing_time_ecdf,
@@ -36,27 +36,34 @@ geometries = st.builds(
 )
 
 
-def _bare_frame(reach, half):
+def _bare_lengths(reach, half):
+    """The two lengths the kernel reads, for a chord no cell geometry has."""
+    return DerivedGeometry(0.0, reach, half, 2.0 * reach, math.atan2(half, reach))
+
+
+def _frame(dg):
+    """local_frame's layout for dg's two lengths."""
+    reach, half = dg.trigger_to_chord_m, dg.half_chord_m
     return LocalFrame((0.0, 0.0), (reach, half), (reach, -half), (reach, 0.0))
 
 
 @st.composite
 def forward_frames(draw):
-    """(geometry or None, frame): the canonical frame of a cell geometry, or
-    a bare one of the same layout (trigger at the origin, chord on the line
-    x = reach > 0) whose chord subtends nearly a half-turn, half-angles
-    from pi/2 - 0.5 to pi/2 - 1e-7, so that only the half-plane keeps a
-    heading just past pi/2 off it."""
+    """(geometry or None, lengths): a cell geometry's derived lengths, or
+    bare ones (trigger at the origin, chord on the line x = reach > 0) whose
+    chord subtends nearly a half-turn, half-angles from pi/2 - 0.5 to
+    pi/2 - 1e-7, so that only the half-plane keeps a heading just past pi/2
+    off it."""
     if draw(st.booleans()):
         geom = draw(geometries)
-        return geom, local_frame(geom)
+        return geom, derive_geometry(geom)
     reach = draw(st.floats(1e-3, 1e3))
     half = reach * math.tan(math.pi / 2 - draw(st.floats(1e-7, 0.5)))
-    return None, _bare_frame(reach, half)
+    return None, _bare_lengths(reach, half)
 
 
 # a chord subtending all but 2e-3 rad of a half-turn
-WIDE_CHORD = (None, _bare_frame(1.0, math.tan(math.pi / 2 - 1e-3)))
+WIDE_CHORD = (None, _bare_lengths(1.0, math.tan(math.pi / 2 - 1e-3)))
 
 
 # ----------------------------------------------------------------------
@@ -239,9 +246,9 @@ def test_false_handoff_misses_equal_nan_count_of_whole_draw(source, ctl, workers
     # the kernel screens headings past the half-plane and counts misses
     # from the intersection's mask; it must count exactly the NaNs of the
     # plain intersection over every heading of every batch, drawn whole
-    geom, frame = source
+    geom, dg = source
     if geom is None:
-        misses = montecarlo._sample(frame, math.pi, ctl, workers)
+        misses = montecarlo._sample(dg, math.pi, ctl, workers)
     else:
         misses = round(estimate_false_handoff(geom, ctl, workers=workers).p_hat * ctl.samples)
     base, rem = divmod(ctl.samples, ctl.batches)
@@ -250,7 +257,7 @@ def test_false_handoff_misses_equal_nan_count_of_whole_draw(source, ctl, workers
         nb = base + (batch < rem)
         bitgen = np.random.Philox(key=np.array([ctl.seed, batch], dtype=np.uint64))
         headings = np.random.Generator(bitgen).uniform(-math.pi, math.pi, nb)
-        expected += int(np.count_nonzero(np.isnan(ray_chord_crossing_many(frame, headings))))
+        expected += int(np.count_nonzero(np.isnan(ray_chord_crossing_many(_frame(dg), headings))))
     assert misses == expected
 
 
@@ -266,7 +273,7 @@ def test_headings_past_the_screen_miss_the_chord(source):
         np.random.Generator(np.random.Philox(5)).uniform(edge, math.pi, 100_000),
     ])
     headings = np.concatenate([beyond, -beyond])
-    assert np.isnan(ray_chord_crossing_many(source[1], headings)).all()
+    assert np.isnan(ray_chord_crossing_many(_frame(source[1]), headings)).all()
 
 
 def test_failure_paths_skip_the_exact_intersection_at_a_pinned_seed(monkeypatch):
@@ -451,6 +458,33 @@ def test_ecdf_ks_screen_equals_scalar_cdf_loop(a, overlap_frac, v, samples, batc
     ctl = SimControls(samples=samples, seed=seed, batches=min(batches, samples))
     report = crossing_time_ecdf(geom, v, ctl)
     assert report.ks_stat == _loop_ks(geom, v, report.times_s)
+
+
+def test_ecdf_ks_screen_keeps_an_argmax_the_fast_cdf_ranks_second(monkeypatch):
+    # four times whose D+ at samples 1 and 3 differ by about 1e-13, and a
+    # fast CDF 1e-12 too high at the exact argmax (sample 1), so the fast
+    # maximum is sample 3: only the screen's margin keeps sample 1 a
+    # candidate and the statistic exact
+    dg = derive_geometry(KM_CELL)
+    t_min, h = dg.trigger_to_chord_m / 50.0, dg.chord_half_angle_rad
+    times = np.array([t_min / math.cos(u * h) for u in (0.05, 0.4, 0.55 + 1e-13, 0.9)])
+    plus = np.arange(1, 5) / 4 - np.array([crossing_time_cdf(KM_CELL, 50.0, float(t)) for t in times])
+    assert _loop_ks(KM_CELL, 50.0, times) == plus[0] and 0 < plus[0] - plus[2] < 1e-12
+
+    def sample(dg, half_range, ctl, workers, *, speed=None, tau=None, out=None):
+        out[:] = times
+        return 0
+
+    def cdf_many(dg, v, tau, *, exact=True):
+        values = _cdf_many(dg, v, tau, exact=exact)
+        if not exact:
+            values[0] += 1e-12
+        return values
+
+    monkeypatch.setattr(montecarlo, "_sample", sample)
+    monkeypatch.setattr(montecarlo, "_cdf_many", cdf_many)
+    report = crossing_time_ecdf(KM_CELL, 50.0, SimControls(4, 0))
+    assert report.ks_stat == _loop_ks(KM_CELL, 50.0, times)
 
 
 def test_ecdf_ks_is_exact_where_numpy_arccos_is_not():
