@@ -36,13 +36,7 @@ from .errors import (
     UnknownBaseStationError,
     UnsupportedHandoffTypeError,
 )
-from .geometry import (
-    CellGeometry,
-    DerivedGeometry,
-    LocalFrame,
-    derive_geometry,
-    local_frame,
-)
+from .geometry import CellGeometry, DerivedGeometry, derive_geometry
 from .topology import (
     AccessSystem,
     DelayProfile,
@@ -90,7 +84,6 @@ __all__ = [
     "HandoffLabError",
     "HandoffType",
     "InvalidParameterError",
-    "LocalFrame",
     "NetworkTopology",
     "NotBracketedError",
     "OutOfDomainError",
@@ -117,6 +110,5 @@ __all__ = [
     "expected_failure_over_speed",
     "false_handoff_probability",
     "handoff_failure_probability",
-    "local_frame",
     "run_sweep",
 ]

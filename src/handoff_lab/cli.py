@@ -115,13 +115,17 @@ def _load_yaml_mapping(text: str, what: str) -> dict:
 
 def _shape(doc, keys, required=(), path: str = "") -> dict:
     """Check doc's shape, the only check parsing makes: a mapping with only
-    the given keys and every required one.  path is doc's own, "" at the top."""
+    the given keys and every required one.  path is doc's own, "" at the top.
+
+    Returns doc without its null values: a key set to null counts as absent.
+    """
     if not isinstance(doc, dict):
         raise ScenarioValidationError(path or "document", f"must be a mapping, got {doc!r}")
     prefix = f"{path}." if path else ""
     for key in doc:
         if key not in keys:
             raise ScenarioValidationError(f"{prefix}{key}", "is not a recognized key")
+    doc = {key: value for key, value in doc.items() if value is not None}
     for key in required:
         if key not in doc:
             raise ScenarioValidationError(f"{prefix}{key}", "is required")
@@ -141,7 +145,7 @@ def _checked(path: str, build, *args, **kwargs):
 def _parse_speed(raw) -> SpeedModel:
     if not isinstance(raw, dict):
         return _checked("speed", SpeedModel.fixed, raw)
-    _shape(raw, ("vmin", "vmax"), required=("vmin", "vmax"), path="speed")
+    raw = _shape(raw, ("vmin", "vmax"), required=("vmin", "vmax"), path="speed")
     vmin = _checked("speed.vmin", SpeedModel.fixed, raw["vmin"]).v_mps
     return _checked("speed.vmax", SpeedModel.uniform, vmin, raw["vmax"])
 
@@ -162,7 +166,7 @@ def _resolve_seed(mc_doc: Mapping, env: Optional[Mapping[str, str]]):
 def _parse_mc(raw, env: Optional[Mapping[str, str]]) -> SimControls:
     from .montecarlo import SimControls
 
-    _shape(raw, ("samples", "seed", "batches"), required=("samples",), path="mc")
+    raw = _shape(raw, ("samples", "seed", "batches"), required=("samples",), path="mc")
     samples = _checked("mc.samples", SimControls, raw["samples"], 0).samples
     seed = _checked("mc.seed", SimControls, samples, _resolve_seed(raw, env)).seed
     return _checked("mc.batches", SimControls, samples, seed, raw.get("batches", 1))
@@ -170,14 +174,11 @@ def _parse_mc(raw, env: Optional[Mapping[str, str]]) -> SimControls:
 
 def scenario_from_dict(doc: dict, env: Optional[Mapping[str, str]] = None) -> Scenario:
     """Validate a plain mapping into a Scenario; paths name offending keys.
-
-    A key set to null counts as absent wherever the key is optional.
-    """
-    _shape(doc, _SCENARIO_KEYS, required=("cell_radius_m", "overlap_m", "speed"))
-    given = {key for key, value in doc.items() if value is not None}
-    if ("delay_s" in given) == ("handoff_type" in given):
+    A key set to null counts as absent (see _shape)."""
+    doc = _shape(doc, _SCENARIO_KEYS, required=("cell_radius_m", "overlap_m", "speed"))
+    if ("delay_s" in doc) == ("handoff_type" in doc):
         raise ScenarioValidationError("delay_s", "give exactly one of delay_s or handoff_type")
-    if "delay_s" in given and "delay_profile" in given:
+    if "delay_s" in doc and "delay_profile" in doc:
         raise ScenarioValidationError("delay_profile", "is only meaningful together with handoff_type")
 
     radius = _checked("cell_radius_m", CellGeometry, doc["cell_radius_m"]).cell_radius_m
@@ -185,7 +186,7 @@ def scenario_from_dict(doc: dict, env: Optional[Mapping[str, str]] = None) -> Sc
     speed = _parse_speed(doc["speed"])
 
     handoff_type = None
-    if "handoff_type" in given:
+    if "handoff_type" in doc:
         try:
             handoff_type = HandoffType(doc["handoff_type"])
         except ValueError:
@@ -195,15 +196,14 @@ def scenario_from_dict(doc: dict, env: Optional[Mapping[str, str]] = None) -> Sc
             ) from None
 
     profile = DelayProfile()
-    if "delay_profile" in given:
+    if "delay_profile" in doc:
         raw = _shape(doc["delay_profile"], ("intra_s", "inter_s", "link_layer_s"), path="delay_profile")
-        values = {key: value for key, value in raw.items() if value is not None}
-        profile = _checked("delay_profile", DelayProfile, **values)
+        profile = _checked("delay_profile", DelayProfile, **raw)
 
     topology = None
-    if "topology" in given:
+    if "topology" in doc:
         topology = _checked("topology", NetworkTopology.from_dict, doc["topology"])
-    mc = _parse_mc(doc["mc"], env) if "mc" in given else None
+    mc = _parse_mc(doc["mc"], env) if "mc" in doc else None
 
     return _checked(
         "delay_s",
@@ -231,14 +231,14 @@ def parse_sweep_spec(text: str, env: Optional[Mapping[str, str]] = None) -> Swee
 def sweep_spec_from_dict(doc: dict, env: Optional[Mapping[str, str]] = None) -> SweepSpec:
     from .experiments import Axis, SweepSpec
 
-    _shape(doc, _SWEEP_KEYS, required=("kind", "axis", "cell_radius_m"))
+    doc = _shape(doc, _SWEEP_KEYS, required=("kind", "axis", "cell_radius_m"))
     axis_keys = ("start", "stop", "steps")
     axis = _checked("axis", Axis, **_shape(doc["axis"], axis_keys, required=axis_keys, path="axis"))
     # a single series value stands for a list of one
     series = {key: doc[key] if isinstance(doc[key], list) else [doc[key]]
               for key in ("cell_radius_m", "overlap_m") if key in doc}
     fixed = {key: doc[key] for key in ("speed_mps", "delay_s") if key in doc}
-    mc = _parse_mc(doc["mc"], env) if doc.get("mc") is not None else None
+    mc = _parse_mc(doc["mc"], env) if "mc" in doc else None
     return _checked("sweep", SweepSpec, kind=doc["kind"], axis=axis, mc=mc, **series, **fixed)
 
 

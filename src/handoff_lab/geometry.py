@@ -9,9 +9,9 @@ chord coincides with the shared side.
 
 A mobile triggers handoff at the point where it first enters the target
 cell's coverage disc, which sits (2 - sqrt(3))/2 * radius in front of the
-hexagon side.  Everything downstream works from two lengths, with the
-trigger point at the origin and the chord from (trigger_to_chord, half_chord)
-to (trigger_to_chord, -half_chord):
+hexagon side.  Everything downstream works from two lengths, which are
+the whole of local_frame's frame: the trigger point at the origin and the
+chord from (trigger_to_chord, half_chord) to (trigger_to_chord, -half_chord):
 
     trigger_to_chord = side_to_trigger + overlap
     half_chord       = radius/2 + overlap/sqrt(3)   (adjacent hexagon sides
@@ -34,8 +34,6 @@ from .errors import InvalidParameterError, coerce_numbers
 # uses, so the closed forms run without loading it.
 if TYPE_CHECKING:
     import numpy as np
-
-Point = Tuple[float, float]
 
 SQRT3 = math.sqrt(3.0)
 
@@ -84,16 +82,6 @@ class DerivedGeometry(NamedTuple):
     chord_half_angle_rad: float  # half-angle the chord subtends at the trigger point
 
 
-@dataclass(frozen=True)
-class LocalFrame:
-    """Trigger point and chord; ray_chord_crossing_many takes only local_frame's layout."""
-
-    trigger_point: Point
-    chord_start: Point
-    chord_end: Point
-    chord_midpoint: Point
-
-
 def derive_geometry(geom: CellGeometry) -> DerivedGeometry:
     """Compute the local handoff-region measurements for one cell pair.
 
@@ -114,17 +102,17 @@ def _derive(a: float, overlap: float) -> DerivedGeometry:
     return DerivedGeometry(standoff, reach, half_chord, 2.0 * reach, math.atan2(half_chord, reach))
 
 
-def local_frame(geom: CellGeometry) -> LocalFrame:
-    """The frame of the module docstring: trigger point, chord_start (+y end),
-    chord_end (-y end) and chord midpoint."""
+def local_frame(geom: CellGeometry) -> Tuple[float, float]:
+    """The frame of the module docstring as its two lengths,
+    (trigger_to_chord_m, half_chord_m)."""
     dg = derive_geometry(geom)
-    reach, w = dg.trigger_to_chord_m, dg.half_chord_m
-    return LocalFrame((0.0, 0.0), (reach, w), (reach, -w), (reach, 0.0))
+    return dg.trigger_to_chord_m, dg.half_chord_m
 
 
-def ray_chord_crossing_many(frame: LocalFrame, headings_rad: "np.ndarray") -> "np.ndarray":
+def ray_chord_crossing_many(frame: Tuple[float, float], headings_rad: "np.ndarray") -> "np.ndarray":
     """Distance from the trigger point to where each ray crosses the chord,
-    NaN for a miss; any frame but local_frame's layout is refused.
+    NaN for a miss.  frame is local_frame's pair (trigger_to_chord_m,
+    half_chord_m), both finite, the first positive, the second nonnegative.
 
     Solves trigger + t*dir = start + s*(end - start) per heading and accepts
     t >= 0, 0 <= s <= 1.  A ray exactly through a chord endpoint crosses
@@ -134,57 +122,55 @@ def ray_chord_crossing_many(frame: LocalFrame, headings_rad: "np.ndarray") -> "n
     """
     import numpy as np
 
-    reach, w = frame.chord_start
-    if not (reach > 0 and frame == LocalFrame((0.0, 0.0), (reach, w), (reach, -w), (reach, 0.0))):
-        raise InvalidParameterError(f"frame must have local_frame's layout, got {frame!r}")
-    h = np.array(headings_rad, dtype=float)  # a copy: _ray_chord_into overwrites it
-    a, b, c = (np.empty_like(h) for _ in range(3))
+    reach, w = frame
+    if not (0 < reach < math.inf and 0 <= w < math.inf):
+        raise InvalidParameterError(f"frame must be local_frame's (reach, half_chord) pair, got {frame!r}")
+    h = np.array(headings_rad, dtype=float)  # a copy: both steps overwrite their headings
+    a, c = np.empty_like(h), np.empty_like(h)
     miss, tmp = (np.empty(h.shape, dtype=bool) for _ in range(2))
-    dist = _ray_chord_into(reach, w, h, a, b, c, miss, tmp)
+    # a zero-length chord (w = 0) makes den zero in both steps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _ray_chord_misses_into(reach, w, h.copy(), a, c, miss, tmp)
+        dist = _ray_chord_hits_into(reach, w, h)
     np.copyto(dist, np.nan, where=miss)
     return dist
 
 
-def _ray_chord_into(reach: float, w: float, h, a, b, c, miss, tmp) -> "np.ndarray":
-    """ray_chord_crossing_many from the two lengths, in caller-owned buffers.
+def _ray_chord_misses_into(reach: float, w: float, h, a, c, miss, tmp) -> None:
+    """Set miss where the ray misses the chord, in caller-owned buffers.
 
-    h holds the headings and is overwritten; a, b, c are float buffers and
-    miss, tmp bool buffers, all of h's shape.  Returns b, holding the hits'
-    distances, and sets miss where the ray misses (b is not NaN-filled).
-    den = cos*(-2w), s = (reach*sin - w*cos)/den and t = reach*(-2w)/den are
-    the general ray/segment solution's operations in order, less its exact
-    no-ops in this frame (times 1, times 0, a zero beside a nonzero term,
-    as cos h != 0 for a double h): the same bits.
+    h holds the headings and is overwritten; a, c are float buffers and
+    miss, tmp bool buffers, all of h's shape.  den = cos*(-2w) and
+    s = (reach*sin - w*cos)/den are the general ray/segment solution's
+    operations in order, less its exact no-ops in this frame (times 1,
+    times 0, a zero beside a nonzero term).  The distance is never formed:
+    t = reach*(-2w)/den has a negative numerator, so t >= 0 exactly when
+    den < 0 or den = -0, and den = -0 (a zero-length chord) makes s
+    infinite or NaN, a miss.  For w > 0, den != 0, as cos h != 0 for a
+    double h, so no step divides by zero.
     """
     import numpy as np
 
-    ey = -2.0 * w
     np.cos(h, out=a)
     np.sin(h, out=h)
-    np.multiply(a, ey, out=c)
+    np.multiply(a, -2.0 * w, out=c)
     np.multiply(h, reach, out=h)
     np.multiply(a, w, out=a)
     np.subtract(h, a, out=a)
-    # a zero-length chord divides 0 by 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(a, c, out=a)
-        np.divide(reach * ey, c, out=b)
+    np.divide(a, c, out=a)
 
-    # a hit has den != 0, t >= 0 and s within the slack of [0, 1]; the
-    # first needs no test, since den == 0 makes s infinite or NaN
-    np.greater_equal(b, 0.0, out=miss)
+    # a hit has den < 0 and s within the slack of [0, 1]
+    np.less(c, 0.0, out=miss)
     np.greater_equal(a, -_ENDPOINT_SLACK, out=tmp)
     np.logical_and(miss, tmp, out=miss)
     np.less_equal(a, 1.0 + _ENDPOINT_SLACK, out=tmp)
     np.logical_and(miss, tmp, out=miss)
     np.logical_not(miss, out=miss)
-    return b
 
 
 def _ray_chord_hits_into(reach: float, w: float, h) -> "np.ndarray":
-    """_ray_chord_into's distances, in place in h, for headings that all hit:
-    reach*(-2w) / (cos(h)*(-2w)), its own operations, without sin or the
-    miss test (a miss gets a distance)."""
+    """The distance reach*(-2w) / (cos(h)*(-2w)) to the chord, in place in
+    h, with no miss test: a miss gets a distance too."""
     import numpy as np
 
     ey = -2.0 * w

@@ -24,15 +24,15 @@ before any trig, from the two lengths alone: with the trigger point at the
 origin and heading 0 along +x, the whole chord lies on the line
 x = trigger_to_chord_m > 0, between y = +-half_chord_m, so a heading with
 |h| > pi/2 + _SCREEN_MARGIN moves toward negative x and is counted as a
-miss.  Each such heading has cos(h) < -0.99e-6, for which the exact
-intersection gives a negative ray parameter and rejects it as well, so the
-miss count is the same integer, every draw stays where the substream puts
-it, and every output byte is unchanged.  The remaining
-headings are compacted and go through the exact ray/segment intersection
-as before, and their misses are counted from its miss mask.  The screen
-uses only that half-plane, never the chord's half-angle or any other
-closed-form quantity, so the estimate stays independent of the closed form
-it checks.
+miss.  Each such heading has cos(h) < -0.99e-6, so the exact intersection's
+denominator cos(h)*(-2*half_chord_m) is positive and its miss test rejects
+the heading as well: the miss count is the same integer, every draw stays
+where the substream puts it, and every output byte is unchanged.  The
+remaining headings are compacted and go through the exact miss test, which
+decides each hit from the denominator's sign and the chord parameter and
+computes no distance.  The screen uses only that half-plane, never the
+chord's half-angle or any other closed-form quantity, so the estimate
+stays independent of the closed form it checks.
 
 The failure and crossing-time estimators draw only headings that hit the
 chord, so they skip sin and the miss test (see _sample).
@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, List, Optional, Union
 
 from .analytic import SpeedModel, _cdf_many, _check_tau
 from .errors import InvalidParameterError, _real_or_nan, coerce_numbers
-from .geometry import CellGeometry, DerivedGeometry, _ray_chord_hits_into, _ray_chord_into, derive_geometry
+from .geometry import CellGeometry, DerivedGeometry, _ray_chord_hits_into, _ray_chord_misses_into, derive_geometry
 
 # numpy is imported inside the functions that sample, so a scenario's mc
 # block (SimControls) parses without loading it.
@@ -63,8 +63,8 @@ _CHUNK = 1 << 16  # samples per kernel chunk, whatever the batch size
 _KS_SCREEN = 1e-9
 # The false-handoff screen counts a heading h with |h| > _FORWARD as a miss
 # unevaluated.  The margin keeps cos(h) below -0.99e-6 for every screened
-# heading, far from any roundoff of the ray's direction, so the exact
-# intersection rejects it too (t < 0).
+# heading, far from any roundoff of the ray's direction, so the exact miss
+# test rejects it too (its denominator is positive).
 _SCREEN_MARGIN = 1e-6
 _FORWARD = math.pi / 2 + _SCREEN_MARGIN
 # The screen packs kept headings this many at a time.  np.compress allocates
@@ -148,7 +148,6 @@ def _batch_sizes(samples: int, batches: int) -> List[int]:
 
 def _sample(
     dg: DerivedGeometry,
-    half_range: float,
     ctl: SimControls,
     workers: int,
     *,
@@ -157,24 +156,21 @@ def _sample(
     out: Optional[np.ndarray] = None,
 ) -> int:
     """The one Monte Carlo kernel: every sample of ctl, drawn and reduced in
-    chunks of _CHUNK samples, in buffers allocated once per worker.
+    chunks of _CHUNK samples, in buffers allocated once per worker.  It
+    works from dg's two lengths, trigger_to_chord_m and half_chord_m.
 
-    Per sample it draws a heading uniform on [-half_range, half_range),
-    finds the exact ray/chord distance from dg's two lengths,
-    trigger_to_chord_m and half_chord_m, and, given a speed, divides it by
-    the sample's speed into a crossing time.  Then either the values go to
-    out[sample] (out given), or it returns how many are below tau (tau
-    given), or how many are misses (neither).
-    Counting misses needs no distances: the chord lies at x =
-    trigger_to_chord_m > 0, so headings past +-_FORWARD (none when
-    half_range is below it) move away from it and are counted without
-    evaluation, and the rest from the intersection's miss mask (see the
-    module docstring).
+    Without a speed, it draws headings uniform on [-pi, pi) and returns how
+    many miss the chord.  That needs no distances: the chord lies at
+    x = trigger_to_chord_m > 0, so headings past +-_FORWARD move away from
+    it and are counted without evaluation, and the rest by the miss step,
+    _ray_chord_misses_into (see the module docstring).
 
-    The time paths (tau or out given) need half_range at most dg's chord
-    half-angle H, as their callers pass.  Their headings then lie in
-    [-H, H], which all hit the chord (edges included, see
-    ray_chord_crossing_many), so they use _ray_chord_hits_into.
+    With a speed, it draws headings uniform on [-H, H), H dg's chord
+    half-angle, all of which hit the chord (edges included, see
+    ray_chord_crossing_many), so it takes each distance from
+    _ray_chord_hits_into and divides it by the sample's speed into a
+    crossing time.  Then either the times go to out[sample] (out given) or
+    it returns how many are below tau.
     """
     import numpy as np
 
@@ -188,6 +184,7 @@ def _sample(
     width = min(_CHUNK, -(-ctl.samples // ctl.batches))  # the largest batch, at most a chunk
     drawn = speed is not None and speed.kind == "uniform"
     reach, w = dg.trigger_to_chord_m, dg.half_chord_m
+    half_range = math.pi if speed is None else dg.chord_half_angle_rad
 
     def run(jobs) -> int:
         key, counter = [ctl.seed, 0], [0, 0, 0, 0]
@@ -209,14 +206,14 @@ def _sample(
             x += lo
             return x
 
-        h, v, a, b, c = np.empty((5, width + 3))
-        hit, tmp = np.empty((2, width), dtype=bool)
+        h, v, a, c = np.empty((4, width + 3))
+        mask, tmp = np.empty((2, width), dtype=bool)
         count = 0
         for batch, nb, start, m, at in jobs:
             heading = uniform(h, batch, start, m, -half_range, half_range)
-            if tau is None and out is None:
+            if speed is None:
                 # headings past +-_FORWARD miss; the rest are packed into v
-                forward = hit[:m]
+                forward = mask[:m]
                 np.less_equal(heading, _FORWARD, out=forward)
                 forward &= np.greater_equal(heading, -_FORWARD, out=tmp[:m])
                 k = 0
@@ -226,18 +223,18 @@ def _sample(
                     np.compress(kept, heading[i:i + _PACK], out=v[k:k + n])
                     k += n
                 count += m - k
-                _ray_chord_into(reach, w, v[:k], a[:k], b[:k], c[:k], hit[:k], tmp[:k])
-                count += int(np.count_nonzero(hit[:k]))
+                _ray_chord_misses_into(reach, w, v[:k], a[:k], c[:k], mask[:k], tmp[:k])
+                count += int(np.count_nonzero(mask[:k]))
                 continue
             dist = _ray_chord_hits_into(reach, w, heading)
             t = dist if out is None else out[at:at + m]
             if drawn:
                 # a batch's speeds follow its nb headings in its substream
                 np.divide(dist, uniform(v, batch, nb + start, m, speed.vmin_mps, speed.vmax_mps), out=t)
-            elif speed is not None:
+            else:
                 np.divide(dist, speed.v_mps, out=t)
             if out is None:
-                count += int(np.count_nonzero(np.less(t, tau, out=hit[:m])))
+                count += int(np.count_nonzero(np.less(t, tau, out=mask[:m])))
         return count
 
     workers = min(int(workers), len(chunks))
@@ -269,7 +266,7 @@ def estimate_false_handoff(geom: CellGeometry, ctl: SimControls, *, workers: int
     is pure segment intersection, so this estimate is a genuinely independent
     check of the closed-form false-handoff probability.
     """
-    misses = _sample(derive_geometry(geom), math.pi, ctl, workers)
+    misses = _sample(derive_geometry(geom), ctl, workers)
     return _binomial(misses, ctl)
 
 
@@ -295,8 +292,7 @@ def estimate_failure(
         model = speed
     else:
         model = SpeedModel.fixed(speed)
-    dg = derive_geometry(geom)
-    hits = _sample(dg, dg.chord_half_angle_rad, ctl, workers, speed=model, tau=tau)
+    hits = _sample(derive_geometry(geom), ctl, workers, speed=model, tau=tau)
     return _binomial(hits, ctl)
 
 
@@ -327,7 +323,7 @@ def crossing_time_ecdf(
     speed = SpeedModel.fixed(v_mps)
     dg = derive_geometry(geom)
     times = np.empty(ctl.samples)
-    _sample(dg, dg.chord_half_angle_rad, ctl, workers, speed=speed, out=times)
+    _sample(dg, ctl, workers, speed=speed, out=times)
     times.sort()
     n = len(times)
     # every heading in [-h, h] hits the chord, edges included, so no time is

@@ -98,11 +98,11 @@ class NetworkTopology:
                 bs_ids = raw_fa["bs_ids"]
                 if not isinstance(bs_ids, list) or not all(isinstance(b, str) for b in bs_ids):
                     raise InvalidParameterError(f"{fa_where}.bs_ids must be a list of strings")
-                fas.append(ForeignAgent(fa_id=str(raw_fa["fa_id"]), bs_ids=tuple(bs_ids)))
+                fas.append(ForeignAgent(fa_id=_text(raw_fa, "fa_id", fa_where), bs_ids=tuple(bs_ids)))
             systems.append(
                 AccessSystem(
-                    system_id=str(raw["system_id"]),
-                    gfa_id=str(raw["gfa_id"]),
+                    system_id=_text(raw, "system_id", where),
+                    gfa_id=_text(raw, "gfa_id", where),
                     fas=tuple(fas),
                 )
             )
@@ -173,6 +173,14 @@ def delay_for(profile: DelayProfile, handoff_type: HandoffType) -> float:
             "link-layer handoffs have no delay in this profile; set link_layer_s to model one"
         )
     return profile.link_layer_s
+
+
+def _text(raw: dict, key: str, where: str) -> str:
+    """raw[key], which must be a string: an id is never converted."""
+    value = raw[key]
+    if not isinstance(value, str):
+        raise InvalidParameterError(f"{where}.{key} must be a string, got {value!r}")
+    return value
 
 
 def _iter_identifiers(systems: Sequence[AccessSystem]):

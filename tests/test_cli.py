@@ -154,6 +154,29 @@ def test_mc_error_paths_name_the_key():
         assert err.value.path == path
 
 
+def test_null_keys_count_as_absent():
+    # an optional key set to null is absent, in a sweep as in a scenario
+    sweep = "kind: failure_vs_delay\naxis: {start: 1, stop: 3, steps: 3}\ncell_radius_m: 1000\nspeed_mps: 50\n"
+    assert parse_sweep_spec(sweep + "overlap_m: null\nmc: null", env={}) == parse_sweep_spec(sweep, env={})
+    # an unknown key is refused even when null, and a null required key is
+    # missing
+    assert validation_path(MINIMAL + "foo: null") == "foo"
+    assert validation_path(MINIMAL.replace("speed: 50", "speed: null")) == "speed"
+    assert validation_path(MINIMAL + "mc: {samples: null}") == "mc.samples"
+    with pytest.raises(ScenarioValidationError, match="is required"):
+        parse_sweep_spec(sweep.replace("cell_radius_m: 1000", "cell_radius_m: null"), env={})
+
+
+def test_main_null_seed_takes_the_environment_seed(tmp_path, monkeypatch):
+    # a null seed defers to the environment, a null batches to its default
+    monkeypatch.setenv(SEED_ENV_VAR, "5")
+    for mc in ("{samples: 1000, seed: null}", "{samples: 1000, batches: null}"):
+        assert run_scenario(tmp_path, "simulate", MINIMAL + f"mc: {mc}") == 0
+        got = (tmp_path / "out.csv").read_text()
+        assert run_scenario(tmp_path, "simulate", MINIMAL + "mc: {samples: 1000, seed: 5}") == 0
+        assert got == (tmp_path / "out.csv").read_text()
+
+
 def test_seed_resolution_order():
     explicit = parse_scenario(MINIMAL + "mc: {samples: 10, seed: 5}", env={SEED_ENV_VAR: "9"})
     assert explicit.mc.seed == 5
@@ -247,6 +270,12 @@ def test_classify_refuses_empty_base_station_id(tmp_path, capsys):
     doc = TOPOLOGY_DOC.replace("bs_ids: [bs10, bs11]", 'bs_ids: ["", bs11]')
     assert run_scenario(tmp_path, "classify", doc, "--from-bs", "", "--to-bs", "bs20") == 2
     assert capsys.readouterr().err.startswith("error: topology: empty bs_id")
+
+
+def test_classify_refuses_an_id_that_is_not_a_string(tmp_path, capsys):
+    doc = TOPOLOGY_DOC.replace("fa_id: fa2", "fa_id: 012")
+    assert run_scenario(tmp_path, "classify", doc, "--from-bs", "bs11", "--to-bs", "bs12") == 2
+    assert capsys.readouterr().err.startswith("error: topology: systems[0].fas[1].fa_id must be a string")
 
 
 def test_svg_rejected_outside_sweep(tmp_path, capsys):

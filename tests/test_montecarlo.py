@@ -18,7 +18,7 @@ from handoff_lab.analytic import (
     handoff_failure_probability,
 )
 from handoff_lab.errors import InvalidParameterError
-from handoff_lab.geometry import CellGeometry, DerivedGeometry, LocalFrame, derive_geometry, ray_chord_crossing_many
+from handoff_lab.geometry import CellGeometry, DerivedGeometry, derive_geometry, ray_chord_crossing_many
 from handoff_lab.montecarlo import (
     SimControls,
     crossing_time_ecdf,
@@ -42,9 +42,8 @@ def _bare_lengths(reach, half):
 
 
 def _frame(dg):
-    """local_frame's layout for dg's two lengths."""
-    reach, half = dg.trigger_to_chord_m, dg.half_chord_m
-    return LocalFrame((0.0, 0.0), (reach, half), (reach, -half), (reach, 0.0))
+    """local_frame's pair for dg's two lengths."""
+    return dg.trigger_to_chord_m, dg.half_chord_m
 
 
 @st.composite
@@ -248,7 +247,7 @@ def test_false_handoff_misses_equal_nan_count_of_whole_draw(source, ctl, workers
     # plain intersection over every heading of every batch, drawn whole
     geom, dg = source
     if geom is None:
-        misses = montecarlo._sample(dg, math.pi, ctl, workers)
+        misses = montecarlo._sample(dg, ctl, workers)
     else:
         misses = round(estimate_false_handoff(geom, ctl, workers=workers).p_hat * ctl.samples)
     base, rem = divmod(ctl.samples, ctl.batches)
@@ -277,12 +276,12 @@ def test_headings_past_the_screen_miss_the_chord(source):
 
 
 def test_failure_paths_skip_the_exact_intersection_at_a_pinned_seed(monkeypatch):
-    # the time paths take every distance from the hits-only step, never
-    # the exact intersection; the false-handoff path always runs it, which
-    # shows the spy sees the calls
+    # the time paths take every distance from the hits-only step and never
+    # run the miss step; the false-handoff path always runs it, which shows
+    # the spy sees the calls
     calls = []
-    exact = montecarlo._ray_chord_into
-    monkeypatch.setattr(montecarlo, "_ray_chord_into", lambda *args: calls.append(1) or exact(*args))
+    exact = montecarlo._ray_chord_misses_into
+    monkeypatch.setattr(montecarlo, "_ray_chord_misses_into", lambda *args: calls.append(1) or exact(*args))
     ctl = SimControls(2**17 + 5, 11, 3)
     estimate_failure(PINNED_GEOMETRY, 50.0, 8.0, ctl)
     estimate_failure(PINNED_GEOMETRY, SpeedModel.uniform(40.0, 60.0), 8.0, ctl)
@@ -471,7 +470,7 @@ def test_ecdf_ks_screen_keeps_an_argmax_the_fast_cdf_ranks_second(monkeypatch):
     plus = np.arange(1, 5) / 4 - np.array([crossing_time_cdf(KM_CELL, 50.0, float(t)) for t in times])
     assert _loop_ks(KM_CELL, 50.0, times) == plus[0] and 0 < plus[0] - plus[2] < 1e-12
 
-    def sample(dg, half_range, ctl, workers, *, speed=None, tau=None, out=None):
+    def sample(dg, ctl, workers, *, speed=None, tau=None, out=None):
         out[:] = times
         return 0
 

@@ -290,3 +290,15 @@ def test_from_dict_error_paths():
         NetworkTopology.from_dict({})
     with pytest.raises(InvalidParameterError):
         NetworkTopology.from_dict({"systems": "oops"})
+    # an id that is not a string is refused, never converted to one (YAML's
+    # 012 is the integer 10, not the id "012")
+    fa = {"fa_id": "f", "bs_ids": ["b"]}
+    for system, path in (
+        ({"system_id": None, "gfa_id": "g", "fas": [fa]}, "systems[0].system_id"),
+        ({"system_id": "s", "gfa_id": [1, 2], "fas": [fa]}, "systems[0].gfa_id"),
+        ({"system_id": "s", "gfa_id": "g", "fas": [fa, {"fa_id": 10, "bs_ids": ["c"]}]},
+         "systems[0].fas[1].fa_id"),
+    ):
+        with pytest.raises(InvalidParameterError) as err:
+            NetworkTopology.from_dict({"systems": [system]})
+        assert str(err.value).startswith(f"{path} must be a string")
