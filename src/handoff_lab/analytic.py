@@ -23,14 +23,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, _real_or_nan, coerce_numbers
-from .geometry import CellGeometry, DerivedGeometry, _derive, derive_geometry
+from .geometry import SQRT3, CellGeometry, DerivedGeometry, _derive, derive_geometry
 
 # numpy is imported by _cdf_many alone, so the scalar closed forms run
 # without loading it.
 if TYPE_CHECKING:
     import numpy as np
-
-SQRT3_HALF = math.sqrt(3.0) / 2.0
 
 # Residual tolerance for the overlap solver and width floor for its bracket.
 _ADAPT_TOL = 1e-9
@@ -134,16 +132,18 @@ def crossing_time_pdf(geom: CellGeometry, v_mps: float, t_s: float) -> float:
 
     Supported on the open interval (t_min, t_max) with an integrable
     1/sqrt singularity at t_min; returns 0 outside, including at t_min
-    itself, and for a t_s that is not a finite real number.
+    itself, and for a t_s that is not a finite real number.  Just above
+    t_min, where 2*v*t_s rounds onto 2*reach, it returns t_min's 0 too.
     """
     v_mps = _check_speed(v_mps)
     dg = derive_geometry(geom)
-    span = dg.mirror_span_m
+    span = 2.0 * dg.trigger_to_chord_m
     t_min, t_max = _support(dg, v_mps)
     t_s = _real_or_nan(t_s)
     if not math.isfinite(t_s) or t_s <= t_min or t_s >= t_max:
         return 0.0
-    return span / (dg.chord_half_angle_rad * t_s * math.sqrt((2.0 * v_mps * t_s) ** 2 - span ** 2))
+    radicand = (2.0 * v_mps * t_s) ** 2 - span ** 2
+    return span / (dg.chord_half_angle_rad * t_s * math.sqrt(radicand)) if radicand > 0.0 else 0.0
 
 
 def _cdf(dg: DerivedGeometry, v: float, tau: float) -> float:
@@ -153,7 +153,7 @@ def _cdf(dg: DerivedGeometry, v: float, tau: float) -> float:
         return 0.0
     if tau >= t_max:
         return 1.0
-    value = math.acos(dg.mirror_span_m / (2.0 * v * tau)) / dg.chord_half_angle_rad
+    value = math.acos(dg.trigger_to_chord_m / (v * tau)) / dg.chord_half_angle_rad
     # clamp only after the branch logic; roundoff can nudge past the ends
     return min(1.0, max(0.0, value))
 
@@ -187,12 +187,11 @@ def _cdf_many(dg: DerivedGeometry, v, tau, *, exact: bool = True) -> "np.ndarray
     # every step then runs in place on it, in the scalar form's order
     if v.ndim == 0:
         x = np.broadcast_to(tau, out.shape)[inside]
-        x *= 2.0 * v
+        x *= v
     else:
         x = np.broadcast_to(v, out.shape)[inside]
-        x *= 2.0
         x *= tau if tau.ndim == 0 else np.broadcast_to(tau, out.shape)[inside]
-    np.divide(dg.mirror_span_m, x, out=x)
+    np.divide(dg.trigger_to_chord_m, x, out=x)
     if exact:
         x = np.fromiter(map(math.acos, x), float, len(x))
     else:
@@ -313,7 +312,7 @@ def adapt_overlap(
             false_handoff_probability=false_handoff_probability(geom),
         )
 
-    lo, hi = 0.0, SQRT3_HALF * a - 1e-9 * a
+    lo, hi = 0.0, SQRT3 / 2.0 * a - 1e-9 * a
     pf_lo, pf_hi = pf(lo), pf(hi)
     if target_pf > pf_lo:
         raise NotBracketedError(

@@ -34,6 +34,7 @@ from .errors import (
     NotBracketedError,
     ScenarioParseError,
     ScenarioValidationError,
+    _shape,
     coerce_numbers,
 )
 from .geometry import CellGeometry
@@ -110,25 +111,6 @@ def _load_yaml_mapping(text: str, what: str) -> dict:
         doc = {}
     if not isinstance(doc, dict):
         raise ScenarioParseError(f"{what} must be a mapping of keys to values")
-    return doc
-
-
-def _shape(doc, keys, required=(), path: str = "") -> dict:
-    """Check doc's shape, the only check parsing makes: a mapping with only
-    the given keys and every required one.  path is doc's own, "" at the top.
-
-    Returns doc without its null values: a key set to null counts as absent.
-    """
-    if not isinstance(doc, dict):
-        raise ScenarioValidationError(path or "document", f"must be a mapping, got {doc!r}")
-    prefix = f"{path}." if path else ""
-    for key in doc:
-        if key not in keys:
-            raise ScenarioValidationError(f"{prefix}{key}", "is not a recognized key")
-    doc = {key: value for key, value in doc.items() if value is not None}
-    for key in required:
-        if key not in doc:
-            raise ScenarioValidationError(f"{prefix}{key}", "is required")
     return doc
 
 

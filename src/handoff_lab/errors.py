@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the numeric input checks.
+"""Exception types shared across the package, and its numeric and document-shape checks.
 
 Everything derives from HandoffLabError so callers can catch broadly.
 The CLI maps these onto exit codes; library users get ordinary
@@ -37,8 +37,8 @@ class ScenarioParseError(HandoffLabError, ValueError):
     """Scenario or sweep text that cannot be parsed at all."""
 
 
-class ScenarioValidationError(HandoffLabError, ValueError):
-    """Well-formed scenario text with invalid content; carries the key path."""
+class ScenarioValidationError(InvalidParameterError):
+    """A well-formed document with invalid content; carries the key path."""
 
     def __init__(self, path: str, message: str):
         self.path = path
@@ -79,6 +79,27 @@ def coerce_numbers(
         else:
             value = coerce(value, name)
         object.__setattr__(obj, name, value)
+
+
+def _shape(doc, keys, required=(), path: str = "") -> dict:
+    """Check doc's shape, the only check parsing makes: a mapping with only
+    the given keys and every required one.  path is doc's own, "" at the top.
+
+    Returns doc without its null values: a key set to null counts as absent.
+    """
+    if not isinstance(doc, dict):
+        raise ScenarioValidationError(path or "document", f"must be a mapping, got {doc!r}")
+    prefix = f"{path}." if path else ""
+    shaped = {}  # one loop, no comprehension: a topology document calls this per agent
+    for key, value in doc.items():
+        if key not in keys:
+            raise ScenarioValidationError(f"{prefix}{key}", "is not a recognized key")
+        if value is not None:
+            shaped[key] = value
+    for key in required:
+        if key not in shaped:
+            raise ScenarioValidationError(f"{prefix}{key}", "is required")
+    return shaped
 
 
 def _real_or_nan(value) -> float:

@@ -78,7 +78,6 @@ class DerivedGeometry(NamedTuple):
     side_to_trigger_m: float     # hexagon side to the trigger point
     trigger_to_chord_m: float    # trigger point to the chord, perpendicular
     half_chord_m: float          # half the chord length
-    mirror_span_m: float         # trigger point to its mirror image across the chord
     chord_half_angle_rad: float  # half-angle the chord subtends at the trigger point
 
 
@@ -97,9 +96,8 @@ def _derive(a: float, overlap: float) -> DerivedGeometry:
     standoff = (2.0 - SQRT3) / 2.0 * a
     reach = standoff + overlap
     half_chord = a / 2.0 + overlap / SQRT3
-    # positional: side_to_trigger, trigger_to_chord, half_chord, mirror_span,
-    # chord_half_angle
-    return DerivedGeometry(standoff, reach, half_chord, 2.0 * reach, math.atan2(half_chord, reach))
+    # positional: side_to_trigger, trigger_to_chord, half_chord, chord_half_angle
+    return DerivedGeometry(standoff, reach, half_chord, math.atan2(half_chord, reach))
 
 
 def local_frame(geom: CellGeometry) -> Tuple[float, float]:

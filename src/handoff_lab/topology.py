@@ -16,6 +16,7 @@ from .errors import (
     InvalidParameterError,
     UnknownBaseStationError,
     UnsupportedHandoffTypeError,
+    _shape,
     coerce_numbers,
 )
 
@@ -50,62 +51,52 @@ class AccessSystem:
 
 
 class NetworkTopology:
-    """Validated forest of systems; identifiers are nonempty and globally unique."""
+    """Validated forest of systems; identifiers are nonempty strings, globally unique."""
 
     def __init__(self, systems: Sequence[AccessSystem]):
         systems = tuple(systems)
         if not systems:
             raise InvalidParameterError("topology needs at least one system")
-        seen: Dict[str, str] = {}
-        for kind, ident in _iter_identifiers(systems):
-            if not ident:
-                raise InvalidParameterError(f"empty {kind} (identifiers must be nonempty strings)")
-            if ident in seen:
-                raise InvalidParameterError(
-                    f"duplicate identifier {ident!r} ({kind} vs earlier {seen[ident]})"
-                )
-            seen[ident] = kind
         self.systems = systems
         self._by_bs: Dict[str, Tuple[str, str]] = {}
-        for sys_ in systems:
-            for fa in sys_.fas:
-                for bs in fa.bs_ids:
+        seen: Dict[str, str] = {}  # id: its kind; an id's path is spelt out only to raise
+        for i, sys_ in enumerate(systems):
+            for kind, ident in (("system_id", sys_.system_id), ("gfa_id", sys_.gfa_id)):
+                if not isinstance(ident, str) or not ident or ident in seen:
+                    raise _id_error(ident, seen, kind, i)
+                seen[ident] = kind
+            for j, fa in enumerate(sys_.fas):
+                if not isinstance(fa.fa_id, str) or not fa.fa_id or fa.fa_id in seen:
+                    raise _id_error(fa.fa_id, seen, "fa_id", i, j)
+                seen[fa.fa_id] = "fa_id"
+                for k, bs in enumerate(fa.bs_ids):
+                    if not isinstance(bs, str) or not bs or bs in seen:
+                        raise _id_error(bs, seen, "bs_id", i, j, k)
+                    seen[bs] = "bs_id"
                     self._by_bs[bs] = (fa.fa_id, sys_.gfa_id)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkTopology":
-        """Build from plain data: {"systems": [{system_id, gfa_id, fas: [...]}]}."""
-        if not isinstance(doc, dict) or "systems" not in doc:
-            raise InvalidParameterError("topology must be a mapping with a 'systems' list")
-        raw_systems = doc["systems"]
+        """Build from plain data: {"systems": [{system_id, gfa_id, fas: [{fa_id, bs_ids}]}]}.
+        Each level is checked by errors._shape, as a scenario is: unknown keys
+        are refused, null counts as absent, and a system's ha_id is ignored."""
+        raw_systems = _shape(doc, ("systems",), required=("systems",))["systems"]
         if not isinstance(raw_systems, list):
-            raise InvalidParameterError("'systems' must be a list")
+            raise InvalidParameterError("systems must be a list")
         systems = []
         for i, raw in enumerate(raw_systems):
             where = f"systems[{i}]"
-            if not isinstance(raw, dict):
-                raise InvalidParameterError(f"{where} must be a mapping")
-            for key in ("system_id", "gfa_id", "fas"):
-                if key not in raw:
-                    raise InvalidParameterError(f"{where} is missing {key!r}")
+            raw = _shape(raw, ("system_id", "gfa_id", "fas", "ha_id"), ("system_id", "gfa_id", "fas"), where)
             if not isinstance(raw["fas"], list):
                 raise InvalidParameterError(f"{where}.fas must be a list")
             fas = []
             for j, raw_fa in enumerate(raw["fas"]):
                 fa_where = f"{where}.fas[{j}]"
-                if not isinstance(raw_fa, dict) or "fa_id" not in raw_fa or "bs_ids" not in raw_fa:
-                    raise InvalidParameterError(f"{fa_where} needs 'fa_id' and 'bs_ids'")
-                bs_ids = raw_fa["bs_ids"]
-                if not isinstance(bs_ids, list) or not all(isinstance(b, str) for b in bs_ids):
-                    raise InvalidParameterError(f"{fa_where}.bs_ids must be a list of strings")
-                fas.append(ForeignAgent(fa_id=_text(raw_fa, "fa_id", fa_where), bs_ids=tuple(bs_ids)))
-            systems.append(
-                AccessSystem(
-                    system_id=_text(raw, "system_id", where),
-                    gfa_id=_text(raw, "gfa_id", where),
-                    fas=tuple(fas),
-                )
-            )
+                raw_fa = _shape(raw_fa, ("fa_id", "bs_ids"), ("fa_id", "bs_ids"), fa_where)
+                if not isinstance(raw_fa["bs_ids"], list):
+                    raise InvalidParameterError(f"{fa_where}.bs_ids must be a list")
+                fas.append(ForeignAgent(raw_fa["fa_id"], tuple(raw_fa["bs_ids"])))
+            systems.append(AccessSystem(raw["system_id"], raw["gfa_id"], tuple(fas)))
         return cls(systems)
 
     def locate(self, bs_id: str) -> Tuple[str, str]:
@@ -175,19 +166,13 @@ def delay_for(profile: DelayProfile, handoff_type: HandoffType) -> float:
     return profile.link_layer_s
 
 
-def _text(raw: dict, key: str, where: str) -> str:
-    """raw[key], which must be a string: an id is never converted."""
-    value = raw[key]
-    if not isinstance(value, str):
-        raise InvalidParameterError(f"{where}.{key} must be a string, got {value!r}")
-    return value
-
-
-def _iter_identifiers(systems: Sequence[AccessSystem]):
-    for sys_ in systems:
-        yield "system_id", sys_.system_id
-        yield "gfa_id", sys_.gfa_id
-        for fa in sys_.fas:
-            yield "fa_id", fa.fa_id
-            for bs in fa.bs_ids:
-                yield "bs_id", bs
+def _id_error(ident, seen: Dict[str, str], kind: str, *indices: int) -> InvalidParameterError:
+    """Why NetworkTopology refuses ident, the id of this kind at these indices."""
+    path = {"system_id": "systems[{}].system_id", "gfa_id": "systems[{}].gfa_id",
+            "fa_id": "systems[{}].fas[{}].fa_id",
+            "bs_id": "systems[{}].fas[{}].bs_ids[{}]"}[kind].format(*indices)
+    if not isinstance(ident, str):
+        return InvalidParameterError(f"{path} must be a string, got {ident!r}")
+    if not ident:
+        return InvalidParameterError(f"empty {kind} at {path}; identifiers must be nonempty")
+    return InvalidParameterError(f"duplicate identifier {ident!r} at {path} (already a {seen[ident]})")

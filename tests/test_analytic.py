@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -195,6 +195,20 @@ def test_pdf_matches_sampled_histogram():
 def test_pdf_rejects_bad_speed():
     with pytest.raises(OutOfDomainError):
         crossing_time_pdf(KM_CELL, -1.0, 3.0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(a=st.floats(100.0, 5000.0), overlap_frac=st.floats(0.0, 0.999), v=st.floats(0.5, 120.0))
+@example(a=500.0, overlap_frac=0.0, v=13.0)  # 2*v*t rounded onto the span: a ZeroDivisionError once
+def test_pdf_just_above_t_min_is_finite(a, overlap_frac, v):
+    # a few ulps above t_min, 2*v*t may still round onto 2*reach; the
+    # density there is t_min's 0 or a finite positive value, never an error
+    geom = CellGeometry(a, overlap_frac * SQRT3 / 2.0 * a)
+    t = crossing_time_support(geom, v).t_min_s
+    for _ in range(4):
+        t = math.nextafter(t, math.inf)
+        value = crossing_time_pdf(geom, v, t)
+        assert math.isfinite(value) and value >= 0.0
 
 
 # ----------------------------------------------------------------------

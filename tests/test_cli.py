@@ -278,6 +278,13 @@ def test_classify_refuses_an_id_that_is_not_a_string(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: topology: systems[0].fas[1].fa_id must be a string")
 
 
+def test_classify_refuses_a_misspelt_topology_key(tmp_path, capsys):
+    # a misspelt key beside bs_ids was once ignored, and its stations with it
+    doc = TOPOLOGY_DOC.replace("bs_ids: [bs12]", "bs_ids: [bs12]\n          bs_idz: [bs13]")
+    assert run_scenario(tmp_path, "classify", doc, "--from-bs", "bs11", "--to-bs", "bs12") == 2
+    assert capsys.readouterr().err.startswith("error: topology: systems[0].fas[1].bs_idz")
+
+
 def test_svg_rejected_outside_sweep(tmp_path, capsys):
     assert run_scenario(tmp_path, "analytic", MINIMAL, "--format", "svg") == 2
     assert capsys.readouterr().err.startswith("error: format: ")

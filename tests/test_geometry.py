@@ -71,7 +71,6 @@ def test_derive_tangent_cells():
     assert dg.side_to_trigger_m == pytest.approx(133.9746, abs=1e-4)
     assert dg.trigger_to_chord_m == dg.side_to_trigger_m
     assert dg.half_chord_m == 500.0
-    assert dg.mirror_span_m == pytest.approx(2 * dg.trigger_to_chord_m, rel=1e-15)
     assert dg.chord_half_angle_rad == pytest.approx(5 * math.pi / 12, rel=1e-12)
 
 

@@ -38,7 +38,7 @@ geometries = st.builds(
 
 def _bare_lengths(reach, half):
     """The two lengths the kernel reads, for a chord no cell geometry has."""
-    return DerivedGeometry(0.0, reach, half, 2.0 * reach, math.atan2(half, reach))
+    return DerivedGeometry(0.0, reach, half, math.atan2(half, reach))
 
 
 def _frame(dg):

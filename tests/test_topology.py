@@ -290,11 +290,14 @@ def test_from_dict_error_paths():
         NetworkTopology.from_dict({})
     with pytest.raises(InvalidParameterError):
         NetworkTopology.from_dict({"systems": "oops"})
+    fa = {"fa_id": "f", "bs_ids": ["b"]}
+    # a null id counts as absent, as any null key in a scenario does
+    with pytest.raises(InvalidParameterError) as err:
+        NetworkTopology.from_dict({"systems": [{"system_id": None, "gfa_id": "g", "fas": [fa]}]})
+    assert str(err.value) == "systems[0].system_id: is required"
     # an id that is not a string is refused, never converted to one (YAML's
     # 012 is the integer 10, not the id "012")
-    fa = {"fa_id": "f", "bs_ids": ["b"]}
     for system, path in (
-        ({"system_id": None, "gfa_id": "g", "fas": [fa]}, "systems[0].system_id"),
         ({"system_id": "s", "gfa_id": [1, 2], "fas": [fa]}, "systems[0].gfa_id"),
         ({"system_id": "s", "gfa_id": "g", "fas": [fa, {"fa_id": 10, "bs_ids": ["c"]}]},
          "systems[0].fas[1].fa_id"),
@@ -302,3 +305,64 @@ def test_from_dict_error_paths():
         with pytest.raises(InvalidParameterError) as err:
             NetworkTopology.from_dict({"systems": [system]})
         assert str(err.value).startswith(f"{path} must be a string")
+
+
+def _doc(system_extra=None, fa_extra=None, top_extra=None):
+    """A two-system document, with extra keys at the top, in systems[0] and
+    in systems[0].fas[1]."""
+    fas = [{"fa_id": "f1", "bs_ids": ["b1"]}, {"fa_id": "f2", "bs_ids": ["b2"], **(fa_extra or {})}]
+    return {
+        "systems": [
+            {"system_id": "s1", "gfa_id": "g1", "fas": fas, **(system_extra or {})},
+            {"system_id": "s2", "gfa_id": "g2", "fas": [{"fa_id": "f3", "bs_ids": ["b3"]}]},
+        ],
+        **(top_extra or {}),
+    }
+
+
+@pytest.mark.parametrize("doc,path", [
+    (_doc(top_extra={"sytems": 1}), "sytems"),
+    (_doc(system_extra={"gfa": "oops"}), "systems[0].gfa"),
+    (_doc(fa_extra={"bs_idz": ["c"]}), "systems[0].fas[1].bs_idz"),
+    (_doc(fa_extra={"ba": 1}), "systems[0].fas[1].ba"),
+], ids=["top", "system", "foreign-agent", "foreign-agent-scalar"])
+def test_from_dict_refuses_unknown_keys_at_every_level(doc, path):
+    # a misspelt key would otherwise drop what it holds without a word
+    with pytest.raises(InvalidParameterError) as err:
+        NetworkTopology.from_dict(doc)
+    assert str(err.value) == f"{path}: is not a recognized key"
+
+
+@pytest.mark.parametrize("ha_id", ["home", None])
+def test_from_dict_allows_and_ignores_ha_id(ha_id):
+    topo = NetworkTopology.from_dict(_doc(system_extra={"ha_id": ha_id}))
+    assert topo.locate("b2") == ("f2", "g1")
+    assert classify_handoff(topo, "b1", "b3") is HandoffType.INTER_SYSTEM
+
+
+def test_from_dict_refuses_a_null_list():
+    with pytest.raises(InvalidParameterError) as err:
+        NetworkTopology.from_dict(_doc(fa_extra={"bs_ids": None}))
+    assert str(err.value) == "systems[0].fas[1].bs_ids: is required"
+
+
+@pytest.mark.parametrize("system,path", [
+    (AccessSystem("s", 5, (ForeignAgent("f", ("b",)),)), "systems[1].gfa_id"),
+    (AccessSystem("s", "g", (ForeignAgent("f", ("b",)), ForeignAgent("f2", ("c", 7)))),
+     "systems[1].fas[1].bs_ids[1]"),
+    (AccessSystem(None, "g", (ForeignAgent("f", ("b",)),)), "systems[1].system_id"),
+    (AccessSystem("s", "g", (ForeignAgent(b"f", ("b",)),)), "systems[1].fas[0].fa_id"),
+], ids=["gfa_id", "bs_id", "system_id", "fa_id"])
+def test_constructor_refuses_an_id_that_is_not_a_string(system, path):
+    first = AccessSystem("s0", "g0", (ForeignAgent("f0", ("b0",)),))
+    with pytest.raises(InvalidParameterError) as err:
+        NetworkTopology((first, system))
+    assert str(err.value).startswith(f"{path} must be a string, got ")
+
+
+def test_duplicate_identifier_names_its_path():
+    with pytest.raises(InvalidParameterError) as err:
+        NetworkTopology.from_dict(_doc(fa_extra={"bs_ids": ["b2", "g2"]}))
+    assert str(err.value) == (
+        "duplicate identifier 'g2' at systems[1].gfa_id (already a bs_id)"
+    )
