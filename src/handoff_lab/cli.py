@@ -7,6 +7,7 @@ failed to parse or validate, 1 when a computation could not finish.
 
 numpy is imported only where a command samples or sweeps, so analytic,
 adapt and classify start without it, even for a scenario with an mc block.
+PyYAML is imported only where a command reads a file.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import os
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-import yaml
 
 from .analytic import (
     SpeedModel,
@@ -64,10 +63,11 @@ _SCENARIO_KEYS = {
 }
 
 _SWEEP_KEYS = {"kind", "axis", "cell_radius_m", "overlap_m", "speed_mps", "delay_s", "mc"}
+_MC_KEYS = ("samples", "seed", "batches")
 
-# libyaml's parser where PyYAML was built with it; both build the same
-# documents through SafeLoader's constructor
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# the loader by name, since yaml loads only to read a file: libyaml's where
+# PyYAML has it, else SafeLoader; both construct documents as SafeLoader does
+_YAML_LOADER = "CSafeLoader"
 
 
 # ======================================================================
@@ -101,8 +101,10 @@ class Scenario:
 
 
 def _load_yaml_mapping(text: str, what: str) -> dict:
+    import yaml
+
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
+        doc = yaml.load(text, Loader=getattr(yaml, _YAML_LOADER, yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{what} is not valid YAML: {exc}") from exc
     except ValueError as exc:  # an integer past Python's digit limit; libyaml on a lone surrogate
@@ -148,7 +150,7 @@ def _resolve_seed(mc_doc: Mapping, env: Optional[Mapping[str, str]]):
 def _parse_mc(raw, env: Optional[Mapping[str, str]]) -> SimControls:
     from .montecarlo import SimControls
 
-    raw = _shape(raw, ("samples", "seed", "batches"), required=("samples",), path="mc")
+    raw = _shape(raw, _MC_KEYS, required=("samples",), path="mc")
     samples = _checked("mc.samples", SimControls, raw["samples"], 0).samples
     seed = _checked("mc.seed", SimControls, samples, _resolve_seed(raw, env)).seed
     return _checked("mc.batches", SimControls, samples, seed, raw.get("batches", 1))
@@ -337,7 +339,7 @@ def _analytic_row(scenario: Scenario) -> Tuple[Tuple[str, ...], Tuple[float, ...
 def _scenario(args: argparse.Namespace) -> Scenario:
     """The scenario file, if any, with the flags merged in; only then is svg refused."""
     doc = _load_yaml_mapping(_read_text(args.scenario), "scenario") if args.scenario else {}
-    scenario = scenario_from_dict(_merge_flags(doc, args), env=os.environ)
+    scenario = scenario_from_dict(_merge_flags(doc, args, _SCENARIO_KEYS), env=os.environ)
     if args.format == "svg":
         raise ScenarioValidationError("format", "svg output is only available for sweep")
     return scenario
@@ -367,7 +369,7 @@ def _sweep(args: argparse.Namespace) -> str:
     from .experiments import run_sweep
 
     doc = _load_yaml_mapping(_read_text(args.spec), "sweep spec")
-    table = run_sweep(sweep_spec_from_dict(_merge_mc_flags(doc, args), env=os.environ))
+    table = run_sweep(sweep_spec_from_dict(_merge_flags(doc, args, _SWEEP_KEYS), env=os.environ))
     if args.format == "svg":
         return render_sweep_svg(table)
     return render_csv(table.columns, table.rows, table.provenance)
@@ -420,25 +422,23 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", default="csv", choices=("csv", "svg"),
                         help="output format; svg only applies to sweep")
 
-    scenario = argparse.ArgumentParser(add_help=False)
+    scenario = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     scenario.add_argument("--scenario", default=None, help="scenario YAML file")
-    scenario.add_argument("--cell-radius-m", type=float, default=None)
-    scenario.add_argument("--overlap-m", type=float, default=None)
-    scenario.add_argument("--speed-mps", type=float, default=None, help="fixed speed in m/s")
-    scenario.add_argument("--speed-kmh", type=float, default=None,
-                          help="fixed speed in km/h (converted to m/s)")
-    scenario.add_argument("--vmin-mps", type=float, default=None, help="uniform speed lower bound")
-    scenario.add_argument("--vmax-mps", type=float, default=None, help="uniform speed upper bound")
+    scenario.add_argument("--cell-radius-m", type=float)
+    scenario.add_argument("--overlap-m", type=float)
+    scenario.add_argument("--speed-mps", type=float, help="fixed speed in m/s")
+    scenario.add_argument("--speed-kmh", type=float, help="fixed speed in km/h (converted to m/s)")
+    scenario.add_argument("--vmin-mps", type=float, help="uniform speed lower bound")
+    scenario.add_argument("--vmax-mps", type=float, help="uniform speed upper bound")
     delay = scenario.add_mutually_exclusive_group()
-    delay.add_argument("--delay-s", type=float, default=None, help="signaling delay in seconds")
-    delay.add_argument("--handoff-type", default=None,
-                       choices=tuple(t.value for t in HandoffType),
+    delay.add_argument("--delay-s", type=float, help="signaling delay in seconds")
+    delay.add_argument("--handoff-type", choices=tuple(t.value for t in HandoffType),
                        help="pick the delay from the profile instead of --delay-s")
 
-    mc = argparse.ArgumentParser(add_help=False)
-    mc.add_argument("--samples", type=int, default=None, help="override mc samples")
-    mc.add_argument("--seed", type=int, default=None, help="override mc seed")
-    mc.add_argument("--batches", type=int, default=None, help="override mc batches")
+    mc = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    mc.add_argument("--samples", type=int, help="override mc samples")
+    mc.add_argument("--seed", type=int, help="override mc seed")
+    mc.add_argument("--batches", type=int, help="override mc batches")
 
     parser = argparse.ArgumentParser(
         prog="handoff-lab",
@@ -465,22 +465,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_flags(doc: dict, args: argparse.Namespace) -> dict:
-    """Overlay command-line flags onto a scenario document."""
-    doc = dict(doc)
-    for key in ("cell_radius_m", "overlap_m"):
-        if getattr(args, key) is not None:
-            doc[key] = getattr(args, key)
+def _merge_flags(doc: dict, args: argparse.Namespace, keys) -> dict:
+    """Overlay the flags given (argparse sets no others) onto a document with
+    these keys, each by its dest; mc's merge into mc, speed and delay below."""
+    flags = vars(args)
+    doc = {**doc, **{key: value for key, value in flags.items() if key in keys}}
 
-    speeds = []
-    if args.speed_mps is not None:
-        speeds.append(args.speed_mps)
-    if args.speed_kmh is not None:
-        speeds.append(args.speed_kmh / 3.6)
-    if args.vmin_mps is not None or args.vmax_mps is not None:
-        # a missing bound is left for the shape check to name
-        bounds = {"vmin": args.vmin_mps, "vmax": args.vmax_mps}
-        speeds.append({key: value for key, value in bounds.items() if value is not None})
+    speeds = [flags[key] / scale for key, scale in (("speed_mps", 1.0), ("speed_kmh", 3.6)) if key in flags]
+    bounds = {key: flags[f"{key}_mps"] for key in ("vmin", "vmax") if f"{key}_mps" in flags}
+    if bounds:  # a missing bound is left for the shape check to name
+        speeds.append(bounds)
     if len(speeds) > 1:
         raise ScenarioValidationError(
             "speed", "give one of --speed-mps, --speed-kmh, or --vmin-mps/--vmax-mps"
@@ -488,20 +482,14 @@ def _merge_flags(doc: dict, args: argparse.Namespace) -> dict:
     if speeds:
         doc["speed"] = speeds[0]
 
-    # the flags are mutually exclusive, and the one left None counts as absent
-    if args.delay_s is not None or args.handoff_type is not None:
-        doc.update(delay_s=args.delay_s, handoff_type=args.handoff_type)
+    # the flags are mutually exclusive, and the one not given counts as absent
+    if "delay_s" in flags or "handoff_type" in flags:
+        doc.update(delay_s=flags.get("delay_s"), handoff_type=flags.get("handoff_type"))
 
-    return _merge_mc_flags(doc, args)
-
-
-def _merge_mc_flags(doc: dict, args: argparse.Namespace) -> dict:
-    """Overlay --samples/--seed/--batches onto the document's mc block."""
-    for flag in ("samples", "seed", "batches"):
-        value = getattr(args, flag, None)
-        mc_doc = {} if doc.get("mc") is None else doc["mc"]
-        if value is not None and isinstance(mc_doc, dict):  # any other mc fails the shape check
-            doc["mc"] = {**mc_doc, flag: value}
+    mc_flags = {key: flags[key] for key in _MC_KEYS if key in flags}
+    mc_doc = {} if doc.get("mc") is None else doc["mc"]
+    if mc_flags and isinstance(mc_doc, dict):  # any other mc fails the shape check
+        doc["mc"] = {**mc_doc, **mc_flags}
     return doc
 
 

@@ -38,11 +38,11 @@ class ScenarioParseError(HandoffLabError, ValueError):
 
 
 class ScenarioValidationError(InvalidParameterError):
-    """A well-formed document with invalid content; carries the key path."""
+    """A well-formed document with invalid content; carries the key path, "" for the whole."""
 
     def __init__(self, path: str, message: str):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 def coerce_numbers(
@@ -88,7 +88,7 @@ def _shape(doc, keys, required=(), path: str = "") -> dict:
     Returns doc without its null values: a key set to null counts as absent.
     """
     if not isinstance(doc, dict):
-        raise ScenarioValidationError(path or "document", f"must be a mapping, got {doc!r}")
+        raise ScenarioValidationError(path, f"must be a mapping, got {doc!r}")
     prefix = f"{path}." if path else ""
     shaped = {}  # one loop, no comprehension: a topology document calls this per agent
     for key, value in doc.items():

@@ -32,10 +32,6 @@ class ForeignAgent:
     fa_id: str
     bs_ids: Tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.bs_ids:
-            raise InvalidParameterError(f"foreign agent {self.fa_id!r} has no base stations")
-
 
 @dataclass(frozen=True)
 class AccessSystem:
@@ -45,13 +41,10 @@ class AccessSystem:
     gfa_id: str
     fas: Tuple[ForeignAgent, ...]
 
-    def __post_init__(self):
-        if not self.fas:
-            raise InvalidParameterError(f"system {self.system_id!r} has no foreign agents")
-
 
 class NetworkTopology:
-    """Validated forest of systems; identifiers are nonempty strings, globally unique."""
+    """Validated forest of systems: every system has a foreign agent and every
+    foreign agent a base station; identifiers are nonempty strings, globally unique."""
 
     def __init__(self, systems: Sequence[AccessSystem]):
         systems = tuple(systems)
@@ -65,10 +58,14 @@ class NetworkTopology:
                 if not isinstance(ident, str) or not ident or ident in seen:
                     raise _id_error(ident, seen, kind, i)
                 seen[ident] = kind
+            if not sys_.fas:
+                raise InvalidParameterError(f"systems[{i}].fas must not be empty")
             for j, fa in enumerate(sys_.fas):
                 if not isinstance(fa.fa_id, str) or not fa.fa_id or fa.fa_id in seen:
                     raise _id_error(fa.fa_id, seen, "fa_id", i, j)
                 seen[fa.fa_id] = "fa_id"
+                if not fa.bs_ids:
+                    raise InvalidParameterError(f"systems[{i}].fas[{j}].bs_ids must not be empty")
                 for k, bs in enumerate(fa.bs_ids):
                     if not isinstance(bs, str) or not bs or bs in seen:
                         raise _id_error(bs, seen, "bs_id", i, j, k)

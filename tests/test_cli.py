@@ -285,6 +285,18 @@ def test_classify_refuses_a_misspelt_topology_key(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: topology: systems[0].fas[1].bs_idz")
 
 
+@pytest.mark.parametrize("doc,want", [
+    (TOPOLOGY_DOC.split("topology:")[0] + "topology: 5\n", "topology: must be a mapping, got 5\n"),
+    (TOPOLOGY_DOC.replace("bs_ids: [bs12]", "bs_ids: []"),
+     "topology: systems[0].fas[1].bs_ids must not be empty\n"),
+    (TOPOLOGY_DOC.replace("fas:\n        - fa_id: fa3\n          bs_ids: [bs20]", "fas: []"),
+     "topology: systems[1].fas must not be empty\n"),
+], ids=["not-a-mapping", "no-base-stations", "no-foreign-agents"])
+def test_classify_names_the_path_of_a_bad_topology_block(tmp_path, capsys, doc, want):
+    assert run_scenario(tmp_path, "classify", doc, "--from-bs", "bs11", "--to-bs", "bs12") == 2
+    assert capsys.readouterr().err == "error: " + want
+
+
 def test_svg_rejected_outside_sweep(tmp_path, capsys):
     assert run_scenario(tmp_path, "analytic", MINIMAL, "--format", "svg") == 2
     assert capsys.readouterr().err.startswith("error: format: ")
@@ -359,6 +371,37 @@ def test_main_delay_flag_replaces_file_handoff_type(tmp_path, capsys, monkeypatc
     assert float(rows[0][3]) == pytest.approx(
         handoff_failure_probability(CellGeometry(1000.0, 0.0), 50.0, 3.0), rel=1e-8
     )
+
+
+MC_SMALL = "mc: {samples: 1000, seed: 4}\n"
+
+
+@pytest.mark.parametrize("doc,flags,want", [
+    (MINIMAL + MC_SMALL, ["--speed-mps", "50", "--speed-kmh", "180"],
+     "error: speed: give one of --speed-mps, --speed-kmh, or --vmin-mps/--vmax-mps"),
+    (MINIMAL + MC_SMALL, ["--vmin-mps", "40"], "error: speed.vmax: "),
+    (MINIMAL + "mc: 5\n", ["--samples", "10"], "error: mc: must be a mapping"),
+    (MINIMAL + MC_SMALL, ["--seed", "9"], MINIMAL + "mc: {samples: 1000, seed: 9}\n"),
+    (MINIMAL.replace("delay_s: 3", "delay_s: 1") + MC_SMALL, ["--handoff-type", "inter"],
+     MINIMAL.replace("delay_s: 3", "handoff_type: inter") + MC_SMALL),
+], ids=["two-speeds", "vmin-alone", "samples-over-non-mapping-mc", "seed-keeps-samples",
+        "handoff-type-replaces-delay"])
+def test_main_flag_overlay(tmp_path, capsys, monkeypatch, doc, flags, want):
+    # want is the error's start, or a file that must give the same output
+    # without flags
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(doc)
+    code = main(["simulate", "--scenario", str(path), *flags])
+    out, err = capsys.readouterr()
+    if want.startswith("error: "):
+        assert code == 2
+        assert err.startswith(want)
+        return
+    assert code == 0, err
+    path.write_text(want)
+    assert main(["simulate", "--scenario", str(path)]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
@@ -689,6 +732,6 @@ def test_libyaml_and_python_loaders_build_equal_documents(text):
 def test_both_loaders_report_a_parse_error(monkeypatch, loader, text):
     # the loaders raise different errors for some of these: libyaml a
     # UnicodeEncodeError for the lone surrogate, the Python parser a ReaderError
-    monkeypatch.setattr("handoff_lab.cli._YAML_LOADER", getattr(yaml, loader))
+    monkeypatch.setattr("handoff_lab.cli._YAML_LOADER", loader)
     with pytest.raises(ScenarioParseError):
         parse_scenario(text, env={})

@@ -50,6 +50,8 @@ def test_closed_form_commands_do_not_load_numpy(tmp_path, argv):
               for line in out.stderr.splitlines() if line.startswith("import time:")}
     assert "handoff_lab.analytic" in loaded
     assert "numpy" not in loaded
+    # PyYAML loads only to read a file
+    assert ("yaml" in loaded) == ("--scenario" in argv)
 
 
 def test_package_and_cli_import_without_numpy():

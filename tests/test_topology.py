@@ -174,10 +174,13 @@ def test_empty_identifiers_rejected(kind):
 
 
 def test_empty_containers_rejected():
-    with pytest.raises(InvalidParameterError):
-        ForeignAgent(fa_id="f", bs_ids=())
-    with pytest.raises(InvalidParameterError):
-        AccessSystem(system_id="s", gfa_id="g", fas=())
+    # the topology checks the whole forest, and names the empty container's path
+    full = AccessSystem("s1", "g1", (ForeignAgent("f1", ("b1",)),))
+    with pytest.raises(InvalidParameterError, match=r"^systems\[1\]\.fas must not be empty$"):
+        NetworkTopology([full, AccessSystem("s2", "g2", ())])
+    no_bs = (ForeignAgent("f2", ("b2",)), ForeignAgent("f3", ()))
+    with pytest.raises(InvalidParameterError, match=r"^systems\[1\]\.fas\[1\]\.bs_ids must not be empty$"):
+        NetworkTopology([full, AccessSystem("s2", "g2", no_bs)])
     with pytest.raises(InvalidParameterError):
         NetworkTopology(systems=())
 
