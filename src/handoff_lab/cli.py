@@ -91,7 +91,7 @@ class Scenario:
         if self.delay_s is not None:
             coerce_numbers(self, "delay_s", finite=True)
             if not self.delay_s >= 0:
-                raise InvalidParameterError(f"delay_s must be nonnegative, got {self.delay_s!r}")
+                raise InvalidParameterError(f"must be nonnegative, got {self.delay_s!r}", "delay_s")
 
     def resolved_delay_s(self) -> float:
         """Explicit delay if given, else the profile's delay for the handoff type."""
@@ -116,14 +116,16 @@ def _load_yaml_mapping(text: str, what: str) -> dict:
     return doc
 
 
-def _checked(path: str, build, *args, **kwargs):
-    """build(*args, **kwargs) with an InvalidParameterError reported at path.
-    A dataclass holding several keys is built one key at a time, so that the
-    error names its key."""
+def _checked(path: str, build, *args, **keys):
+    """build(*args, **keys) with an InvalidParameterError reported by its
+    reason alone: at path.key for a build from document keys (keyword
+    arguments, one per key), else at path."""
     try:
-        return build(*args, **kwargs)
+        return build(*args, **keys)
     except InvalidParameterError as exc:
-        raise ScenarioValidationError(path, str(exc)) from exc
+        if keys and exc.key:
+            path = f"{path}.{exc.key}" if path else exc.key
+        raise ScenarioValidationError(path, exc.reason) from exc
 
 
 def _parse_speed(raw) -> SpeedModel:
@@ -151,9 +153,8 @@ def _parse_mc(raw, env: Optional[Mapping[str, str]]) -> SimControls:
     from .montecarlo import SimControls
 
     raw = _shape(raw, _MC_KEYS, required=("samples",), path="mc")
-    samples = _checked("mc.samples", SimControls, raw["samples"], 0).samples
-    seed = _checked("mc.seed", SimControls, samples, _resolve_seed(raw, env)).seed
-    return _checked("mc.batches", SimControls, samples, seed, raw.get("batches", 1))
+    raw["seed"] = _resolve_seed(raw, env)
+    return _checked("mc", SimControls, **raw)
 
 
 def scenario_from_dict(doc: dict, env: Optional[Mapping[str, str]] = None) -> Scenario:
@@ -162,12 +163,14 @@ def scenario_from_dict(doc: dict, env: Optional[Mapping[str, str]] = None) -> Sc
     doc = _shape(doc, _SCENARIO_KEYS, required=("cell_radius_m", "overlap_m", "speed"))
     if ("delay_s" in doc) == ("handoff_type" in doc):
         raise ScenarioValidationError("delay_s", "give exactly one of delay_s or handoff_type")
-    if "delay_s" in doc and "delay_profile" in doc:
-        raise ScenarioValidationError("delay_profile", "is only meaningful together with handoff_type")
 
-    radius = _checked("cell_radius_m", CellGeometry, doc["cell_radius_m"]).cell_radius_m
-    geometry = _checked("overlap_m", CellGeometry, radius, doc["overlap_m"])
+    geometry = _checked("", CellGeometry, cell_radius_m=doc["cell_radius_m"], overlap_m=doc["overlap_m"])
     speed = _parse_speed(doc["speed"])
+
+    profile = DelayProfile()
+    if "delay_profile" in doc:
+        raw = _shape(doc["delay_profile"], ("intra_s", "inter_s", "link_layer_s"), path="delay_profile")
+        profile = _checked("delay_profile", DelayProfile, **raw)
 
     handoff_type = None
     if "handoff_type" in doc:
@@ -178,11 +181,7 @@ def scenario_from_dict(doc: dict, env: Optional[Mapping[str, str]] = None) -> Sc
             raise ScenarioValidationError(
                 "handoff_type", f"must be one of {valid}, got {doc['handoff_type']!r}"
             ) from None
-
-    profile = DelayProfile()
-    if "delay_profile" in doc:
-        raw = _shape(doc["delay_profile"], ("intra_s", "inter_s", "link_layer_s"), path="delay_profile")
-        profile = _checked("delay_profile", DelayProfile, **raw)
+        _checked("handoff_type", delay_for, profile, handoff_type)  # the profile must give it a delay
 
     topology = None
     if "topology" in doc:
@@ -190,7 +189,7 @@ def scenario_from_dict(doc: dict, env: Optional[Mapping[str, str]] = None) -> Sc
     mc = _parse_mc(doc["mc"], env) if "mc" in doc else None
 
     return _checked(
-        "delay_s",
+        "",
         Scenario,
         geometry=geometry,
         speed=speed,
@@ -223,7 +222,7 @@ def sweep_spec_from_dict(doc: dict, env: Optional[Mapping[str, str]] = None) -> 
               for key in ("cell_radius_m", "overlap_m") if key in doc}
     fixed = {key: doc[key] for key in ("speed_mps", "delay_s") if key in doc}
     mc = _parse_mc(doc["mc"], env) if "mc" in doc else None
-    return _checked("sweep", SweepSpec, kind=doc["kind"], axis=axis, mc=mc, **series, **fixed)
+    return _checked("", SweepSpec, kind=doc["kind"], axis=axis, mc=mc, **series, **fixed)
 
 
 # ======================================================================

@@ -7,6 +7,7 @@ ValueError/LookupError semantics.
 
 import math
 import numbers
+from typing import Optional
 
 
 class HandoffLabError(Exception):
@@ -14,7 +15,12 @@ class HandoffLabError(Exception):
 
 
 class InvalidParameterError(HandoffLabError, ValueError):
-    """A parameter or parameter combination violates a stated invariant."""
+    """A parameter or parameter combination violates a stated invariant.
+    key, if set, names the field at fault, and the message is f"{key} {reason}"."""
+
+    def __init__(self, reason: str, key: Optional[str] = None):
+        self.key, self.reason = key, reason
+        super().__init__(f"{key} {reason}" if key else reason)
 
 
 class OutOfDomainError(HandoffLabError, ValueError):
@@ -29,7 +35,7 @@ class UnknownBaseStationError(HandoffLabError, LookupError):
     """A base-station identifier does not appear in the topology."""
 
 
-class UnsupportedHandoffTypeError(HandoffLabError, ValueError):
+class UnsupportedHandoffTypeError(InvalidParameterError):
     """The delay profile has no delay configured for the requested handoff type."""
 
 
@@ -60,21 +66,21 @@ def coerce_numbers(
 
     def coerce(value, name):
         if isinstance(value, bool) or not isinstance(value, kind):
-            raise InvalidParameterError(f"{name} must be {what}, got {value!r}")
+            raise InvalidParameterError(f"must be {what}, got {value!r}", name)
         try:
             value = int(value) if integer else float(value)
         except OverflowError:
             # no repr: a long enough integer refuses conversion to a string
-            raise InvalidParameterError(f"{name} must be {what} within float range") from None
+            raise InvalidParameterError(f"must be {what} within float range", name) from None
         if finite and not math.isfinite(value):
-            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+            raise InvalidParameterError(f"must be finite, got {value!r}", name)
         return value
 
     for name in names:
         value = getattr(obj, name)
         if each:
             if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-                raise InvalidParameterError(f"{name} must be a sequence of numbers, got {value!r}")
+                raise InvalidParameterError(f"must be a sequence of numbers, got {value!r}", name)
             value = tuple(coerce(x, f"{name}[{i}]") for i, x in enumerate(value))
         else:
             value = coerce(value, name)

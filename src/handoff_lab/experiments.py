@@ -42,11 +42,9 @@ class Axis:
         coerce_numbers(self, "start", "stop", finite=True)
         coerce_numbers(self, "steps", integer=True)
         if not self.steps >= 2:
-            raise InvalidParameterError(f"axis needs steps >= 2, got {self.steps!r}")
+            raise InvalidParameterError(f"must be at least 2, got {self.steps!r}", "steps")
         if not self.stop > self.start:
-            raise InvalidParameterError(
-                f"axis needs stop > start, got [{self.start!r}, {self.stop!r}]"
-            )
+            raise InvalidParameterError(f"must exceed start, got [{self.start!r}, {self.stop!r}]", "stop")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -77,29 +75,27 @@ class SweepSpec:
         fixed = [name for name in ("speed_mps", "delay_s") if getattr(self, name) is not None]
         coerce_numbers(self, *fixed, finite=True)
         if self.kind not in SWEEP_KINDS:
-            raise InvalidParameterError(
-                f"kind must be one of {', '.join(SWEEP_KINDS)}, got {self.kind!r}"
-            )
+            raise InvalidParameterError(f"must be one of {', '.join(SWEEP_KINDS)}, got {self.kind!r}", "kind")
         if self.kind == "false_vs_overlap":
             if not self.cell_radius_m:
-                raise InvalidParameterError("false_vs_overlap needs at least one cell_radius_m")
+                raise InvalidParameterError(f"needs at least one value for {self.kind}", "cell_radius_m")
             if self.axis.start < 0:
-                raise InvalidParameterError("overlap axis must start at 0 or above")
+                raise InvalidParameterError(f"must be 0 or above for {self.kind}", "axis.start")
         else:
             if len(self.cell_radius_m) != 1:
-                raise InvalidParameterError(f"{self.kind} needs exactly one cell_radius_m")
+                raise InvalidParameterError(f"needs exactly one value for {self.kind}", "cell_radius_m")
             if not self.overlap_m:
-                raise InvalidParameterError(f"{self.kind} needs at least one overlap_m")
+                raise InvalidParameterError(f"needs at least one value for {self.kind}", "overlap_m")
         if self.kind == "failure_vs_speed":
             if self.delay_s is None or not self.delay_s >= 0:
-                raise InvalidParameterError("failure_vs_speed needs a nonnegative fixed delay_s")
+                raise InvalidParameterError(f"must be given and nonnegative for {self.kind}", "delay_s")
             if self.axis.start <= 0:
-                raise InvalidParameterError("speed axis must be positive")
+                raise InvalidParameterError(f"must be positive for {self.kind}", "axis.start")
         if self.kind == "failure_vs_delay":
             if self.speed_mps is None or not self.speed_mps > 0:
-                raise InvalidParameterError("failure_vs_delay needs a positive fixed speed_mps")
+                raise InvalidParameterError(f"must be given and positive for {self.kind}", "speed_mps")
             if self.axis.start < 0:
-                raise InvalidParameterError("delay axis must start at 0 or above")
+                raise InvalidParameterError(f"must be 0 or above for {self.kind}", "axis.start")
 
 
 @dataclass(frozen=True)

@@ -58,12 +58,12 @@ class CellGeometry:
         # within these radii every length and product of the ray/chord step
         # stays normal and finite; 5e-324 gives reach 0, 1e200 an infinite t
         if not 1e-150 <= a <= 1e150:
-            raise InvalidParameterError(f"cell_radius_m must lie in [1e-150, 1e150], got {a!r}")
+            raise InvalidParameterError(f"must lie in [1e-150, 1e150], got {a!r}", "cell_radius_m")
         bound = SQRT3 / 2.0 * a
         ov = self.overlap_m
         if not (math.isfinite(ov) and 0.0 <= ov < bound):
             raise InvalidParameterError(
-                f"overlap_m must lie in [0, {bound:.6g}) for cell_radius_m={a:.6g}, got {ov!r}"
+                f"must lie in [0, {bound:.6g}) for cell_radius_m={a:.6g}, got {ov!r}", "overlap_m"
             )
 
 

@@ -90,13 +90,11 @@ class SimControls:
     def __post_init__(self):
         coerce_numbers(self, "samples", "seed", "batches", integer=True)
         if not self.samples >= 1:
-            raise InvalidParameterError(f"samples must be an integer >= 1, got {self.samples!r}")
+            raise InvalidParameterError(f"must be an integer >= 1, got {self.samples!r}", "samples")
         if not 0 <= self.seed <= _MASK64:
-            raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+            raise InvalidParameterError(f"must be an unsigned 64-bit integer, got {self.seed!r}", "seed")
         if not 1 <= self.batches <= self.samples:
-            raise InvalidParameterError(
-                f"batches must be an integer in [1, samples], got {self.batches!r}"
-            )
+            raise InvalidParameterError(f"must be an integer in [1, samples], got {self.batches!r}", "batches")
 
 
 @dataclass(frozen=True)

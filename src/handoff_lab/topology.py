@@ -49,7 +49,7 @@ class NetworkTopology:
     def __init__(self, systems: Sequence[AccessSystem]):
         systems = tuple(systems)
         if not systems:
-            raise InvalidParameterError("topology needs at least one system")
+            raise InvalidParameterError("systems must not be empty")
         self.systems = systems
         self._by_bs: Dict[str, Tuple[str, str]] = {}
         seen: Dict[str, str] = {}  # id: its kind; an id's path is spelt out only to raise
@@ -121,14 +121,14 @@ class DelayProfile:
         if self.link_layer_s is not None:
             coerce_numbers(self, "link_layer_s", finite=True)
         if not self.intra_s > 0:
-            raise InvalidParameterError(f"intra_s must be positive, got {self.intra_s!r}")
+            raise InvalidParameterError(f"must be positive, got {self.intra_s!r}", "intra_s")
         if not self.inter_s >= self.intra_s:
             raise InvalidParameterError(
-                f"inter_s must be at least intra_s, got {self.inter_s!r} < {self.intra_s!r}"
+                f"must be at least intra_s, got {self.inter_s!r} < {self.intra_s!r}", "inter_s"
             )
         if self.link_layer_s is not None and not self.link_layer_s >= 0:
             raise InvalidParameterError(
-                f"link_layer_s must be nonnegative when set, got {self.link_layer_s!r}"
+                f"must be nonnegative when set, got {self.link_layer_s!r}", "link_layer_s"
             )
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -15,6 +16,8 @@ from handoff_lab.analytic import (
     handoff_failure_probability,
 )
 from handoff_lab.cli import (
+    _SCENARIO_KEYS,
+    _SWEEP_KEYS,
     SEED_ENV_VAR,
     main,
     parse_scenario,
@@ -23,10 +26,16 @@ from handoff_lab.cli import (
     scenario_from_dict,
     sweep_spec_from_dict,
 )
-from handoff_lab.errors import HandoffLabError, ScenarioParseError, ScenarioValidationError
+from handoff_lab.errors import (
+    HandoffLabError,
+    InvalidParameterError,
+    ScenarioParseError,
+    ScenarioValidationError,
+)
+from handoff_lab.experiments import Axis, SweepSpec
 from handoff_lab.geometry import CellGeometry
 from handoff_lab.montecarlo import SimControls, estimate_failure, estimate_false_handoff
-from handoff_lab.topology import HandoffType
+from handoff_lab.topology import DelayProfile, HandoffType
 
 MINIMAL = """
 cell_radius_m: 1000
@@ -137,10 +146,12 @@ def test_validation_error_paths():
         == "bogus_key"
     )
     assert validation_path(MINIMAL + "mc: {seed: 1}") == "mc.samples"
+    # a type the profile gives no delay is refused while parsing
     assert (
-        validation_path(MINIMAL + "delay_profile: {intra_s: 1}")
-        == "delay_profile"
+        validation_path("cell_radius_m: 1000\noverlap_m: 0\nspeed: 50\nhandoff_type: link_layer")
+        == "handoff_type"
     )
+    assert validation_path(MINIMAL + "delay_profile: {intra_s: 4}") == "delay_profile.inter_s"
     assert validation_path(MINIMAL + "topology: {systems: []}") == "topology"
 
 
@@ -266,6 +277,14 @@ def test_classify_command(tmp_path):
     assert rows[0] == ["intra", "1.5"]
 
 
+def test_classify_takes_the_profile_delay_beside_delay_s(tmp_path):
+    # classify reads the profile whichever key picks the scenario's delay
+    doc = TOPOLOGY_DOC.replace("handoff_type: inter", "delay_s: 2\ndelay_profile: {intra_s: 0.7, inter_s: 5}")
+    assert run_scenario(tmp_path, "classify", doc, "--from-bs", "bs11", "--to-bs", "bs12") == 0
+    _, rows = read_csv((tmp_path / "out.csv").read_text())
+    assert rows[0] == ["intra", "0.7"]
+
+
 def test_classify_refuses_empty_base_station_id(tmp_path, capsys):
     doc = TOPOLOGY_DOC.replace("bs_ids: [bs10, bs11]", 'bs_ids: ["", bs11]')
     assert run_scenario(tmp_path, "classify", doc, "--from-bs", "", "--to-bs", "bs20") == 2
@@ -374,6 +393,7 @@ def test_main_delay_flag_replaces_file_handoff_type(tmp_path, capsys, monkeypatc
 
 
 MC_SMALL = "mc: {samples: 1000, seed: 4}\n"
+PROFILE = "delay_profile: {intra_s: 0.7, inter_s: 5}\n"
 
 
 @pytest.mark.parametrize("doc,flags,want", [
@@ -384,8 +404,10 @@ MC_SMALL = "mc: {samples: 1000, seed: 4}\n"
     (MINIMAL + MC_SMALL, ["--seed", "9"], MINIMAL + "mc: {samples: 1000, seed: 9}\n"),
     (MINIMAL.replace("delay_s: 3", "delay_s: 1") + MC_SMALL, ["--handoff-type", "inter"],
      MINIMAL.replace("delay_s: 3", "handoff_type: inter") + MC_SMALL),
+    (MINIMAL.replace("delay_s: 3", "handoff_type: intra") + PROFILE + MC_SMALL, ["--delay-s", "3"],
+     MINIMAL + PROFILE + MC_SMALL),
 ], ids=["two-speeds", "vmin-alone", "samples-over-non-mapping-mc", "seed-keeps-samples",
-        "handoff-type-replaces-delay"])
+        "handoff-type-replaces-delay", "delay-replaces-handoff-type-beside-a-profile"])
 def test_main_flag_overlay(tmp_path, capsys, monkeypatch, doc, flags, want):
     # want is the error's start, or a file that must give the same output
     # without flags
@@ -580,7 +602,10 @@ def test_sweep_spec_validation_error_paths():
             "kind: failure_vs_speed\naxis: {start: 10, stop: 80, steps: 4}\ncell_radius_m: 1000",
             env={},
         )
-    assert err.value.path == "sweep"
+    assert err.value.path == "delay_s"
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_sweep_spec(SWEEP_DOC.replace("stop: 80", "stop: 8"), env={})
+    assert str(err.value) == "axis.stop: must exceed start, got [10.0, 8.0]"
 
 
 # ----------------------------------------------------------------------
@@ -682,8 +707,32 @@ def test_parsers_give_a_result_or_a_package_error(data):
     target[path[-1]] = data.draw(YAML_VALUES)
     try:
         parse(doc, env={})
+    except ScenarioValidationError as exc:
+        # the error's path starts at a document key, and its reason does not
+        # name the key again
+        schema = _SCENARIO_KEYS if parse is scenario_from_dict else _SWEEP_KEYS
+        assert re.split(r"[.\[]", exc.path)[0] in {*schema, path[0]}, str(exc)
+        last = exc.path.rsplit(".", 1)[-1].split("[")[0]
+        assert not str(exc).startswith(f"{exc.path}: {last} "), str(exc)
     except HandoffLabError:
         pass
+
+
+@pytest.mark.parametrize("make,key,message", [
+    (lambda: SimControls(0, 1), "samples", "samples must be an integer >= 1, got 0"),
+    (lambda: CellGeometry(1000.0, 900.0), "overlap_m",
+     "overlap_m must lie in [0, 866.025) for cell_radius_m=1000, got 900.0"),
+    (lambda: SweepSpec("false_vs_overlap", Axis(0.0, 1.0, 2), cell_radius_m=(1000.0, "x")),
+     "cell_radius_m[1]", "cell_radius_m[1] must be a real number, got 'x'"),
+    (lambda: DelayProfile(intra_s=2.0, inter_s=1.0), "inter_s",
+     "inter_s must be at least intra_s, got 1.0 < 2.0"),
+], ids=["SimControls", "CellGeometry", "coerce_numbers", "DelayProfile"])
+def test_library_errors_carry_their_key_apart_from_the_reason(make, key, message):
+    # the message reads as it always has; the CLI reports the reason at the key
+    with pytest.raises(InvalidParameterError) as err:
+        make()
+    assert (err.value.key, str(err.value)) == (key, message)
+    assert f"{key} {err.value.reason}" == message
 
 
 # ----------------------------------------------------------------------
