@@ -96,6 +96,15 @@ class SweepSpec:
                 raise InvalidParameterError(f"must be given and positive for {self.kind}", "speed_mps")
             if self.axis.start < 0:
                 raise InvalidParameterError(f"must be 0 or above for {self.kind}", "axis.start")
+        # each radius and each overlap of its series (the axis stop for false_vs_overlap) make a CellGeometry
+        swept = self.kind == "false_vs_overlap"
+        for i, a in enumerate(self.cell_radius_m):
+            for j, ov in enumerate([self.axis.stop] if swept else self.overlap_m):
+                try:
+                    CellGeometry(a, ov)
+                except InvalidParameterError as exc:
+                    at = f"cell_radius_m[{i}]" if exc.key == "cell_radius_m" else "axis.stop" if swept else f"overlap_m[{j}]"
+                    raise InvalidParameterError(exc.reason, at) from None
 
 
 @dataclass(frozen=True)
@@ -129,9 +138,8 @@ def _provenance(spec: SweepSpec) -> Dict[str, str]:
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate one sweep spec into a table.
 
-    Rows are emitted series-major, then along the axis.  Invalid grid points
-    (an overlap beyond a radius' bound, say) raise with the offending point
-    named rather than being skipped.
+    Rows are emitted series-major, then along the axis.  SweepSpec has
+    checked every grid geometry.
     """
     grid = spec.axis.points()
     axis_values = grid.tolist()
@@ -151,12 +159,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
             columns += ["estimate", "std_err"]
         for a in spec.cell_radius_m:
             for x in axis_values:
-                try:
-                    geom = CellGeometry(a, x)
-                except InvalidParameterError as exc:
-                    raise InvalidParameterError(
-                        f"grid point (cell_radius_m={a:.9g}, overlap_m={x:.9g}): {exc}"
-                    ) from exc
+                geom = CellGeometry(a, x)
                 row = [a, x, false_handoff_probability(geom)]
                 if spec.mc is not None:
                     est = estimate_false_handoff(geom, mc_controls())
@@ -174,12 +177,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     if spec.mc is not None:
         columns += ["estimate", "std_err"]
     for ov in spec.overlap_m:
-        try:
-            geom = CellGeometry(a, ov)
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(
-                f"grid series (cell_radius_m={a:.9g}, overlap_m={ov:.9g}): {exc}"
-            ) from exc
+        geom = CellGeometry(a, ov)
         # SweepSpec keeps every speed positive and every delay finite and
         # nonnegative, so the whole series goes through the unchecked core
         probs = _cdf_many(derive_geometry(geom), *speed_delay(grid)).tolist()

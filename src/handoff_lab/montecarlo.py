@@ -18,28 +18,19 @@ the batch sizes, never on the worker count; workers split the chunks, and
 counts (integers) and per-sample values do not depend on who computed
 them, so results are identical under any worker count.
 
-The false-handoff estimator draws headings over the whole circle, and about
-half of them point away from the chord.  The kernel screens those out
-before any trig, from the two lengths alone: with the trigger point at the
-origin and heading 0 along +x, the whole chord lies on the line
-x = trigger_to_chord_m > 0, between y = +-half_chord_m, so a heading with
-|h| > pi/2 + _SCREEN_MARGIN moves toward negative x and is counted as a
-miss.  Each such heading has cos(h) < -0.99e-6, so the exact intersection's
-denominator cos(h)*(-2*half_chord_m) is positive and its miss test rejects
-the heading as well: the miss count is the same integer, every draw stays
-where the substream puts it, and every output byte is unchanged.  The
-remaining headings are compacted and go through the exact miss test, which
-decides each hit from the denominator's sign and the chord parameter and
-computes no distance.  The screen uses only that half-plane, never the
-chord's half-angle or any other closed-form quantity, so the estimate
-stays independent of the closed form it checks.
-
-The failure and crossing-time estimators draw only headings that hit the
-chord, so they skip sin and the miss test (see _sample).
+The false-handoff and fixed-speed failure estimators only count, and each
+decision (a hit; a crossing before tau) is monotone in the heading on either
+side of 0, so the kernel counts most headings against four edge headings
+the exact step finds once per call and runs that step only on the few
+between (see _sample), as crossing_time_ecdf's KS step screens.  Counts and
+output bytes are the exact step's; the screen reads no closed form, nor on
+the false-handoff path the chord's half-angle.  The other estimators need a
+time per sample; they draw only headings that hit the chord (see _sample).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import threading
@@ -48,7 +39,8 @@ from typing import TYPE_CHECKING, List, Optional, Union
 
 from .analytic import SpeedModel, _cdf_many, _check_tau
 from .errors import InvalidParameterError, _real_or_nan, coerce_numbers
-from .geometry import CellGeometry, DerivedGeometry, _ray_chord_hits_into, _ray_chord_misses_into, derive_geometry
+from .geometry import _ENDPOINT_SLACK, CellGeometry, DerivedGeometry, derive_geometry
+from .geometry import _ray_chord_hits_into, _ray_chord_misses_into
 
 # numpy is imported inside the functions that sample, so a scenario's mc
 # block (SimControls) parses without loading it.
@@ -61,16 +53,11 @@ _CHUNK = 1 << 16  # samples per kernel chunk, whatever the batch size
 # exceed twice the ~1e-15 error of the fast CDF; a wider margin admits more
 # candidates but never changes the statistic.
 _KS_SCREEN = 1e-9
-# The false-handoff screen counts a heading h with |h| > _FORWARD as a miss
-# unevaluated.  The margin keeps cos(h) below -0.99e-6 for every screened
-# heading, far from any roundoff of the ray's direction, so the exact miss
-# test rejects it too (its denominator is positive).
-_SCREEN_MARGIN = 1e-6
-_FORWARD = math.pi / 2 + _SCREEN_MARGIN
-# The screen packs kept headings this many at a time.  np.compress allocates
-# an 8-byte index per kept element, and packing a whole chunk at once raised
-# the peak RSS of mc_bulk by about 1.2 MB; 8192 keeps each index under 64 kB.
-_PACK = 8192
+# Margin of _sample's edge screen in the exact step's output (s, or t/tau), far above its few-ulp error.
+_ETA = 1e-9
+# Headings per side of 0 in an edge search round, which costs about the exact step on _BAND headings.
+_GRID = 64
+_BAND = 1024
 
 # One Philox bit generator and its Generator per thread, built on first use:
 # constructing a Philox draws OS entropy for a seed sequence the kernel never
@@ -158,17 +145,26 @@ def _sample(
     works from dg's two lengths, trigger_to_chord_m and half_chord_m.
 
     Without a speed, it draws headings uniform on [-pi, pi) and returns how
-    many miss the chord.  That needs no distances: the chord lies at
-    x = trigger_to_chord_m > 0, so headings past +-_FORWARD move away from
-    it and are counted without evaluation, and the rest by the miss step,
-    _ray_chord_misses_into (see the module docstring).
+    many miss the chord.  With a speed, it draws headings uniform on [-H, H),
+    H dg's chord half-angle, all of which hit the chord (edges included, see
+    ray_chord_crossing_many); each crossing time is the distance from
+    _ray_chord_hits_into divided by the sample's speed.  Then either the
+    times go to out[sample] (out given) or it returns how many are below tau.
 
-    With a speed, it draws headings uniform on [-H, H), H dg's chord
-    half-angle, all of which hit the chord (edges included, see
-    ray_chord_crossing_many), so it takes each distance from
-    _ray_chord_hits_into and divides it by the sample's speed into a
-    crossing time.  Then either the times go to out[sample] (out given) or
-    it returns how many are below tau.
+    The paths that only count (no speed; a fixed one and no out) count the
+    headings in [lo_in, hi_in], not those below lo_out or above hi_out (four
+    edges from _screen), and run the exact step only on the band between,
+    usually empty.  The decision is monotone in h on each side of 0 (s falls
+    as h rises on (-pi/2, pi/2); t rises with |h|), and each edge carries a
+    margin of _ETA in the exact step's output, never in h: s >= eta at
+    hi_in, s <= 1 - eta at lo_in, s < -slack - eta at hi_out and
+    s > 1 + slack + eta at lo_out (slack the miss test's _ENDPOINT_SLACK);
+    t <= tau*(1 - eta) at the inner edges, t > tau*(1 + eta) at the outer.
+    The steps err by a few ulps, far below eta, and the true s and t are
+    monotone, so every heading beyond an edge gets the decision its margin
+    implies: each count is the exact step's (a margin in h would not do, as
+    t is flat in h near t_min).  How closely the edges are found moves
+    headings in or out of the band, never a count: a coarse search will do.
     """
     import numpy as np
 
@@ -183,6 +179,9 @@ def _sample(
     drawn = speed is not None and speed.kind == "uniform"
     reach, w = dg.trigger_to_chord_m, dg.half_chord_m
     half_range = math.pi if speed is None else dg.chord_half_angle_rad
+
+    density = ctl.samples / (2.0 * half_range)
+    screen = None if out is not None or drawn else _screen(dg, speed, tau, density, len(chunks), width)[1]
 
     def run(jobs) -> int:
         key, counter = [ctl.seed, 0], [0, 0, 0, 0]
@@ -204,33 +203,19 @@ def _sample(
             x += lo
             return x
 
-        h, v, a, c = np.empty((4, width + 3))
-        mask, tmp = np.empty((2, width), dtype=bool)
+        h, v = np.empty((2, width + 3)) if drawn else (np.empty(width + 3), None)
+        mask = np.empty(width, dtype=bool) if out is None else None
         count = 0
         for batch, nb, start, m, at in jobs:
             heading = uniform(h, batch, start, m, -half_range, half_range)
-            if speed is None:
-                # headings past +-_FORWARD miss; the rest are packed into v
-                forward = mask[:m]
-                np.less_equal(heading, _FORWARD, out=forward)
-                forward &= np.greater_equal(heading, -_FORWARD, out=tmp[:m])
-                k = 0
-                for i in range(0, m, _PACK):
-                    kept = forward[i:i + _PACK]
-                    n = int(np.count_nonzero(kept))
-                    np.compress(kept, heading[i:i + _PACK], out=v[k:k + n])
-                    k += n
-                count += m - k
-                _ray_chord_misses_into(reach, w, v[:k], a[:k], c[:k], mask[:k], tmp[:k])
-                count += int(np.count_nonzero(mask[:k]))
+            if screen is not None:
+                count += screen(heading, mask[:m])
                 continue
             dist = _ray_chord_hits_into(reach, w, heading)
             t = dist if out is None else out[at:at + m]
-            if drawn:
-                # a batch's speeds follow its nb headings in its substream
-                np.divide(dist, uniform(v, batch, nb + start, m, speed.vmin_mps, speed.vmax_mps), out=t)
-            else:
-                np.divide(dist, speed.v_mps, out=t)
+            # a batch's speeds follow its nb headings in its substream
+            speeds = uniform(v, batch, nb + start, m, speed.vmin_mps, speed.vmax_mps) if drawn else speed.v_mps
+            np.divide(dist, speeds, out=t)
             if out is None:
                 count += int(np.count_nonzero(np.less(t, tau, out=mask[:m])))
         return count
@@ -245,6 +230,63 @@ def _sample(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(run, [chunks[w::workers] for w in range(workers)]))
+
+
+def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float], density, chunks, width):
+    """_sample's edges [lo_out, lo_in, hi_in, hi_out] and count(heading, mask),
+    how many of heading miss (no speed) or cross before tau.  Each side of 0
+    keeps its last inner heading (at first an empty range: hi_in the double
+    below lo_in = 0) and first outer one (at first +-end).  A round runs the
+    exact step on _GRID headings evenly between them; key(y) of its output
+    rises away from 0, and bisect finds an inner (key(y) <= inner) and an
+    outer (key(y) > outer) one even where y is not quite monotone.  Rounds
+    go on, for `chunks` chunks of `width` headings at `density` per radian,
+    while one saves more than it costs and halves the gap between the two."""
+    import numpy as np
+
+    reach, w = dg.trigger_to_chord_m, dg.half_chord_m
+    if speed is None:
+        def step(hs):  # s of the exact miss step, which falls as h rises, and how many of hs hit
+            s, miss = np.empty_like(hs), np.empty(hs.shape, dtype=bool)
+            _ray_chord_misses_into(reach, w, hs, s, np.empty_like(hs), miss, np.empty_like(miss))
+            return s, hs.size - int(np.count_nonzero(miss))
+        end = math.nextafter(math.pi / 2, math.inf)  # from here on cos < 0 and every ray misses
+        rules = [(float.__neg__, -_ETA, _ENDPOINT_SLACK + _ETA), (None, 1.0 - _ETA, 1.0 + _ENDPOINT_SLACK + _ETA)]
+    else:
+        def step(hs):  # crossing times of the hits step, and how many are below tau
+            t = np.divide(_ray_chord_hits_into(reach, w, hs), speed.v_mps, out=hs)
+            return t, int(np.count_nonzero(t < tau))
+        end = math.nextafter(dg.chord_half_angle_rad, math.inf)  # past every drawn heading
+        rules = [(None, tau * (1.0 - _ETA), tau * (1.0 + _ETA))] * 2
+    def cost(gap):  # in exact steps: the band's headings, and picking it out of each chunk with some
+        band = gap * density  # (nothing to pick while it spans the whole range)
+        return band + (gap < 2.0 * end) * min(band, chunks) * (_BAND / 2 + width / 16)
+    spans, gap, last = [[math.nextafter(0.0, -1.0), end], [0.0, -end]], 2.0 * end, math.inf
+    while cost(gap) > _BAND + cost(gap / _GRID) and gap <= last / 2:
+        ends = np.array(spans)
+        grid = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.arange(1, _GRID + 1) / (_GRID + 1)
+        points, ys = grid.tolist(), step(grid.ravel())[0].reshape(2, _GRID).tolist()
+        for span, p, y, (key, inner, outer) in zip(spans, points, ys, rules):
+            i, j = (bisect.bisect_right(y, bound, key=key) for bound in (inner, outer))
+            span[:] = p[i - 1] if i else span[0], p[j] if j < _GRID else span[1]
+        last, gap = gap, spans[0][1] - spans[0][0] + spans[1][0] - spans[1][1]
+    (hi_in, hi_out), (lo_in, lo_out) = spans
+    # with h < x[k]: [x[1], x[2]) = [lo_in, hi_in] is counted, [x[0], x[1]) and [x[2], x[3]) the band
+    x = [math.nextafter(lo_out, math.inf), lo_in, math.nextafter(hi_in, math.inf), hi_out]
+
+    def count(heading, mask) -> int:
+        below = [int(np.count_nonzero(np.less(heading, xk, out=mask))) for xk in x]
+        hits = below[2] - below[1]
+        if band := below[3] - below[0] - hits:
+            if band < len(heading):
+                pick = np.less(heading, x[0])  # in the band, an odd number of x exceed h
+                for xk in x[1:]:
+                    pick ^= np.less(heading, xk, out=mask)
+                heading = heading[pick]
+            hits += step(heading)[1]
+        return hits if speed is not None else len(mask) - hits
+
+    return [lo_out, lo_in, hi_in, hi_out], count
 
 
 def _binomial(hits: int, ctl: SimControls) -> Estimate:

@@ -608,6 +608,24 @@ def test_sweep_spec_validation_error_paths():
     assert str(err.value) == "axis.stop: must exceed start, got [10.0, 8.0]"
 
 
+@pytest.mark.parametrize("doc,want", [
+    ("kind: false_vs_overlap\naxis: {start: 0, stop: 900, steps: 5}\ncell_radius_m: [2000, 1000]\n",
+     "axis.stop: must lie in [0, 866.025) for cell_radius_m=1000, got 900.0\n"),
+    (SWEEP_DOC.replace("overlap_m: [0, 50]", "overlap_m: [0, 5000]"),
+     "overlap_m[1]: must lie in [0, 866.025) for cell_radius_m=1000, got 5000.0\n"),
+    ("kind: failure_vs_delay\naxis: {start: 0, stop: 8, steps: 5}\ncell_radius_m: 1.0e+200\nspeed_mps: 20\n",
+     "cell_radius_m[0]: must lie in [1e-150, 1e150], got 1e+200\n"),
+], ids=["false_vs_overlap", "failure_vs_speed", "failure_vs_delay"])
+def test_sweep_grid_past_its_bounds_is_refused_at_the_key(tmp_path, capsys, monkeypatch, doc, want):
+    # the grid is checked while the spec is parsed, so the error names the
+    # document key at fault, as every other bad sweep input does
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    path = tmp_path / "spec.yaml"
+    path.write_text(doc)
+    assert main(["sweep", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == "error: " + want
+
+
 # ----------------------------------------------------------------------
 # rendering details
 # ----------------------------------------------------------------------

@@ -250,15 +250,17 @@ def test_sweep_numeric_inputs(make, ok):
 
 
 def test_invalid_grid_point_is_named():
-    spec = SweepSpec(
-        kind="false_vs_overlap",
-        axis=Axis(0.0, SQRT3 * 500.0, 5),
-        cell_radius_m=(500.0,),
-    )
+    # the spec checks its grid when it is built, at the key that sets the
+    # largest overlap, and names the radius it exceeds
     with pytest.raises(InvalidParameterError) as err:
-        run_sweep(spec)
+        SweepSpec(kind="false_vs_overlap", axis=Axis(0.0, SQRT3 * 500.0, 5), cell_radius_m=(500.0,))
+    assert err.value.key == "axis.stop"
     assert "cell_radius_m=500" in str(err.value)
-    assert "overlap_m=" in str(err.value)
+    with pytest.raises(InvalidParameterError) as err:
+        SweepSpec(kind="failure_vs_speed", axis=Axis(1.0, 9.0, 5), cell_radius_m=(500.0,),
+                  overlap_m=(0.0, SQRT3 * 250.0), delay_s=3.0)
+    assert err.value.key == "overlap_m[1]"
+    assert "cell_radius_m=500" in str(err.value)
 
 
 def test_provenance_records_the_spec():

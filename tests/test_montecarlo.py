@@ -11,6 +11,7 @@ from handoff_lab import montecarlo
 from handoff_lab.analytic import (
     SpeedModel,
     _cdf_many,
+    _support,
     crossing_time_cdf,
     crossing_time_support,
     expected_failure_over_speed,
@@ -18,7 +19,15 @@ from handoff_lab.analytic import (
     handoff_failure_probability,
 )
 from handoff_lab.errors import InvalidParameterError
-from handoff_lab.geometry import CellGeometry, DerivedGeometry, derive_geometry, ray_chord_crossing_many
+from handoff_lab.geometry import (
+    _ENDPOINT_SLACK,
+    CellGeometry,
+    DerivedGeometry,
+    _ray_chord_hits_into,
+    _ray_chord_misses_into,
+    derive_geometry,
+    ray_chord_crossing_many,
+)
 from handoff_lab.montecarlo import (
     SimControls,
     crossing_time_ecdf,
@@ -261,34 +270,178 @@ def test_false_handoff_misses_equal_nan_count_of_whole_draw(source, ctl, workers
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
-@given(source=forward_frames())
-@example(source=WIDE_CHORD)
-def test_headings_past_the_screen_miss_the_chord(source):
-    # every heading the false-handoff screen counts as a miss unevaluated
-    # is one the exact intersection rejects, on any frame of this layout
-    edge = montecarlo._FORWARD
-    beyond = np.concatenate([
-        [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), math.pi],
-        np.random.Generator(np.random.Philox(5)).uniform(edge, math.pi, 100_000),
+@given(source=forward_frames(), samples=st.sampled_from([1.0, 1e3, 1e6, 1e30]))
+@example(source=WIDE_CHORD, samples=1e30)
+@example(source=WIDE_CHORD, samples=1.0)
+def test_headings_past_the_screen_miss_the_chord(source, samples):
+    # every heading the false-handoff screen counts as a miss unevaluated,
+    # below its lower outer edge or above its upper one, is one the exact
+    # intersection rejects, on any frame of this layout and however finely
+    # the edges were found
+    lo_out, _, _, hi_out = montecarlo._screen(source[1], None, None, samples / (2 * math.pi), 1, 2**16)[0]
+    rng = np.random.Generator(np.random.Philox(5))
+    headings = np.concatenate([
+        [hi_out, math.nextafter(hi_out, math.inf), math.pi],
+        rng.uniform(hi_out, math.pi, 100_000),
+        [lo_out, math.nextafter(lo_out, -math.inf), -math.pi],
+        rng.uniform(-math.pi, lo_out, 100_000),
     ])
-    headings = np.concatenate([beyond, -beyond])
     assert np.isnan(ray_chord_crossing_many(_frame(source[1]), headings)).all()
+
+
+def _whole_draw(ctl):
+    """Every batch's headings, drawn whole with Generator.uniform on [-pi, pi)."""
+    base, rem = divmod(ctl.samples, ctl.batches)
+    return np.concatenate([
+        np.random.Generator(np.random.Philox(key=np.array([ctl.seed, batch], dtype=np.uint64)))
+        .uniform(-math.pi, math.pi, base + (batch < rem))
+        for batch in range(ctl.batches)
+    ])
 
 
 def test_failure_paths_skip_the_exact_intersection_at_a_pinned_seed(monkeypatch):
     # the time paths take every distance from the hits-only step and never
-    # run the miss step; the false-handoff path always runs it, which shows
-    # the spy sees the calls
-    calls = []
-    exact = montecarlo._ray_chord_misses_into
-    monkeypatch.setattr(montecarlo, "_ray_chord_misses_into", lambda *args: calls.append(1) or exact(*args))
+    # run the miss step; the false-handoff path runs it only on the edge
+    # search's grid and on the drawn headings in the band between the edges
+    calls, found = [], []
+    exact, screen = montecarlo._ray_chord_misses_into, montecarlo._screen
+    monkeypatch.setattr(montecarlo, "_ray_chord_misses_into",
+                        lambda *args: calls.append((len(found), args[2].copy())) or exact(*args))
+    monkeypatch.setattr(montecarlo, "_screen", lambda *args: found.append(screen(*args)) or found[-1])
     ctl = SimControls(2**17 + 5, 11, 3)
     estimate_failure(PINNED_GEOMETRY, 50.0, 8.0, ctl)
     estimate_failure(PINNED_GEOMETRY, SpeedModel.uniform(40.0, 60.0), 8.0, ctl)
     crossing_time_ecdf(PINNED_GEOMETRY, 50.0, ctl)
     assert calls == []
+    found.clear()
     estimate_false_handoff(PINNED_GEOMETRY, ctl)
-    assert len(calls) == 3
+    ((lo_out, lo_in, hi_in, hi_out), _), = found
+    search = [h for phase, h in calls if phase == 0]
+    assert search and all(len(h) == 2 * montecarlo._GRID for h in search)
+    band = np.sort(np.concatenate([h for phase, h in calls if phase == 1] or [[]]))
+    drawn = _whole_draw(ctl)
+    expected = drawn[((drawn > lo_out) & (drawn < lo_in)) | ((drawn > hi_in) & (drawn < hi_out))]
+    assert band.tobytes() == np.sort(expected).tobytes()
+
+
+def _exact_count(dg, speed, tau, headings) -> int:
+    """How many headings the exact step counts: those the plain intersection
+    misses (no speed), or those whose hits-step time is below tau."""
+    if speed is None:
+        return int(np.count_nonzero(np.isnan(ray_chord_crossing_many(_frame(dg), headings))))
+    times = np.divide(_ray_chord_hits_into(*_frame(dg), headings.copy()), speed.v_mps)
+    return int(np.count_nonzero(times < tau))
+
+
+def _ulps_around(x, n=64):
+    """x and the n doubles on either side of it."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+def _probes(edges, half):
+    """Headings in [-half, half] around the screen's edges: 64 doubles on
+    either side of each, a sweep across each band and as far again on
+    either side of it, and a sweep over the whole range."""
+    lo_out, lo_in, hi_in, hi_out = edges
+    parts = [_ulps_around(e) for e in edges] + [[-half, half, 0.0, -0.0], np.linspace(-half, half, 2001)]
+    for a, b in ((lo_out, lo_in), (hi_in, hi_out)):
+        parts.append(np.linspace(a - (b - a), b + (b - a), 2001))
+    h = np.concatenate(parts)
+    return h[(h >= -half) & (h <= half)]
+
+
+def _margins_hold(dg, speed, tau, edges) -> bool:
+    """Whether each edge carries the screen's margin in the exact step's
+    output: s >= eta at hi_in and <= 1 - eta at lo_in, s < -slack - eta at
+    hi_out and > 1 + slack + eta at lo_out; or times at most tau*(1 - eta)
+    at the inner edges and above tau*(1 + eta) at the outer ones.  An edge
+    still at its start (0 or the double below it, +-end) is skipped."""
+    eta, (reach, w) = montecarlo._ETA, _frame(dg)
+    lo_out, lo_in, hi_in, hi_out = edges
+    if speed is None:
+        end = math.nextafter(math.pi / 2, math.inf)
+        h = np.array(edges)
+        s, c = np.empty(4), np.empty(4)
+        _ray_chord_misses_into(reach, w, h, s, c, np.empty(4, dtype=bool), np.empty(4, dtype=bool))
+        slack = _ENDPOINT_SLACK + eta
+        checks = [s[0] > 1 + slack, s[1] <= 1 - eta, s[2] >= eta, s[3] < -slack]
+    else:
+        end = math.nextafter(dg.chord_half_angle_rad, math.inf)
+        t = np.divide(_ray_chord_hits_into(reach, w, np.array(edges)), speed.v_mps)
+        checks = [t[0] > tau * (1 + eta), t[1] <= tau * (1 - eta), t[2] <= tau * (1 - eta), t[3] > tau * (1 + eta)]
+    started = [lo_out == -end, lo_in == 0.0, hi_in == math.nextafter(0.0, -1.0), hi_out == end]
+    return all(ok or start for ok, start in zip(checks, started))
+
+
+# the screen's property draws: forward frames, speeds, and a share of each
+# speed's crossing-time support; the examples pin the ends of every range
+SCREEN_EXAMPLES = [
+    ((CellGeometry(100.0, 0.0), derive_geometry(CellGeometry(100.0, 0.0))), 1.0, 0.0),
+    ((CellGeometry(5000.0, 0.999 * 2500.0 * math.sqrt(3.0)),
+      derive_geometry(CellGeometry(5000.0, 0.999 * 2500.0 * math.sqrt(3.0)))), 60.0, 1.0),
+    ((None, _bare_lengths(1e-3, 1e-3 * math.tan(math.pi / 2 - 1e-7))), 60.0, 1.0),
+    ((None, _bare_lengths(1e3, 1e3 * math.tan(math.pi / 2 - 0.5))), 1.0, 0.0),
+]
+
+
+def _pinned(test):
+    for source, v, share in SCREEN_EXAMPLES:
+        test = example(source=source, v=v, share=share)(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(source=forward_frames(), v=st.floats(1.0, 60.0), share=st.floats(0.0, 1.0))
+@_pinned
+def test_screened_count_equals_the_exact_step(source, v, share):
+    # the count-only paths count headings by comparing them with four edge
+    # headings and run the exact step only in the band between; for edges
+    # found coarsely or to the last double, false handoff and a fixed speed
+    # at taus on and next to the ends of the support, the screen's count of
+    # headings next to each edge, across each band and over the whole range
+    # is the exact step's, and each edge carries its margin
+    dg = source[1]
+    t_min, t_max = _support(dg, v)
+    taus = [t_min, math.nextafter(t_min, math.inf), t_min * (1 + 1e-12), t_max,
+            math.nextafter(t_max, 0.0), t_min + share * (t_max - t_min)]
+    paths = [(None, None, math.pi)] + [(SpeedModel.fixed(v), tau, dg.chord_half_angle_rad) for tau in taus]
+    for speed, tau, half in paths:
+        for samples in (1.0, 1e3, 1e6, 1e30):
+            edges, count = montecarlo._screen(dg, speed, tau, samples / (2.0 * half), 1, 2**16)
+            lo_out, lo_in, hi_in, hi_out = edges
+            # [lo_in, hi_in] is empty (hi_in the double below lo_in = 0) until an inner heading is found
+            assert lo_out < lo_in <= math.nextafter(hi_in, math.inf) and hi_in < hi_out
+            assert _margins_hold(dg, speed, tau, edges)
+            h = _probes(edges, half)
+            assert count(h.copy(), np.empty(h.shape, dtype=bool)) == _exact_count(dg, speed, tau, h)
+
+
+def test_screen_property_draws_reach_their_ranges(monkeypatch):
+    # derandomized draws cover less of a float range than the range
+    # suggests; a spy on the screen shows the property's examples reach the
+    # ends of every range it draws from
+    seen = []
+    screen = montecarlo._screen
+    monkeypatch.setattr(montecarlo, "_screen", lambda dg, *args: seen.append((dg, args)) or screen(dg, *args))
+    test_screened_count_equals_the_exact_step()
+    bare = [dg for dg, _ in seen if dg.side_to_trigger_m == 0.0]
+    cells = [dg for dg, _ in seen if dg.side_to_trigger_m > 0.0]
+    speeds = [speed.v_mps for _, (speed, *_) in seen if speed is not None]
+    offsets = [math.pi / 2 - dg.chord_half_angle_rad for dg in bare]
+    assert min(offsets) == pytest.approx(1e-7) and max(offsets) == pytest.approx(0.5)
+    assert min(dg.trigger_to_chord_m for dg in bare) == 1e-3 and max(dg.trigger_to_chord_m for dg in bare) == 1e3
+    radii = [2 * dg.side_to_trigger_m / (2 - math.sqrt(3.0)) for dg in cells]
+    assert min(radii) == pytest.approx(100.0) and max(radii) == pytest.approx(5000.0)
+    overlaps = [(dg.trigger_to_chord_m - dg.side_to_trigger_m) / (math.sqrt(3.0) / 2 * r)
+                for dg, r in zip(cells, radii)]
+    assert min(overlaps) == 0.0 and max(overlaps) == pytest.approx(0.999)
+    assert min(speeds) == 1.0 and max(speeds) == 60.0
 
 
 def test_memory_is_bounded_by_the_chunk():
