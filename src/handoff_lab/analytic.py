@@ -47,18 +47,12 @@ class SpeedModel:
     def __post_init__(self):
         coerce_numbers(self, "v_mps", "vmin_mps", "vmax_mps")
         if self.kind == "fixed":
-            if not (math.isfinite(self.v_mps) and self.v_mps > 0):
-                raise InvalidParameterError(f"fixed speed must be positive, got {self.v_mps!r}")
+            if not _in_speed_range(self.v_mps):
+                raise InvalidParameterError(f"must lie in [1e-150, 1e150], got {self.v_mps!r}", "v_mps")
         elif self.kind == "uniform":
-            ok = (
-                math.isfinite(self.vmin_mps)
-                and math.isfinite(self.vmax_mps)
-                and 0 < self.vmin_mps < self.vmax_mps
-            )
-            if not ok:
-                raise InvalidParameterError(
-                    f"uniform speed needs 0 < vmin < vmax, got [{self.vmin_mps!r}, {self.vmax_mps!r}]"
-                )
+            vmin, vmax = self.vmin_mps, self.vmax_mps
+            if not (vmin < vmax and _in_speed_range(vmin) and _in_speed_range(vmax)):
+                raise InvalidParameterError(f"uniform speed needs vmin < vmax in [1e-150, 1e150], got [{vmin}, {vmax}]")
         else:
             raise InvalidParameterError(f"unknown speed model kind {self.kind!r}")
 
@@ -79,10 +73,16 @@ class CrossingTimeSupport:
     t_max_s: float
 
 
+def _in_speed_range(v: float) -> bool:
+    """Whether speed v lies in [1e-150, 1e150] m/s.  With CellGeometry's
+    radii, every crossing time is then a normal, finite double."""
+    return 1e-150 <= v <= 1e150
+
+
 def _check_speed(v_mps: float) -> float:
     v = _real_or_nan(v_mps)
-    if not (math.isfinite(v) and v > 0):
-        raise OutOfDomainError(f"speed must be a positive number, got {v_mps!r}")
+    if not _in_speed_range(v):
+        raise OutOfDomainError(f"speed must lie in [1e-150, 1e150] m/s, got {v_mps!r}")
     return v
 
 

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .analytic import _cdf_many, false_handoff_probability
+from .analytic import SpeedModel, _cdf_many, false_handoff_probability
 from .errors import InvalidParameterError, coerce_numbers
 from .geometry import CellGeometry, derive_geometry
 from .montecarlo import SimControls, derive_seed, estimate_failure, estimate_false_handoff
@@ -86,16 +86,22 @@ class SweepSpec:
                 raise InvalidParameterError(f"needs exactly one value for {self.kind}", "cell_radius_m")
             if not self.overlap_m:
                 raise InvalidParameterError(f"needs at least one value for {self.kind}", "overlap_m")
+        speeds = {}
         if self.kind == "failure_vs_speed":
             if self.delay_s is None or not self.delay_s >= 0:
                 raise InvalidParameterError(f"must be given and nonnegative for {self.kind}", "delay_s")
-            if self.axis.start <= 0:
-                raise InvalidParameterError(f"must be positive for {self.kind}", "axis.start")
+            speeds = {"axis.start": self.axis.start, "axis.stop": self.axis.stop}
         if self.kind == "failure_vs_delay":
-            if self.speed_mps is None or not self.speed_mps > 0:
-                raise InvalidParameterError(f"must be given and positive for {self.kind}", "speed_mps")
+            if self.speed_mps is None:
+                raise InvalidParameterError(f"must be given for {self.kind}", "speed_mps")
             if self.axis.start < 0:
                 raise InvalidParameterError(f"must be 0 or above for {self.kind}", "axis.start")
+            speeds = {"speed_mps": self.speed_mps}
+        for key, v in speeds.items():
+            try:
+                SpeedModel.fixed(v)
+            except InvalidParameterError as exc:
+                raise InvalidParameterError(exc.reason, key) from None
         # each radius and each overlap of its series (the axis stop for false_vs_overlap) make a CellGeometry
         swept = self.kind == "false_vs_overlap"
         for i, a in enumerate(self.cell_radius_m):
@@ -178,7 +184,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         columns += ["estimate", "std_err"]
     for ov in spec.overlap_m:
         geom = CellGeometry(a, ov)
-        # SweepSpec keeps every speed positive and every delay finite and
+        # SweepSpec keeps every speed in range and every delay finite and
         # nonnegative, so the whole series goes through the unchecked core
         probs = _cdf_many(derive_geometry(geom), *speed_delay(grid)).tolist()
         for x, p in zip(axis_values, probs):

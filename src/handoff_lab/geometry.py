@@ -124,22 +124,19 @@ def ray_chord_crossing_many(frame: Tuple[float, float], headings_rad: "np.ndarra
     if not (0 < reach < math.inf and 0 <= w < math.inf):
         raise InvalidParameterError(f"frame must be local_frame's (reach, half_chord) pair, got {frame!r}")
     h = np.array(headings_rad, dtype=float)  # a copy: both steps overwrite their headings
-    a, c = np.empty_like(h), np.empty_like(h)
-    miss, tmp = (np.empty(h.shape, dtype=bool) for _ in range(2))
     # a zero-length chord (w = 0) makes den zero in both steps
     with np.errstate(divide="ignore", invalid="ignore"):
-        _ray_chord_misses_into(reach, w, h.copy(), a, c, miss, tmp)
+        miss = _ray_chord_misses_into(reach, w, h.copy())
         dist = _ray_chord_hits_into(reach, w, h)
     np.copyto(dist, np.nan, where=miss)
     return dist
 
 
-def _ray_chord_misses_into(reach: float, w: float, h, a, c, miss, tmp) -> None:
-    """Set miss where the ray misses the chord, in caller-owned buffers.
+def _ray_chord_misses_into(reach: float, w: float, h) -> "np.ndarray":
+    """The mask of the headings in h whose ray misses the chord.
 
-    h holds the headings and is overwritten; a, c are float buffers and
-    miss, tmp bool buffers, all of h's shape.  den = cos*(-2w) and
-    s = (reach*sin - w*cos)/den are the general ray/segment solution's
+    h is overwritten with each ray's chord parameter s.  den = cos*(-2w)
+    and s = (reach*sin - w*cos)/den are the general ray/segment solution's
     operations in order, less its exact no-ops in this frame (times 1,
     times 0, a zero beside a nonzero term).  The distance is never formed:
     t = reach*(-2w)/den has a negative numerator, so t >= 0 exactly when
@@ -149,21 +146,19 @@ def _ray_chord_misses_into(reach: float, w: float, h, a, c, miss, tmp) -> None:
     """
     import numpy as np
 
-    np.cos(h, out=a)
+    a = np.cos(h)
     np.sin(h, out=h)
-    np.multiply(a, -2.0 * w, out=c)
-    np.multiply(h, reach, out=h)
-    np.multiply(a, w, out=a)
-    np.subtract(h, a, out=a)
-    np.divide(a, c, out=a)
+    c = a * (-2.0 * w)
+    h *= reach
+    a *= w
+    np.subtract(h, a, out=h)
+    np.divide(h, c, out=h)
 
     # a hit has den < 0 and s within the slack of [0, 1]
-    np.less(c, 0.0, out=miss)
-    np.greater_equal(a, -_ENDPOINT_SLACK, out=tmp)
-    np.logical_and(miss, tmp, out=miss)
-    np.less_equal(a, 1.0 + _ENDPOINT_SLACK, out=tmp)
-    np.logical_and(miss, tmp, out=miss)
-    np.logical_not(miss, out=miss)
+    hit = c < 0.0
+    hit &= h >= -_ENDPOINT_SLACK
+    hit &= h <= 1.0 + _ENDPOINT_SLACK
+    return ~hit
 
 
 def _ray_chord_hits_into(reach: float, w: float, h) -> "np.ndarray":

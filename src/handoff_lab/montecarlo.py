@@ -20,17 +20,17 @@ them, so results are identical under any worker count.
 
 The false-handoff and fixed-speed failure estimators only count, and each
 decision (a hit; a crossing before tau) is monotone in the heading on either
-side of 0, so the kernel counts most headings against four edge headings
-the exact step finds once per call and runs that step only on the few
-between (see _sample), as crossing_time_ecdf's KS step screens.  Counts and
-output bytes are the exact step's; the screen reads no closed form, nor on
-the false-handoff path the chord's half-angle.  The other estimators need a
-time per sample; they draw only headings that hit the chord (see _sample).
+side of 0, so the kernel counts most headings against four edge headings,
+solved once per call from the exact step's formula, and runs that step only
+on the few between (see _sample), as crossing_time_ecdf's KS step screens.
+The exact step checks each edge, so no count depends on the solve: counts
+and output bytes are the exact step's, and no closed form is read.  The
+other estimators need a time per sample; they draw only headings that hit
+the chord (see _sample).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 import threading
@@ -55,9 +55,6 @@ _CHUNK = 1 << 16  # samples per kernel chunk, whatever the batch size
 _KS_SCREEN = 1e-9
 # Margin of _sample's edge screen in the exact step's output (s, or t/tau), far above its few-ulp error.
 _ETA = 1e-9
-# Headings per side of 0 in an edge search round, which costs about the exact step on _BAND headings.
-_GRID = 64
-_BAND = 1024
 
 # One Philox bit generator and its Generator per thread, built on first use:
 # constructing a Philox draws OS entropy for a seed sequence the kernel never
@@ -155,16 +152,16 @@ def _sample(
     headings in [lo_in, hi_in], not those below lo_out or above hi_out (four
     edges from _screen), and run the exact step only on the band between,
     usually empty.  The decision is monotone in h on each side of 0 (s falls
-    as h rises on (-pi/2, pi/2); t rises with |h|), and each edge carries a
-    margin of _ETA in the exact step's output, never in h: s >= eta at
-    hi_in, s <= 1 - eta at lo_in, s < -slack - eta at hi_out and
-    s > 1 + slack + eta at lo_out (slack the miss test's _ENDPOINT_SLACK);
-    t <= tau*(1 - eta) at the inner edges, t > tau*(1 + eta) at the outer.
-    The steps err by a few ulps, far below eta, and the true s and t are
-    monotone, so every heading beyond an edge gets the decision its margin
-    implies: each count is the exact step's (a margin in h would not do, as
-    t is flat in h near t_min).  How closely the edges are found moves
-    headings in or out of the band, never a count: a coarse search will do.
+    as h rises on (-pi/2, pi/2); t rises with |h|), and an edge is kept only
+    where the exact step, run on it, shows a margin of _ETA in its output,
+    never in h: s >= eta at hi_in, s <= 1 - eta at lo_in, s < -slack - eta
+    at hi_out and s > 1 + slack + eta at lo_out (slack: _ENDPOINT_SLACK); t
+    <= tau*(1 - eta) at the inner edges, t > tau*(1 + eta) at the outer.
+    The steps err by a few ulps, far below eta (radii and speeds within
+    [1e-150, 1e150] keep every time a normal double), and the true s and t
+    are monotone, so every heading beyond a kept edge gets the decision its
+    margin implies (a margin in h would not do: t is flat in h near t_min).
+    So each count is the exact step's, whatever _solve_edges returns.
     """
     import numpy as np
 
@@ -179,9 +176,7 @@ def _sample(
     drawn = speed is not None and speed.kind == "uniform"
     reach, w = dg.trigger_to_chord_m, dg.half_chord_m
     half_range = math.pi if speed is None else dg.chord_half_angle_rad
-
-    density = ctl.samples / (2.0 * half_range)
-    screen = None if out is not None or drawn else _screen(dg, speed, tau, density, len(chunks), width)[1]
+    screen = None if out is not None or drawn else _screen(dg, speed, tau)[1]
 
     def run(jobs) -> int:
         key, counter = [ctl.seed, 0], [0, 0, 0, 0]
@@ -232,45 +227,34 @@ def _sample(
         return sum(pool.map(run, [chunks[w::workers] for w in range(workers)]))
 
 
-def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float], density, chunks, width):
+def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float]):
     """_sample's edges [lo_out, lo_in, hi_in, hi_out] and count(heading, mask),
-    how many of heading miss (no speed) or cross before tau.  Each side of 0
-    keeps its last inner heading (at first an empty range: hi_in the double
-    below lo_in = 0) and first outer one (at first +-end).  A round runs the
-    exact step on _GRID headings evenly between them; key(y) of its output
-    rises away from 0, and bisect finds an inner (key(y) <= inner) and an
-    outer (key(y) > outer) one even where y is not quite monotone.  Rounds
-    go on, for `chunks` chunks of `width` headings at `density` per radian,
-    while one saves more than it costs and halves the gap between the two."""
+    how many of heading miss (no speed) or cross before tau.  The edges are
+    the mirror pairs of _solve_edges' inner and outer heading, held in
+    [tiny, cap]: tiny keeps lo_out below 0, and up to cap (pi/2, past which
+    every ray misses, or the half-angle H that bounds the time paths' draws)
+    each decision is monotone.  The exact step runs once on the four; an
+    edge whose output misses its margin stays at its start: hi_in at -tiny,
+    the double below lo_in = 0, and the outer edges at +-end, past cap."""
     import numpy as np
 
     reach, w = dg.trigger_to_chord_m, dg.half_chord_m
+    cap, tiny = (math.pi / 2 if speed is None else dg.chord_half_angle_rad), math.ulp(0.0)
+    inner, outer = (min(max(h, tiny), cap) for h in _solve_edges(dg, speed, tau))
+    edges = [-outer, -inner, inner, outer]
     if speed is None:
-        def step(hs):  # s of the exact miss step, which falls as h rises, and how many of hs hit
-            s, miss = np.empty_like(hs), np.empty(hs.shape, dtype=bool)
-            _ray_chord_misses_into(reach, w, hs, s, np.empty_like(hs), miss, np.empty_like(miss))
-            return s, hs.size - int(np.count_nonzero(miss))
-        end = math.nextafter(math.pi / 2, math.inf)  # from here on cos < 0 and every ray misses
-        rules = [(float.__neg__, -_ETA, _ENDPOINT_SLACK + _ETA), (None, 1.0 - _ETA, 1.0 + _ENDPOINT_SLACK + _ETA)]
+        def step(hs):  # s of the exact miss step, in hs, and how many of hs hit
+            return hs, hs.size - int(np.count_nonzero(_ray_chord_misses_into(reach, w, hs)))
+        s, slack = step(np.array(edges))[0], _ENDPOINT_SLACK + _ETA
+        holds = [s[0] > 1.0 + slack, s[1] <= 1.0 - _ETA, s[2] >= _ETA, s[3] < -slack]
     else:
         def step(hs):  # crossing times of the hits step, and how many are below tau
             t = np.divide(_ray_chord_hits_into(reach, w, hs), speed.v_mps, out=hs)
             return t, int(np.count_nonzero(t < tau))
-        end = math.nextafter(dg.chord_half_angle_rad, math.inf)  # past every drawn heading
-        rules = [(None, tau * (1.0 - _ETA), tau * (1.0 + _ETA))] * 2
-    def cost(gap):  # in exact steps: the band's headings, and picking it out of each chunk with some
-        band = gap * density  # (nothing to pick while it spans the whole range)
-        return band + (gap < 2.0 * end) * min(band, chunks) * (_BAND / 2 + width / 16)
-    spans, gap, last = [[math.nextafter(0.0, -1.0), end], [0.0, -end]], 2.0 * end, math.inf
-    while cost(gap) > _BAND + cost(gap / _GRID) and gap <= last / 2:
-        ends = np.array(spans)
-        grid = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.arange(1, _GRID + 1) / (_GRID + 1)
-        points, ys = grid.tolist(), step(grid.ravel())[0].reshape(2, _GRID).tolist()
-        for span, p, y, (key, inner, outer) in zip(spans, points, ys, rules):
-            i, j = (bisect.bisect_right(y, bound, key=key) for bound in (inner, outer))
-            span[:] = p[i - 1] if i else span[0], p[j] if j < _GRID else span[1]
-        last, gap = gap, spans[0][1] - spans[0][0] + spans[1][0] - spans[1][1]
-    (hi_in, hi_out), (lo_in, lo_out) = spans
+        t, lo, hi = step(np.array(edges))[0], tau * (1.0 - _ETA), tau * (1.0 + _ETA)
+        holds = [t[0] > hi, t[1] <= lo, t[2] <= lo, t[3] > hi]
+    end = math.nextafter(cap, math.inf)
+    lo_out, lo_in, hi_in, hi_out = (e if ok else s for e, ok, s in zip(edges, holds, [-end, 0.0, -tiny, end]))
     # with h < x[k]: [x[1], x[2]) = [lo_in, hi_in] is counted, [x[0], x[1]) and [x[2], x[3]) the band
     x = [math.nextafter(lo_out, math.inf), lo_in, math.nextafter(hi_in, math.inf), hi_out]
 
@@ -289,14 +273,20 @@ def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[floa
     return [lo_out, lo_in, hi_in, hi_out], count
 
 
+def _solve_edges(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float]):
+    """Headings [inner, outer] >= 0 where the exact step's output lies twice
+    _screen's margin inside and outside its bound: s = 1/2 - reach*tan(h)/(2w)
+    at 2*eta and -slack - 2*eta, or t = reach/(v*cos h) at tau*(1 -+ 2*eta)."""
+    reach, w = dg.trigger_to_chord_m, dg.half_chord_m
+    if speed is None:
+        return [math.atan(k * w / reach) for k in (1.0 - 4.0 * _ETA, 1.0 + 2.0 * (_ENDPOINT_SLACK + 2.0 * _ETA))]
+    return [math.acos(reach / x) if x > reach else 0.0
+            for x in (speed.v_mps * tau * (1.0 - 2.0 * _ETA), speed.v_mps * tau * (1.0 + 2.0 * _ETA))]
+
+
 def _binomial(hits: int, ctl: SimControls) -> Estimate:
     p = hits / ctl.samples
-    return Estimate(
-        p_hat=p,
-        std_err=math.sqrt(p * (1.0 - p) / ctl.samples),
-        n=ctl.samples,
-        seed=ctl.seed,
-    )
+    return Estimate(p_hat=p, std_err=math.sqrt(p * (1.0 - p) / ctl.samples), n=ctl.samples, seed=ctl.seed)
 
 
 def estimate_false_handoff(geom: CellGeometry, ctl: SimControls, *, workers: int = 1) -> Estimate:
@@ -306,8 +296,7 @@ def estimate_false_handoff(geom: CellGeometry, ctl: SimControls, *, workers: int
     is pure segment intersection, so this estimate is a genuinely independent
     check of the closed-form false-handoff probability.
     """
-    misses = _sample(derive_geometry(geom), ctl, workers)
-    return _binomial(misses, ctl)
+    return _binomial(_sample(derive_geometry(geom), ctl, workers), ctl)
 
 
 def estimate_failure(
@@ -328,12 +317,8 @@ def estimate_failure(
     tau = _real_or_nan(tau_s)
     if not (math.isfinite(tau) and tau >= 0):
         raise InvalidParameterError(f"tau_s must be finite and nonnegative, got {tau_s!r}")
-    if isinstance(speed, SpeedModel):
-        model = speed
-    else:
-        model = SpeedModel.fixed(speed)
-    hits = _sample(derive_geometry(geom), ctl, workers, speed=model, tau=tau)
-    return _binomial(hits, ctl)
+    model = speed if isinstance(speed, SpeedModel) else SpeedModel.fixed(speed)
+    return _binomial(_sample(derive_geometry(geom), ctl, workers, speed=model, tau=tau), ctl)
 
 
 def crossing_time_ecdf(

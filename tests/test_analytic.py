@@ -42,6 +42,17 @@ def test_speed_model_validation():
         SpeedModel.fixed(-3.0)
     with pytest.raises(InvalidParameterError):
         SpeedModel(kind="gauss", v_mps=1.0)
+    # speeds lie in [1e-150, 1e150], where every crossing time is a normal, finite double
+    assert SpeedModel.uniform(1e-150, 1e150) == SpeedModel("uniform", 0.0, 1e-150, 1e150)
+    for v in (math.nextafter(1e-150, 0.0), math.nextafter(1e150, math.inf), math.inf):
+        with pytest.raises(InvalidParameterError, match=r"v_mps must lie in \[1e-150, 1e150\]"):
+            SpeedModel.fixed(v)
+        with pytest.raises(OutOfDomainError, match=r"speed must lie in \[1e-150, 1e150\] m/s"):
+            crossing_time_support(KM_CELL, v)
+    with pytest.raises(InvalidParameterError):
+        SpeedModel.uniform(1.0, 1e151)
+    with pytest.raises(InvalidParameterError):
+        SpeedModel.uniform(1e-151, 1.0)
 
 
 @pytest.mark.parametrize(

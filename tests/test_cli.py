@@ -481,6 +481,19 @@ def test_main_refuses_a_radius_whose_arithmetic_under_or_overflows(capsys, comma
     assert "cell_radius_m:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+@pytest.mark.parametrize("speed,key", [
+    (["--speed-mps", "1e300"], "speed:"),
+    (["--speed-mps", "1e-200"], "speed:"),
+    (["--vmin-mps", "40", "--vmax-mps", "1e300"], "speed.vmax:"),
+], ids=["fast", "slow", "fast-vmax"])
+def test_main_refuses_a_speed_whose_times_under_or_overflow(capsys, command, speed, key):
+    flags = ["--cell-radius-m", "1000", "--overlap-m", "0", *speed, "--delay-s", "3"]
+    extra = ["--samples", "100", "--seed", "1"] if command == "simulate" else []
+    assert main([command, *flags, *extra]) == 2
+    assert f"error: {key} " in capsys.readouterr().err
+
+
 def test_main_refuses_delay_with_handoff_type(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analytic", "--cell-radius-m", "1000", "--overlap-m", "0", "--speed-mps", "50",

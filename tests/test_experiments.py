@@ -263,6 +263,22 @@ def test_invalid_grid_point_is_named():
     assert "cell_radius_m=500" in str(err.value)
 
 
+@pytest.mark.parametrize("kind,axis,fixed,key", [
+    ("failure_vs_speed", Axis(0.0, 10.0, 3), {"delay_s": 3.0}, "axis.start"),
+    ("failure_vs_speed", Axis(1e-200, 10.0, 3), {"delay_s": 3.0}, "axis.start"),
+    ("failure_vs_speed", Axis(1.0, 1e200, 3), {"delay_s": 3.0}, "axis.stop"),
+    ("failure_vs_delay", Axis(0.0, 5.0, 3), {"speed_mps": 0.0}, "speed_mps"),
+    ("failure_vs_delay", Axis(0.0, 5.0, 3), {"speed_mps": 1e300}, "speed_mps"),
+], ids=["zero-start", "slow-start", "fast-stop", "zero-speed", "fast-speed"])
+def test_sweep_speeds_past_their_bound_are_named(kind, axis, fixed, key):
+    # every swept or fixed speed lies in [1e-150, 1e150] m/s, checked when
+    # the spec is built and named at its key
+    with pytest.raises(InvalidParameterError) as err:
+        SweepSpec(kind=kind, axis=axis, cell_radius_m=(1000.0,), **fixed)
+    assert err.value.key == key
+    assert err.value.reason.startswith("must lie in [1e-150, 1e150], got ")
+
+
 def test_provenance_records_the_spec():
     spec = SweepSpec(
         kind="failure_vs_speed",

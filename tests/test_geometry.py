@@ -298,9 +298,7 @@ def test_miss_step_needs_no_errstate(a, overlap_frac):
     h, q = derive_geometry(geom).chord_half_angle_rad, math.pi / 2
     edges = np.array([q, math.nextafter(q, 0.0), math.nextafter(q, 4.0), 0.0, math.pi, h])
     headings = np.concatenate([edges, -edges])
-    a_buf, c_buf = np.empty_like(headings), np.empty_like(headings)
-    miss, tmp = np.empty((2, headings.size), dtype=bool)
-    _ray_chord_misses_into(reach, w, headings.copy(), a_buf, c_buf, miss, tmp)
+    miss = _ray_chord_misses_into(reach, w, headings.copy())
     assert (miss == np.isnan(expression_form(canonical_points(reach, w), headings))).all()
     assert miss.tolist() == [True, True, True, False, True, False] * 2
 

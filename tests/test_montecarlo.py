@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from handoff_lab.analytic import (
     false_handoff_probability,
     handoff_failure_probability,
 )
-from handoff_lab.errors import InvalidParameterError
+from handoff_lab.errors import InvalidParameterError, OutOfDomainError
 from handoff_lab.geometry import (
     _ENDPOINT_SLACK,
     CellGeometry,
@@ -270,15 +271,13 @@ def test_false_handoff_misses_equal_nan_count_of_whole_draw(source, ctl, workers
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
-@given(source=forward_frames(), samples=st.sampled_from([1.0, 1e3, 1e6, 1e30]))
-@example(source=WIDE_CHORD, samples=1e30)
-@example(source=WIDE_CHORD, samples=1.0)
-def test_headings_past_the_screen_miss_the_chord(source, samples):
+@given(source=forward_frames())
+@example(source=WIDE_CHORD)
+def test_headings_past_the_screen_miss_the_chord(source):
     # every heading the false-handoff screen counts as a miss unevaluated,
     # below its lower outer edge or above its upper one, is one the exact
-    # intersection rejects, on any frame of this layout and however finely
-    # the edges were found
-    lo_out, _, _, hi_out = montecarlo._screen(source[1], None, None, samples / (2 * math.pi), 1, 2**16)[0]
+    # intersection rejects, on any frame of this layout
+    lo_out, _, _, hi_out = montecarlo._screen(source[1], None, None)[0]
     rng = np.random.Generator(np.random.Philox(5))
     headings = np.concatenate([
         [hi_out, math.nextafter(hi_out, math.inf), math.pi],
@@ -301,8 +300,9 @@ def _whole_draw(ctl):
 
 def test_failure_paths_skip_the_exact_intersection_at_a_pinned_seed(monkeypatch):
     # the time paths take every distance from the hits-only step and never
-    # run the miss step; the false-handoff path runs it only on the edge
-    # search's grid and on the drawn headings in the band between the edges
+    # run the miss step; the false-handoff path runs it once before any
+    # chunk, on exactly the four solved edge headings, and after that only
+    # on the drawn headings in the band between the edges
     calls, found = [], []
     exact, screen = montecarlo._ray_chord_misses_into, montecarlo._screen
     monkeypatch.setattr(montecarlo, "_ray_chord_misses_into",
@@ -316,8 +316,9 @@ def test_failure_paths_skip_the_exact_intersection_at_a_pinned_seed(monkeypatch)
     found.clear()
     estimate_false_handoff(PINNED_GEOMETRY, ctl)
     ((lo_out, lo_in, hi_in, hi_out), _), = found
+    inner, outer = montecarlo._solve_edges(derive_geometry(PINNED_GEOMETRY), None, None)
     search = [h for phase, h in calls if phase == 0]
-    assert search and all(len(h) == 2 * montecarlo._GRID for h in search)
+    assert [h.tolist() for h in search] == [[-outer, -inner, inner, outer]] == [[lo_out, lo_in, hi_in, hi_out]]
     band = np.sort(np.concatenate([h for phase, h in calls if phase == 1] or [[]]))
     drawn = _whole_draw(ctl)
     expected = drawn[((drawn > lo_out) & (drawn < lo_in)) | ((drawn > hi_in) & (drawn < hi_out))]
@@ -356,27 +357,37 @@ def _probes(edges, half):
     return h[(h >= -half) & (h <= half)]
 
 
-def _margins_hold(dg, speed, tau, edges) -> bool:
+def _cap(dg, speed):
+    """The largest heading the screen puts an edge at; its start sits one double past it."""
+    return math.pi / 2 if speed is None else dg.chord_half_angle_rad
+
+
+def _starts(dg, speed):
+    """Where each edge starts, and stays unless the exact step keeps it."""
+    end = math.nextafter(_cap(dg, speed), math.inf)
+    return [-end, 0.0, math.nextafter(0.0, -1.0), end]
+
+
+def _margin_checks(dg, speed, tau, edges):
     """Whether each edge carries the screen's margin in the exact step's
     output: s >= eta at hi_in and <= 1 - eta at lo_in, s < -slack - eta at
     hi_out and > 1 + slack + eta at lo_out; or times at most tau*(1 - eta)
-    at the inner edges and above tau*(1 + eta) at the outer ones.  An edge
-    still at its start (0 or the double below it, +-end) is skipped."""
+    at the inner edges and above tau*(1 + eta) at the outer ones."""
     eta, (reach, w) = montecarlo._ETA, _frame(dg)
-    lo_out, lo_in, hi_in, hi_out = edges
     if speed is None:
-        end = math.nextafter(math.pi / 2, math.inf)
-        h = np.array(edges)
-        s, c = np.empty(4), np.empty(4)
-        _ray_chord_misses_into(reach, w, h, s, c, np.empty(4, dtype=bool), np.empty(4, dtype=bool))
+        s = np.array(edges)
+        _ray_chord_misses_into(reach, w, s)
         slack = _ENDPOINT_SLACK + eta
-        checks = [s[0] > 1 + slack, s[1] <= 1 - eta, s[2] >= eta, s[3] < -slack]
-    else:
-        end = math.nextafter(dg.chord_half_angle_rad, math.inf)
-        t = np.divide(_ray_chord_hits_into(reach, w, np.array(edges)), speed.v_mps)
-        checks = [t[0] > tau * (1 + eta), t[1] <= tau * (1 - eta), t[2] <= tau * (1 - eta), t[3] > tau * (1 + eta)]
-    started = [lo_out == -end, lo_in == 0.0, hi_in == math.nextafter(0.0, -1.0), hi_out == end]
-    return all(ok or start for ok, start in zip(checks, started))
+        return [s[0] > 1 + slack, s[1] <= 1 - eta, s[2] >= eta, s[3] < -slack]
+    t = np.divide(_ray_chord_hits_into(reach, w, np.array(edges)), speed.v_mps)
+    return [t[0] > tau * (1 + eta), t[1] <= tau * (1 - eta), t[2] <= tau * (1 - eta), t[3] > tau * (1 + eta)]
+
+
+def _margins_hold(dg, speed, tau, edges) -> bool:
+    """Whether each edge carries its margin (_margin_checks) or is still at
+    its start (0 or the double below it, +-end)."""
+    started = [e == s for e, s in zip(edges, _starts(dg, speed))]
+    return all(ok or start for ok, start in zip(_margin_checks(dg, speed, tau, edges), started))
 
 
 # the screen's property draws: forward frames, speeds, and a share of each
@@ -401,25 +412,31 @@ def _pinned(test):
 @_pinned
 def test_screened_count_equals_the_exact_step(source, v, share):
     # the count-only paths count headings by comparing them with four edge
-    # headings and run the exact step only in the band between; for edges
-    # found coarsely or to the last double, false handoff and a fixed speed
-    # at taus on and next to the ends of the support, the screen's count of
-    # headings next to each edge, across each band and over the whole range
-    # is the exact step's, and each edge carries its margin
+    # headings and run the exact step only in the band between; for false
+    # handoff and a fixed speed at taus on and next to the ends of the
+    # support, the screen's count of headings next to each edge, across
+    # each band and over the whole range is the exact step's, and each edge
+    # carries its margin
     dg = source[1]
     t_min, t_max = _support(dg, v)
     taus = [t_min, math.nextafter(t_min, math.inf), t_min * (1 + 1e-12), t_max,
             math.nextafter(t_max, 0.0), t_min + share * (t_max - t_min)]
     paths = [(None, None, math.pi)] + [(SpeedModel.fixed(v), tau, dg.chord_half_angle_rad) for tau in taus]
     for speed, tau, half in paths:
-        for samples in (1.0, 1e3, 1e6, 1e30):
-            edges, count = montecarlo._screen(dg, speed, tau, samples / (2.0 * half), 1, 2**16)
-            lo_out, lo_in, hi_in, hi_out = edges
-            # [lo_in, hi_in] is empty (hi_in the double below lo_in = 0) until an inner heading is found
-            assert lo_out < lo_in <= math.nextafter(hi_in, math.inf) and hi_in < hi_out
-            assert _margins_hold(dg, speed, tau, edges)
-            h = _probes(edges, half)
-            assert count(h.copy(), np.empty(h.shape, dtype=bool)) == _exact_count(dg, speed, tau, h)
+        _assert_screen_is_exact(dg, speed, tau, half)
+
+
+def _assert_screen_is_exact(dg, speed, tau, half):
+    """The screen's edges are ordered and carry their margins, and its count
+    of _probes is the exact step's."""
+    edges, count = montecarlo._screen(dg, speed, tau)
+    lo_out, lo_in, hi_in, hi_out = edges
+    # [lo_in, hi_in] is empty (hi_in the double below lo_in = 0) unless an inner edge is kept
+    assert lo_out < lo_in <= math.nextafter(hi_in, math.inf) and hi_in < hi_out
+    assert _margins_hold(dg, speed, tau, edges)
+    h = _probes(edges, half)
+    assert count(h.copy(), np.empty(h.shape, dtype=bool)) == _exact_count(dg, speed, tau, h)
+    return edges
 
 
 def test_screen_property_draws_reach_their_ranges(monkeypatch):
@@ -432,7 +449,7 @@ def test_screen_property_draws_reach_their_ranges(monkeypatch):
     test_screened_count_equals_the_exact_step()
     bare = [dg for dg, _ in seen if dg.side_to_trigger_m == 0.0]
     cells = [dg for dg, _ in seen if dg.side_to_trigger_m > 0.0]
-    speeds = [speed.v_mps for _, (speed, *_) in seen if speed is not None]
+    speeds = [speed.v_mps for _, (speed, _) in seen if speed is not None]
     offsets = [math.pi / 2 - dg.chord_half_angle_rad for dg in bare]
     assert min(offsets) == pytest.approx(1e-7) and max(offsets) == pytest.approx(0.5)
     assert min(dg.trigger_to_chord_m for dg in bare) == 1e-3 and max(dg.trigger_to_chord_m for dg in bare) == 1e3
@@ -442,6 +459,102 @@ def test_screen_property_draws_reach_their_ranges(monkeypatch):
                 for dg, r in zip(cells, radii)]
     assert min(overlaps) == 0.0 and max(overlaps) == pytest.approx(0.999)
     assert min(speeds) == 1.0 and max(speeds) == 60.0
+
+
+def _at_half_the_margin(dg, speed, tau):
+    """[inner, outer] where the exact step's output lies half the screen's
+    margin inside and outside its bound, so the check must refuse both."""
+    (reach, w), eta = _frame(dg), montecarlo._ETA / 2
+    if speed is None:
+        return [math.atan(k * w / reach) for k in (1 - 2 * eta, 1 + 2 * (_ENDPOINT_SLACK + eta))]
+    return [math.acos(min(1.0, reach / (speed.v_mps * tau * k))) for k in (1 - eta, 1 + eta)]
+
+
+# solves that miss the edges: each makes [inner, outer] from the true ones
+# and _solve_edges' arguments
+WRONG_SOLVES = {
+    "swapped": lambda inner, outer, args: [outer, inner],
+    "midway": lambda inner, outer, args: [(inner + outer) / 2] * 2,
+    "half the margin": lambda inner, outer, args: _at_half_the_margin(*args),
+    "zero": lambda inner, outer, args: [0.0, 0.0],
+    "negative": lambda inner, outer, args: [-inner, -outer],
+    "past the range": lambda inner, outer, args: [math.pi, 4.0],
+    "nan": lambda inner, outer, args: [math.nan, math.nan],
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_SOLVES.values(), ids=WRONG_SOLVES.keys())
+def test_screen_keeps_only_edges_the_exact_step_checks(monkeypatch, wrong):
+    # the screen trusts no solved edge: whatever _solve_edges returns, every
+    # count is the exact step's, an edge is kept (held in [tiny, cap]) only
+    # where its margin holds, and every other edge stays at its start
+    solve = montecarlo._solve_edges
+    monkeypatch.setattr(montecarlo, "_solve_edges", lambda *args: wrong(*solve(*args), args))
+    for source, v, share in SCREEN_EXAMPLES:
+        dg = source[1]
+        t_min, t_max = _support(dg, v)
+        paths = [(None, None, math.pi)] + [(SpeedModel.fixed(v), tau, dg.chord_half_angle_rad)
+                                           for tau in (t_min, t_min + share * (t_max - t_min), t_max)]
+        for speed, tau, half in paths:
+            edges = _assert_screen_is_exact(dg, speed, tau, half)
+            args = dg, speed, tau
+            inner, outer = (min(max(h, math.ulp(0.0)), _cap(dg, speed)) for h in wrong(*solve(*args), args))
+            candidates = [-outer, -inner, inner, outer]
+            kept = _margin_checks(dg, speed, tau, candidates)
+            assert edges == [c if ok else s for c, ok, s in zip(candidates, kept, _starts(dg, speed))]
+
+
+def test_solved_edges_are_kept_where_edges_exist():
+    # the solve lands where the check keeps it: for false handoff and for a
+    # tau inside the support, no edge falls back to its start, so the band
+    # stays thin
+    for (_, dg), v, _ in SCREEN_EXAMPLES:
+        t_min, t_max = _support(dg, v)
+        for speed, tau in ((None, None), (SpeedModel.fixed(v), (t_min + t_max) / 2)):
+            edges = montecarlo._screen(dg, speed, tau)[0]
+            assert all(e != s for e, s in zip(edges, _starts(dg, speed)))
+
+
+def test_speeds_past_their_bound_are_refused():
+    # past [1e-150, 1e150] m/s a crossing time can be subnormal or
+    # infinite, where the screen's margin in t no longer holds: a 1e-150 m
+    # cell at 1e300 m/s counted every crossing before tau = 0 (p = 1.0, the
+    # exact step and the closed form 0), and at reach/1e-320 m/s the screen
+    # counted 3416 crossings before tau = 1e-320 where the exact step
+    # counts none; such speeds are now refused wherever a speed is taken
+    geom = CellGeometry(1e-150)
+    fast = [1e300, derive_geometry(geom).trigger_to_chord_m / 1e-320, math.nextafter(1e150, math.inf), math.inf]
+    slow = [1e-200, math.nextafter(1e-150, 0.0), 0.0]
+    for v in fast + slow:
+        with pytest.raises(InvalidParameterError, match=r"1e-150, 1e150"):
+            estimate_failure(geom, v, 0.0, SimControls(70000, 3, 2))
+        with pytest.raises(InvalidParameterError):
+            SpeedModel.uniform(1.0, v) if v in fast else SpeedModel.uniform(v, 1.0)
+        with pytest.raises(OutOfDomainError):
+            crossing_time_support(CellGeometry(1e150), v)
+    with pytest.raises(InvalidParameterError):
+        crossing_time_ecdf(geom, 1e300, SimControls(10, 1))
+
+
+@pytest.mark.parametrize("a", [1e-150, 1e150])
+@pytest.mark.parametrize("v", [1e-150, 1e150])
+@pytest.mark.parametrize("overlap_frac", [0.0, 0.999])
+def test_screen_is_exact_at_the_speed_and_radius_bounds(a, v, overlap_frac):
+    # at every corner of the radius and speed bounds, each crossing time is
+    # a normal, finite double, and for taus of 0, the least double, 1.7e308
+    # and the support's ends the screen's count is the exact step's; the
+    # extreme taus give the closed form's 0 or 1
+    geom = CellGeometry(a, overlap_frac * math.sqrt(3.0) / 2.0 * a)
+    dg = derive_geometry(geom)
+    support = crossing_time_support(geom, v)
+    assert sys.float_info.min < support.t_min_s < support.t_max_s < sys.float_info.max
+    ctl = SimControls(70000, 3, 2)
+    for tau in (0.0, 5e-324, 1.7e308, support.t_min_s, support.t_max_s):
+        _assert_screen_is_exact(dg, SpeedModel.fixed(v), tau, dg.chord_half_angle_rad)
+        p_hat = estimate_failure(geom, v, tau, ctl).p_hat
+        if tau in (0.0, 5e-324, 1.7e308):
+            assert p_hat == handoff_failure_probability(geom, v, tau) == (tau == 1.7e308)
+    assert math.isfinite(crossing_time_ecdf(geom, v, ctl).ks_stat)
 
 
 def test_memory_is_bounded_by_the_chunk():
