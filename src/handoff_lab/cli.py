@@ -13,6 +13,7 @@ PyYAML is imported only where a command reads a file.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -68,6 +69,9 @@ _MC_KEYS = ("samples", "seed", "batches")
 # the loader by name, since yaml loads only to read a file: libyaml's where
 # PyYAML has it, else SafeLoader; both construct documents as SafeLoader does
 _YAML_LOADER = "CSafeLoader"
+# YAML 1.2's float pattern, which also reads 1e3, 1E3 and -2e-1, where YAML
+# 1.1 wants a dot and a signed exponent (1.0e+3)
+_YAML12_FLOAT = r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"
 
 
 # ======================================================================
@@ -100,11 +104,26 @@ class Scenario:
         return delay_for(self.delay_profile, self.handoff_type)
 
 
+@functools.lru_cache(maxsize=None)
+def _yaml_loader(name: str):
+    """yaml's loader `name` (SafeLoader where PyYAML lacks it) with YAML
+    1.2's float pattern tried after YAML 1.1's rules: a scalar YAML 1.1
+    reads as a number, bool, null or date keeps its type, and one it read
+    as a string but YAML 1.2 reads as a float becomes that float."""
+    import re
+
+    import yaml
+
+    loader = type("Loader", (getattr(yaml, name, yaml.SafeLoader),), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(_YAML12_FLOAT), list("-+0123456789."))
+    return loader
+
+
 def _load_yaml_mapping(text: str, what: str) -> dict:
     import yaml
 
     try:
-        doc = yaml.load(text, Loader=getattr(yaml, _YAML_LOADER, yaml.SafeLoader))
+        doc = yaml.load(text, Loader=_yaml_loader(_YAML_LOADER))
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{what} is not valid YAML: {exc}") from exc
     except ValueError as exc:  # an integer past Python's digit limit; libyaml on a lone surrogate

@@ -18,19 +18,24 @@ the batch sizes, never on the worker count; workers split the chunks, and
 counts (integers) and per-sample values do not depend on who computed
 them, so results are identical under any worker count.
 
-The false-handoff and fixed-speed failure estimators only count, and each
-decision (a hit; a crossing before tau) is monotone in the heading on either
-side of 0, so the kernel counts most headings against four edge headings,
-solved once per call from the exact step's formula, and runs that step only
-on the few between (see _sample), as crossing_time_ecdf's KS step screens.
-The exact step checks each edge, so no count depends on the solve: counts
-and output bytes are the exact step's, and no closed form is read.  The
-other estimators need a time per sample; they draw only headings that hit
-the chord (see _sample).
+The estimators that only count screen, as crossing_time_ecdf's KS step
+does, and run the exact step only on the few samples the screen leaves
+(see _sample).  Each decision is monotone: in the heading on either side of
+0 (a hit; a crossing before tau at a fixed speed), and in the speed for the
+headings of one bin (a crossing before tau at a uniform speed).  So false
+handoff and fixed-speed failure count against four edge headings, and
+uniform-speed failure against a staircase of two speed thresholds per
+heading bin.  Draws are compared as Philox's grid values k*2**-53, before
+any is mapped onto its range, so only the samples left over are mapped.
+The exact step checks each edge and threshold, so no count depends on how
+they were placed: counts and output bytes are the exact step's, and no
+closed form is read.  crossing_time_ecdf needs a time per sample; like the
+failure estimators, it draws only headings that hit the chord.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import threading
@@ -49,11 +54,17 @@ if TYPE_CHECKING:
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 16  # samples per kernel chunk, whatever the batch size
+# Generator.random draws grid values k * _GRID_STEP, 0 <= k < _GRID_END.
+_GRID_END = 1 << 53
+_GRID_STEP = 2.0 ** -53
+_BINS = 256  # heading bins of the uniform-speed staircase
+_BLOCK = 1 << 13  # grid values per staircase gather
 # Candidate margin of the KS screen in crossing_time_ecdf.  It only has to
 # exceed twice the ~1e-15 error of the fast CDF; a wider margin admits more
 # candidates but never changes the statistic.
 _KS_SCREEN = 1e-9
-# Margin of _sample's edge screen in the exact step's output (s, or t/tau), far above its few-ulp error.
+# Margin of _sample's edge screen and staircase in the exact step's output (s, or t/tau), far above its
+# few-ulp error.
 _ETA = 1e-9
 
 # One Philox bit generator and its Generator per thread, built on first use:
@@ -128,6 +139,16 @@ def _batch_sizes(samples: int, batches: int) -> List[int]:
     return [base + 1 if i < rem else base for i in range(batches)]
 
 
+def _scale(x, lo, hi):
+    """Grid values x in [0, 1) mapped onto [lo, hi) in place, with
+    Generator.uniform's own two operations, so each value is the draw that
+    uniform(lo, hi) makes from the same word.  Both operations round
+    monotonically, so the map never reverses an order."""
+    x *= hi - lo
+    x += lo
+    return x
+
+
 def _sample(
     dg: DerivedGeometry,
     ctl: SimControls,
@@ -138,8 +159,10 @@ def _sample(
     out: Optional[np.ndarray] = None,
 ) -> int:
     """The one Monte Carlo kernel: every sample of ctl, drawn and reduced in
-    chunks of _CHUNK samples, in buffers allocated once per worker.  It
-    works from dg's two lengths, trigger_to_chord_m and half_chord_m.
+    chunks of _CHUNK samples, in buffers allocated once per worker (per
+    chunk only the band's samples and the staircase's two _BLOCK-sized
+    gather buffers).  It works from dg's two lengths, trigger_to_chord_m and
+    half_chord_m.
 
     Without a speed, it draws headings uniform on [-pi, pi) and returns how
     many miss the chord.  With a speed, it draws headings uniform on [-H, H),
@@ -148,20 +171,28 @@ def _sample(
     _ray_chord_hits_into divided by the sample's speed.  Then either the
     times go to out[sample] (out given) or it returns how many are below tau.
 
-    The paths that only count (no speed; a fixed one and no out) count the
-    headings in [lo_in, hi_in], not those below lo_out or above hi_out (four
-    edges from _screen), and run the exact step only on the band between,
-    usually empty.  The decision is monotone in h on each side of 0 (s falls
-    as h rises on (-pi/2, pi/2); t rises with |h|), and an edge is kept only
-    where the exact step, run on it, shows a margin of _ETA in its output,
-    never in h: s >= eta at hi_in, s <= 1 - eta at lo_in, s < -slack - eta
-    at hi_out and s > 1 + slack + eta at lo_out (slack: _ENDPOINT_SLACK); t
-    <= tau*(1 - eta) at the inner edges, t > tau*(1 + eta) at the outer.
-    The steps err by a few ulps, far below eta (radii and speeds within
-    [1e-150, 1e150] keep every time a normal double), and the true s and t
-    are monotone, so every heading beyond a kept edge gets the decision its
-    margin implies (a margin in h would not do: t is flat in h near t_min).
-    So each count is the exact step's, whatever _solve_edges returns.
+    Without out, every path only counts, and no chunk maps its draws: each
+    is compared as drawn, a grid value k*2**-53 of Generator.random, with
+    thresholds mapped once per call onto that grid, and only the band of
+    samples no threshold decides is mapped onto its range and takes the
+    exact step.  With no speed or a fixed one, _screen counts the headings
+    in [lo_in, hi_in], not those below lo_out or above hi_out, with its four
+    edges mapped by _on_grid.  The decision is monotone in h on each side of
+    0 (s falls as h rises on (-pi/2, pi/2); t rises with |h|), and an edge
+    is kept only where the exact step, run on it, shows a margin of _ETA in
+    its output, never in h: s >= eta at hi_in, s <= 1 - eta at lo_in, s <
+    -slack - eta at hi_out and s > 1 + slack + eta at lo_out (slack:
+    _ENDPOINT_SLACK); t <= tau*(1 - eta) at the inner edges, t > tau*(1 +
+    eta) at the outer.  With a uniform speed, _staircase counts a pair as
+    crossing where its speed's grid value is at least VH of its heading's
+    bin and as not crossing where it is at most VM, each threshold kept only
+    where the exact step shows the same margin at the bin's extreme
+    distance.  The steps err by a few ulps, far below eta (radii and speeds
+    within [1e-150, 1e150] keep every time a normal double), and the true s
+    and t are monotone, so every sample beyond a kept edge or threshold gets
+    the decision its margin implies (a margin in h would not do: t is flat
+    in h near t_min).  So each count is the exact step's, whatever
+    _solve_edges and _solve_speeds return.
     """
     import numpy as np
 
@@ -176,7 +207,12 @@ def _sample(
     drawn = speed is not None and speed.kind == "uniform"
     reach, w = dg.trigger_to_chord_m, dg.half_chord_m
     half_range = math.pi if speed is None else dg.chord_half_angle_rad
-    screen = None if out is not None or drawn else _screen(dg, speed, tau)[1]
+    if out is not None:
+        count = None
+    elif drawn:
+        count = _staircase(dg, speed, tau)[1]
+    else:
+        count = _screen(dg, speed, tau, half_range)[1]
 
     def run(jobs) -> int:
         key, counter = [ctl.seed, 0], [0, 0, 0, 0]
@@ -184,36 +220,32 @@ def _sample(
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         bitgen, gen = _thread_generator()
 
-        def uniform(buf, batch, position, m, lo, hi):
-            # Generator.uniform(lo, hi) values position..position+m-1 of
-            # substream (seed, batch), bit for bit.  Philox makes four words
-            # per counter value, so the draw starts at the block holding
-            # `position` and skips up to 3 words: buf has 3 spare slots.
+        def draw(buf, batch, position, m):
+            # Generator.random values position..position+m-1 of substream
+            # (seed, batch), bit for bit, each a grid value k*2**-53.
+            # Philox makes four words per counter value, so the draw starts
+            # at the block holding `position` and skips up to 3 words: buf
+            # has 3 spare slots.
             key[1] = batch
             counter[0], skip = divmod(position, 4)
             bitgen.state = state
             gen.random(out=buf[:skip + m])
-            x = buf[skip:skip + m]
-            x *= hi - lo
-            x += lo
-            return x
+            return buf[skip:skip + m]
 
         h, v = np.empty((2, width + 3)) if drawn else (np.empty(width + 3), None)
-        mask = np.empty(width, dtype=bool) if out is None else None
-        count = 0
+        mask = None if out is not None else np.empty(2 * width if drawn else width, dtype=bool)
+        hits = 0
         for batch, nb, start, m, at in jobs:
-            heading = uniform(h, batch, start, m, -half_range, half_range)
-            if screen is not None:
-                count += screen(heading, mask[:m])
-                continue
-            dist = _ray_chord_hits_into(reach, w, heading)
-            t = dist if out is None else out[at:at + m]
+            u = draw(h, batch, start, m)
             # a batch's speeds follow its nb headings in its substream
-            speeds = uniform(v, batch, nb + start, m, speed.vmin_mps, speed.vmax_mps) if drawn else speed.v_mps
-            np.divide(dist, speeds, out=t)
-            if out is None:
-                count += int(np.count_nonzero(np.less(t, tau, out=mask[:m])))
-        return count
+            u_v = draw(v, batch, nb + start, m) if drawn else None
+            if count is not None:
+                hits += count(u, u_v, mask) if drawn else count(u, mask[:m])
+                continue
+            dist = _ray_chord_hits_into(reach, w, _scale(u, -half_range, half_range))
+            np.divide(dist, _scale(u_v, speed.vmin_mps, speed.vmax_mps) if drawn else speed.v_mps,
+                      out=out[at:at + m])
+        return hits
 
     workers = min(int(workers), len(chunks))
     if workers <= 1:
@@ -227,50 +259,161 @@ def _sample(
         return sum(pool.map(run, [chunks[w::workers] for w in range(workers)]))
 
 
-def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float]):
-    """_sample's edges [lo_out, lo_in, hi_in, hi_out] and count(heading, mask),
-    how many of heading miss (no speed) or cross before tau.  The edges are
-    the mirror pairs of _solve_edges' inner and outer heading, held in
-    [tiny, cap]: tiny keeps lo_out below 0, and up to cap (pi/2, past which
-    every ray misses, or the half-angle H that bounds the time paths' draws)
-    each decision is monotone.  The exact step runs once on the four; an
-    edge whose output misses its margin stays at its start: hi_in at -tiny,
-    the double below lo_in = 0, and the outer edges at +-end, past cap."""
+def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float], half: Optional[float] = None):
+    """_sample's edges [lo_out, lo_in, hi_in, hi_out] and count(values, mask),
+    how many of values miss (no speed) or cross before tau.  The values are
+    headings, or with half the kernel's grid values of headings on [-half,
+    half): each edge is then mapped once onto the grid (_on_grid), and only
+    the band's values are mapped to headings.  The edges are the mirror
+    pairs of _solve_edges' inner and outer heading, held in [tiny, cap]:
+    tiny keeps lo_out below 0, and up to cap (pi/2, past which every ray
+    misses, or the half-angle H that bounds the time paths' draws) each
+    decision is monotone.  The exact step runs once on the four; an edge
+    whose output misses its margin stays at its start: hi_in at -tiny, the
+    double below lo_in = 0, and the outer edges at +-end, past cap."""
     import numpy as np
 
     reach, w = dg.trigger_to_chord_m, dg.half_chord_m
     cap, tiny = (math.pi / 2 if speed is None else dg.chord_half_angle_rad), math.ulp(0.0)
     inner, outer = (min(max(h, tiny), cap) for h in _solve_edges(dg, speed, tau))
     edges = [-outer, -inner, inner, outer]
+    at_edges = np.array(edges)
     if speed is None:
-        def step(hs):  # s of the exact miss step, in hs, and how many of hs hit
-            return hs, hs.size - int(np.count_nonzero(_ray_chord_misses_into(reach, w, hs)))
-        s, slack = step(np.array(edges))[0], _ENDPOINT_SLACK + _ETA
-        holds = [s[0] > 1.0 + slack, s[1] <= 1.0 - _ETA, s[2] >= _ETA, s[3] < -slack]
+        def step(hs):  # how many of hs hit, by the exact miss step
+            return hs.size - int(np.count_nonzero(_ray_chord_misses_into(reach, w, hs)))
+        _ray_chord_misses_into(reach, w, at_edges)  # s of each edge, in at_edges
+        (s0, s1, s2, s3), slack = at_edges.tolist(), _ENDPOINT_SLACK + _ETA
+        holds = [s0 > 1.0 + slack, s1 <= 1.0 - _ETA, s2 >= _ETA, s3 < -slack]
     else:
-        def step(hs):  # crossing times of the hits step, and how many are below tau
-            t = np.divide(_ray_chord_hits_into(reach, w, hs), speed.v_mps, out=hs)
-            return t, int(np.count_nonzero(t < tau))
-        t, lo, hi = step(np.array(edges))[0], tau * (1.0 - _ETA), tau * (1.0 + _ETA)
-        holds = [t[0] > hi, t[1] <= lo, t[2] <= lo, t[3] > hi]
+        def step(hs):  # how many of hs cross before tau, by the hits step
+            return int(np.count_nonzero(np.divide(_ray_chord_hits_into(reach, w, hs), speed.v_mps, out=hs) < tau))
+        t0, t1, t2, t3 = np.divide(_ray_chord_hits_into(reach, w, at_edges), speed.v_mps, out=at_edges).tolist()
+        lo, hi = tau * (1.0 - _ETA), tau * (1.0 + _ETA)
+        holds = [t0 > hi, t1 <= lo, t2 <= lo, t3 > hi]
     end = math.nextafter(cap, math.inf)
     lo_out, lo_in, hi_in, hi_out = (e if ok else s for e, ok, s in zip(edges, holds, [-end, 0.0, -tiny, end]))
     # with h < x[k]: [x[1], x[2]) = [lo_in, hi_in] is counted, [x[0], x[1]) and [x[2], x[3]) the band
     x = [math.nextafter(lo_out, math.inf), lo_in, math.nextafter(hi_in, math.inf), hi_out]
+    if half is not None:
+        x = _on_grid(x, -half, half)
 
-    def count(heading, mask) -> int:
-        below = [int(np.count_nonzero(np.less(heading, xk, out=mask))) for xk in x]
+    def count(values, mask) -> int:
+        below = [int(np.count_nonzero(np.less(values, xk, out=mask))) for xk in x]
         hits = below[2] - below[1]
         if band := below[3] - below[0] - hits:
-            if band < len(heading):
-                pick = np.less(heading, x[0])  # in the band, an odd number of x exceed h
+            if band < len(values):
+                pick = np.less(values, x[0])  # in the band, an odd number of x exceed h
                 for xk in x[1:]:
-                    pick ^= np.less(heading, xk, out=mask)
-                heading = heading[pick]
-            hits += step(heading)[1]
+                    pick ^= np.less(values, xk, out=mask)
+                values = values[pick]
+            hits += step(values if half is None else _scale(values, -half, half))
         return hits if speed is not None else len(mask) - hits
 
     return [lo_out, lo_in, hi_in, hi_out], count
+
+
+def _on_grid(edges, lo: float, hi: float) -> List[float]:
+    """For each heading edge, the least grid value u = k*2**-53 that _scale
+    maps onto [lo, hi) at or above it (1.0 when none does).  The map is
+    monotone, so a draw's heading lies below an edge exactly when its grid
+    value lies below the edge's.  k starts from the map solved for u and
+    steps, checking the map itself, to the least k; the solve is within a
+    step or two of it.  k*(span*2**-53) rounds as (k*2**-53)*span does, as
+    both are one rounding of the same exact product."""
+    span, end, grid = hi - lo, _GRID_END, []
+    unit, scale = span * _GRID_STEP, end / span
+    for e in edges:
+        k = math.ceil((e - lo) * scale)
+        while k < end and k * unit + lo < e:
+            k += 1
+        while k > 0 and (k - 1) * unit + lo >= e:
+            k -= 1
+        grid.append(min(max(k, 0), end) * _GRID_STEP)
+    return grid
+
+
+def _staircase(dg: DerivedGeometry, speed: SpeedModel, tau: float):
+    """_sample's speed thresholds [VH, VM] for a uniform speed, one pair per
+    heading bin, and count(u_h, u_v, mask), how many of the grid pairs
+    (heading, speed) cross before tau; mask holds 2*len(u_h) bools.
+
+    Bin i holds the headings whose grid value u_h has floor(_BINS*u_h) = i,
+    an exact product and cast.  A pair crosses surely where u_v >= VH[i]
+    and surely not where u_v <= VM[i]; only the band between takes the
+    exact step.  The hits step runs once on each bin's ends of largest and
+    smallest |h| (_bin_ends), mapped by _scale; the true distance rises with
+    |h|, so these bound every distance in the bin.  _solve_speeds places the
+    thresholds; each is held in [0, 1] (NaN becomes 0) and kept only where
+    the exact step at its speed, mapped by _scale, shows t <= tau*(1 - eta)
+    at the bin's largest distance (VH) or t > tau*(1 + eta) at its smallest
+    (VM); else it is +inf or -inf.  A correctly rounded d/v falls as v
+    rises, and the step's distance errs by a few ulps, far below eta, so
+    every pair beyond a kept threshold gets the decision its margin implies,
+    whatever _solve_speeds returns.  The two margins also make VH > VM."""
+    import numpy as np
+
+    reach, w, half = dg.trigger_to_chord_m, dg.half_chord_m, dg.chord_half_angle_rad
+    vmin, vmax = speed.vmin_mps, speed.vmax_mps
+    d = _ray_chord_hits_into(reach, w, _scale(_bin_ends().copy(), -half, half))
+    u = np.fmax(_solve_speeds(d, reach, speed, tau), 0.0)  # NaN becomes 0, a speed the check decides on
+    np.fmin(u, 1.0, out=u)
+    t = np.divide(d, _scale(u.copy(), vmin, vmax), out=d)
+    np.putmask(u[:_BINS], t[:_BINS] > tau * (1.0 - _ETA), math.inf)
+    np.putmask(u[_BINS:], t[_BINS:] <= tau * (1.0 + _ETA), -math.inf)
+    vh, vm = u[:_BINS], u[_BINS:]
+
+    def count(u_h, u_v, mask) -> int:
+        m = len(u_h)
+        sure, band = mask[:m], mask[m:2 * m]
+        # gathered in blocks, so the index and threshold buffers stay small
+        idx, g = np.empty(min(m, _BLOCK), dtype=np.intp), np.empty(min(m, _BLOCK))
+        for s in range(0, m, _BLOCK):
+            b, n = slice(s, s + _BLOCK), min(_BLOCK, m - s)
+            np.multiply(u_h[b], _BINS, out=idx[:n], casting="unsafe")  # floor: u_h >= 0
+            np.greater_equal(u_v[b], vh.take(idx[:n], mode="clip", out=g[:n]), out=sure[b])
+            np.greater(u_v[b], vm.take(idx[:n], mode="clip", out=g[:n]), out=band[b])
+        hits = int(np.count_nonzero(sure))
+        band ^= sure  # VH > VM, so a sure pair also lies above VM
+        if band.any():
+            dist = _ray_chord_hits_into(reach, w, _scale(u_h[band], -half, half))
+            t = np.divide(dist, _scale(u_v[band], vmin, vmax), out=dist)
+            hits += int(np.count_nonzero(t < tau))
+        return hits
+
+    return [vh, vm], count
+
+
+def _solve_speeds(d, reach: float, speed: SpeedModel, tau: float):
+    """Grid values where the uniform draw's speed puts d/v twice _staircase's
+    margin inside tau: u = (d/b - vmin)/span, b = tau*(1 - 2*eta) for the
+    largest distances d[:_BINS] and tau*(1 + 2*eta) for the smallest
+    d[_BINS:].  The factor 1/(b*span) is held at most cap, at which every u
+    exceeds 1 (each d is about reach or more), so no product overflows and
+    tau = 0 divides nothing by zero."""
+    vmin, span = speed.vmin_mps, speed.vmax_mps - speed.vmin_mps
+    cap = 2.0 * (1.0 + vmin / span) / reach
+    b = tau * (1.0 - 2.0 * _ETA) * span
+    u = d * (min(1.0 / b, cap) if b else cap)
+    u[_BINS:] *= (1.0 - 2.0 * _ETA) / (1.0 + 2.0 * _ETA)
+    u -= vmin / span
+    return u
+
+
+@functools.lru_cache(maxsize=None)
+def _bin_ends():
+    """Each staircase bin's grid value of largest |h|, then of smallest |h|.
+    _scale maps u = 1/2 onto [-H, H) as H + -H = 0 exactly, and the map is
+    monotone, so bins below _BINS/2 hold headings <= 0 and their first value
+    i/_BINS has the largest |h|, and bins from _BINS/2 on hold headings >= 0
+    and their last value (i + 1)/_BINS - 2**-53 does; both are exact."""
+    import numpy as np
+
+    first = np.arange(_BINS) / _BINS
+    last = first + (1.0 / _BINS - _GRID_STEP)
+    mid = _BINS // 2
+    ends = np.concatenate([first[:mid], last[mid:], last[:mid], first[mid:]])
+    ends.setflags(write=False)
+    return ends
 
 
 def _solve_edges(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float]):
@@ -312,7 +455,11 @@ def estimate_failure(
     Headings are uniform over the arc that reaches the new cell; each
     trajectory's crossing time is its exact intersection distance divided by
     its speed.  `speed` is either a fixed value in m/s or a SpeedModel;
-    uniform models draw one speed per trajectory.
+    uniform models draw one speed per trajectory.  The count is the one a
+    time per trajectory gives, but the kernel screens: a fixed speed counts
+    headings against four edge headings, a uniform one (heading, speed)
+    pairs against two speed thresholds per heading bin, and only the few
+    trajectories between take the exact intersection (see _sample).
     """
     tau = _real_or_nan(tau_s)
     if not (math.isfinite(tau) and tau >= 0):

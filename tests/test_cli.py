@@ -18,6 +18,7 @@ from handoff_lab.analytic import (
 from handoff_lab.cli import (
     _SCENARIO_KEYS,
     _SWEEP_KEYS,
+    _load_yaml_mapping,
     SEED_ENV_VAR,
     main,
     parse_scenario,
@@ -815,3 +816,38 @@ def test_both_loaders_report_a_parse_error(monkeypatch, loader, text):
     monkeypatch.setattr("handoff_lab.cli._YAML_LOADER", loader)
     with pytest.raises(ScenarioParseError):
         parse_scenario(text, env={})
+
+
+# ----------------------------------------------------------------------
+# YAML 1.2 floats
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_exponent_only_numbers_load_as_floats(monkeypatch, loader):
+    # YAML 1.1 reads 1e3 as a string; YAML 1.2's float pattern, tried after
+    # YAML 1.1's rules, reads it as a float, and integers, octals, bools,
+    # dates and strings keep their YAML 1.1 type
+    monkeypatch.setattr("handoff_lab.cli._YAML_LOADER", loader)
+    doc = _load_yaml_mapping("a: 1e3\nb: 1E3\nc: -2e-1\nd: 1000\ne: 010\nf: yes\ng: 2024-01-02\nh: 1e3x\ni: 1.0e3", "doc")
+    assert {k: doc[k] for k in "abcdefhi"} == {"a": 1000.0, "b": 1000.0, "c": -0.2, "d": 1000, "e": 8, "f": True,
+                                                "h": "1e3x", "i": 1000.0}
+    assert [type(doc[k]) for k in "abcdeg"] == [float, float, float, int, int, type(doc["g"])] and doc["g"].year == 2024
+
+
+def test_exponent_only_numbers_give_the_same_output(tmp_path, monkeypatch):
+    # a scenario file and a sweep spec written with 1e3, 5E1 and 3e0 give
+    # the bytes they give written as YAML 1.1 floats (1.0e+3)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    outputs = []
+    for style, (radius, speed, delay, start) in {"1.1": ("1.0e+3", "5.0e+1", "3.0e+0", "1.0e+1"),
+                                                 "1.2": ("1e3", "5E1", "3e0", "1e1")}.items():
+        scenario = tmp_path / f"scenario-{style}.yaml"
+        scenario.write_text(f"cell_radius_m: {radius}\noverlap_m: 0\nspeed: {speed}\ndelay_s: {delay}\n")
+        spec = tmp_path / f"sweep-{style}.yaml"
+        spec.write_text(SWEEP_DOC.replace("start: 10", f"start: {start}").replace("cell_radius_m: 1000",
+                                                                                   f"cell_radius_m: {radius}"))
+        for argv in (["analytic", "--scenario", str(scenario)], ["sweep", "--spec", str(spec)]):
+            out = tmp_path / f"{argv[0]}-{style}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            outputs.append((argv[0], out.read_bytes()))
+    assert outputs[:2] == outputs[2:]

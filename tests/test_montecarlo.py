@@ -805,3 +805,317 @@ def test_derive_seed_range():
         value = derive_seed(seed, index)
         assert isinstance(value, int)
         assert 0 <= value < 2**64
+
+
+# ----------------------------------------------------------------------
+# draws compared on Philox's grid: the uniform-speed staircase and the
+# screen's grid thresholds
+# ----------------------------------------------------------------------
+
+GRID_STEP = 2.0 ** -53  # Generator.random draws k * 2**-53, 0 <= k < 2**53
+
+
+def _to_heading(u, half):
+    """Grid values mapped onto [-half, half) as Generator.uniform maps them."""
+    return np.asarray(u, dtype=float) * (half - -half) + -half
+
+
+def _to_speed(u, speed):
+    """Grid values mapped onto a uniform model's [vmin, vmax) as Generator.uniform maps them."""
+    return np.asarray(u, dtype=float) * (speed.vmax_mps - speed.vmin_mps) + speed.vmin_mps
+
+
+def _exact_pairs(dg, speed, tau, u_h, u_v) -> int:
+    """How many grid pairs (heading, speed) the exact step counts as crossing before tau."""
+    dist = _ray_chord_hits_into(*_frame(dg), _to_heading(u_h, dg.chord_half_angle_rad))
+    return int(np.count_nonzero(np.divide(dist, _to_speed(u_v, speed)) < tau))
+
+
+def _bin_grid():
+    """Each of the 256 heading bins' first and last grid value."""
+    first = np.arange(256) * 2.0 ** -8
+    return first, first + (2.0 ** -8 - GRID_STEP)
+
+
+def _grid_near(u, steps=(0, 1, -1, 64, -64)):
+    """The grid values at and around each finite u (rounded up onto the
+    grid), held in [0, 1)."""
+    u = np.asarray(u, dtype=float)
+    k = np.ceil(u[np.isfinite(u)] * 2.0 ** 53)
+    return np.clip(np.concatenate([k + s for s in steps]) * GRID_STEP, 0.0, 1.0 - GRID_STEP)
+
+
+def _staircase_probes(tables):
+    """Grid pairs: each bin's first and last heading crossed with the speeds
+    at, one and 64 grid steps around the thresholds of its bin and of its
+    neighbours, and the slowest and fastest speed; then 2000 random pairs."""
+    first, last = _bin_grid()
+    columns = [np.zeros(256), np.ones(256)]
+    for t in tables:
+        padded = np.concatenate([t[:1], t, t[-1:]])
+        columns += [padded[:-2], padded[1:-1], padded[2:]]
+    k = np.ceil(np.stack(columns, axis=1) * 2.0 ** 53)
+    speeds = np.concatenate([k + s for s in (0, 1, -1, 64, -64)], axis=1) * GRID_STEP
+    u_h = np.repeat(np.concatenate([first, last]), speeds.shape[1])
+    u_v = np.tile(speeds.ravel(), 2)
+    finite = np.isfinite(u_v)
+    rng = np.random.Generator(np.random.Philox(9))
+    return (np.concatenate([u_h[finite], rng.random(2000)]),
+            np.concatenate([np.clip(u_v[finite], 0.0, 1.0 - GRID_STEP), rng.random(2000)]))
+
+
+def _assert_staircase_is_exact(dg, speed, tau):
+    """The staircase's thresholds are ordered, and its count of
+    _staircase_probes is the exact step's."""
+    tables, count = montecarlo._staircase(dg, speed, tau)
+    assert np.all(tables[0] > tables[1])
+    u_h, u_v = _staircase_probes(tables)
+    got = count(u_h.copy(), u_v.copy(), np.empty(2 * u_h.size, dtype=bool))
+    assert got == _exact_pairs(dg, speed, tau, u_h, u_v)
+    return tables
+
+
+def _around_the_support(t_first, t_last, share):
+    """0, each end of the support, the doubles beside it and 1e-12 either
+    side of it, and a share of the way between the ends."""
+    taus = [0.0, t_first + share * (t_last - t_first)]
+    for end in (t_first, t_last):
+        taus += [end, math.nextafter(end, 0.0), math.nextafter(end, math.inf), end * (1 + 1e-12), end * (1 - 1e-12)]
+    return taus
+
+
+# the staircase's property draws: forward frames, vmin, vmax/vmin and a
+# share of the support; the examples pin the ends of every range
+STAIRCASE_EXAMPLES = [
+    (SCREEN_EXAMPLES[0][0], 1.0, 1.0 + 1e-9, 0.0),
+    (SCREEN_EXAMPLES[1][0], 60.0, 10.0, 1.0),
+    (SCREEN_EXAMPLES[2][0], 60.0, 1.0 + 1e-9, 1.0),
+    (SCREEN_EXAMPLES[3][0], 1.0, 10.0, 0.0),
+]
+
+
+def _staircase_pinned(test):
+    for source, vmin, ratio, share in STAIRCASE_EXAMPLES:
+        test = example(source=source, vmin=vmin, ratio=ratio, share=share)(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(source=forward_frames(), vmin=st.floats(1.0, 60.0), ratio=st.floats(1.0 + 1e-9, 10.0),
+       share=st.floats(0.0, 1.0))
+@_staircase_pinned
+def test_staircase_count_equals_the_exact_step(source, vmin, ratio, share):
+    # the uniform-speed path counts grid pairs against two speed thresholds
+    # per heading bin and runs the exact step only on the band between; at
+    # taus on, beside and 1e-12 either side of both ends of the support,
+    # at 0 and in between, its count of pairs at every bin's first and last
+    # heading, next to every threshold and at random is the exact step's
+    dg = source[1]
+    speed = SpeedModel.uniform(vmin, vmin * ratio)
+    t_first, t_last = _support(dg, speed.vmax_mps)[0], _support(dg, vmin)[1]
+    for tau in _around_the_support(t_first, t_last, share):
+        _assert_staircase_is_exact(dg, speed, tau)
+
+
+def test_staircase_property_draws_reach_their_ranges(monkeypatch):
+    # a spy on the staircase shows that the property's draws reach both ends
+    # of every range they come from
+    seen = []
+    staircase = montecarlo._staircase
+    monkeypatch.setattr(montecarlo, "_staircase", lambda dg, speed, tau: seen.append((dg, speed, tau))
+                        or staircase(dg, speed, tau))
+    test_staircase_count_equals_the_exact_step()
+    bare = [dg for dg, _, _ in seen if dg.side_to_trigger_m == 0.0]
+    cells = [dg for dg, _, _ in seen if dg.side_to_trigger_m > 0.0]
+    offsets = [math.pi / 2 - dg.chord_half_angle_rad for dg in bare]
+    assert min(offsets) == pytest.approx(1e-7) and max(offsets) == pytest.approx(0.5)
+    assert min(dg.trigger_to_chord_m for dg in bare) == 1e-3 and max(dg.trigger_to_chord_m for dg in bare) == 1e3
+    radii = [2 * dg.side_to_trigger_m / (2 - math.sqrt(3.0)) for dg in cells]
+    assert min(radii) == pytest.approx(100.0) and max(radii) == pytest.approx(5000.0)
+    overlaps = [(dg.trigger_to_chord_m - dg.side_to_trigger_m) / (math.sqrt(3.0) / 2 * r)
+                for dg, r in zip(cells, radii)]
+    assert min(overlaps) == 0.0 and max(overlaps) == pytest.approx(0.999)
+    vmins = [speed.vmin_mps for _, speed, _ in seen]
+    ratios = [speed.vmax_mps / speed.vmin_mps for _, speed, _ in seen]
+    assert min(vmins) == 1.0 and max(vmins) == 60.0
+    assert min(ratios) == pytest.approx(1.0 + 1e-9, abs=1e-15) and max(ratios) == pytest.approx(10.0)
+    assert min(tau for _, _, tau in seen) == 0.0
+
+
+def _expected_tables(dg, speed, tau, candidates):
+    """The thresholds the staircase must keep from candidates [VH; VM]: each
+    held in [0, 1], and kept only where the exact step at its speed shows
+    t <= tau*(1 - eta) at its bin's largest distance (VH) or t > tau*(1 +
+    eta) at its smallest (VM); else +inf or -inf."""
+    first, last = _bin_grid()
+    d = _ray_chord_hits_into(*_frame(dg), _to_heading(np.concatenate([first, last]), dg.chord_half_angle_rad))
+    d_hi, d_lo = np.maximum(d[:256], d[256:]), np.minimum(d[:256], d[256:])
+    u = np.fmin(np.fmax(candidates, 0.0), 1.0)
+    t_hi, t_lo = d_hi / _to_speed(u[:256], speed), d_lo / _to_speed(u[256:], speed)
+    eta = montecarlo._ETA
+    return [np.where(t_hi <= tau * (1 - eta), u[:256], math.inf), np.where(t_lo > tau * (1 + eta), u[256:], -math.inf)]
+
+
+def _at_half_the_speed_margin(d, reach, speed, tau):
+    """Grid values where d/v lies half the staircase's margin inside tau
+    (tau > 0), so the check must refuse them."""
+    eta = montecarlo._ETA / 2
+    bound = np.repeat([tau * (1 - eta), tau * (1 + eta)], 256)
+    return (d / bound - speed.vmin_mps) / (speed.vmax_mps - speed.vmin_mps)
+
+
+# solves that miss the thresholds: each makes [VH; VM] candidates from the
+# true ones and _solve_speeds' arguments
+WRONG_SPEEDS = {
+    "swapped": lambda u, args: np.concatenate([u[256:], u[:256]]),
+    "a grid step low": lambda u, args: u - GRID_STEP,
+    "a grid step high": lambda u, args: u + GRID_STEP,
+    "half the margin": lambda u, args: _at_half_the_speed_margin(*args),
+    "nan": lambda u, args: np.full(512, math.nan),
+    "+inf": lambda u, args: np.full(512, math.inf),
+    "-inf": lambda u, args: np.full(512, -math.inf),
+    "past the grid": lambda u, args: np.repeat([-3.0, 4.0], 256),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_SPEEDS.values(), ids=WRONG_SPEEDS.keys())
+def test_staircase_keeps_only_thresholds_the_exact_step_checks(monkeypatch, wrong):
+    # the staircase trusts no solved threshold: whatever _solve_speeds
+    # returns, every count is the exact step's, and a threshold is kept
+    # (held in [0, 1]) only where its margin holds, else it is +-inf
+    given = []
+    solve = montecarlo._solve_speeds
+    monkeypatch.setattr(montecarlo, "_solve_speeds", lambda *args: given.append(wrong(solve(*args), args)) or given[-1])
+    for source, v, _ in SCREEN_EXAMPLES:
+        dg = source[1]
+        for ratio in (1.0 + 1e-9, 10.0):
+            speed = SpeedModel.uniform(v, v * ratio)
+            t_first, t_last = _support(dg, speed.vmax_mps)[0], _support(dg, v)[1]
+            for tau in (t_first, (t_first + t_last) / 2, t_last):
+                given.clear()
+                tables = _assert_staircase_is_exact(dg, speed, tau)
+                expected = _expected_tables(dg, speed, tau, given[0])
+                assert all(np.array_equal(got, want) for got, want in zip(tables, expected))
+
+
+def test_solved_thresholds_are_kept_where_thresholds_exist(monkeypatch):
+    # the solve lands where the check keeps it: every solved threshold that
+    # lies inside the grid's range is kept, so the band stays thin
+    solved = []
+    solve = montecarlo._solve_speeds
+    monkeypatch.setattr(montecarlo, "_solve_speeds", lambda *args: solved.append(solve(*args)) or solved[-1].copy())
+    for (_, dg), v, _ in SCREEN_EXAMPLES:
+        for ratio in (1.0 + 1e-9, 2.0, 10.0):
+            speed = SpeedModel.uniform(v, v * ratio)
+            t_first, t_last = _support(dg, speed.vmax_mps)[0], _support(dg, v)[1]
+            for tau in (t_first, (t_first + t_last) / 2, t_last):
+                solved.clear()
+                kept = np.concatenate(montecarlo._staircase(dg, speed, tau)[0])
+                inside = (solved[0] > 0.0) & (solved[0] < 1.0)
+                assert np.array_equal(kept[inside], solved[0][inside])
+
+
+@pytest.mark.parametrize("a", [1e-150, 1e150])
+@pytest.mark.parametrize("vmin,vmax", [(1e-150, 1e-149), (1e149, 1e150), (1e-150, 1e150)])
+@pytest.mark.parametrize("overlap_frac", [0.0, 0.999])
+def test_staircase_is_exact_at_the_speed_and_radius_bounds(a, vmin, vmax, overlap_frac):
+    # at every corner of the radius and speed bounds, for taus of 0, the
+    # least double, 1.7e308 and the support's ends, the staircase's count is
+    # the exact step's, with no warning; the extreme taus give 0 or 1
+    geom = CellGeometry(a, overlap_frac * math.sqrt(3.0) / 2.0 * a)
+    dg = derive_geometry(geom)
+    model = SpeedModel.uniform(vmin, vmax)
+    t_first, t_last = crossing_time_support(geom, vmax).t_min_s, crossing_time_support(geom, vmin).t_max_s
+    ctl = SimControls(70000, 3, 2)
+    for tau in (0.0, 5e-324, 1.7e308, t_first, t_last):
+        _assert_staircase_is_exact(dg, model, tau)
+        p_hat = estimate_failure(geom, model, tau, ctl).p_hat
+        if tau in (0.0, 5e-324, 1.7e308):
+            assert p_hat == (tau == 1.7e308)
+
+
+def _whole_pairs(ctl):
+    """Every batch's heading and speed grid values, each batch drawn whole
+    with Generator.random: nb headings, then nb speeds."""
+    base, rem = divmod(ctl.samples, ctl.batches)
+    u_h, u_v = [], []
+    for batch in range(ctl.batches):
+        nb = base + (batch < rem)
+        r = np.random.Generator(np.random.Philox(key=np.array([ctl.seed, batch], dtype=np.uint64))).random(2 * nb)
+        u_h.append(r[:nb])
+        u_v.append(r[nb:])
+    return np.concatenate(u_h), np.concatenate(u_v)
+
+
+def test_uniform_path_steps_only_bin_ends_and_the_band_at_a_pinned_seed(monkeypatch):
+    # the uniform-speed path runs the hits step once on the 512 bin-end
+    # headings, and after that only on the drawn headings whose speed lies
+    # strictly between their bin's thresholds, a small share of the draw
+    calls, found = [], []
+    hits, staircase = montecarlo._ray_chord_hits_into, montecarlo._staircase
+    monkeypatch.setattr(montecarlo, "_ray_chord_hits_into", lambda r, w, h: calls.append(h.copy()) or hits(r, w, h))
+    monkeypatch.setattr(montecarlo, "_staircase", lambda *args: found.append(staircase(*args)) or found[-1])
+    ctl = SimControls(2**17 + 5, 11, 3)
+    p = estimate_failure(PINNED_GEOMETRY, SpeedModel.uniform(40.0, 60.0), 8.0, ctl).p_hat
+    assert p == 0.6769532412246237  # the estimate before the staircase
+    ((vh, vm), _), = found
+    half = derive_geometry(PINNED_GEOMETRY).chord_half_angle_rad
+    first, last = _bin_grid()
+    assert np.sort(calls[0]).tobytes() == np.sort(_to_heading(np.concatenate([first, last]), half)).tobytes()
+    # bin 128 starts at heading 0, so no bin holds headings of both signs
+    assert _to_heading([0.5], half)[0] == 0.0
+    u_h, u_v = _whole_pairs(ctl)
+    bins = (u_h * 256).astype(int)
+    band = (u_v < vh[bins]) & (u_v > vm[bins])
+    assert 0 < np.count_nonzero(band) < 0.01 * ctl.samples
+    stepped = np.sort(np.concatenate(calls[1:]))
+    assert stepped.tobytes() == np.sort(_to_heading(u_h[band], half)).tobytes()
+
+
+def _assert_least_on_grid(edge, u, half):
+    """u is the least grid value whose heading on [-half, half) is >= edge,
+    or 1.0 when none is."""
+    assert u * 2.0 ** 53 == math.floor(u * 2.0 ** 53) and 0.0 <= u <= 1.0
+    if u < 1.0:
+        assert _to_heading([u], half)[0] >= edge
+    else:
+        assert _to_heading([1.0 - GRID_STEP], half)[0] < edge
+    if u > 0.0:
+        assert _to_heading([u - GRID_STEP], half)[0] < edge
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(source=forward_frames(), v=st.floats(1.0, 60.0), share=st.floats(0.0, 1.0))
+@_pinned
+def test_grid_thresholds_are_the_least_grid_values_at_each_edge(source, v, share):
+    # the count paths compare draws on the grid: each of the screen's
+    # thresholds, an edge or the double beside it, maps to the least grid
+    # value at or above it, and so do headings around it and the range's ends
+    dg = source[1]
+    t_min, t_max = _support(dg, v)
+    paths = [(None, None, math.pi)] + [(SpeedModel.fixed(v), tau, dg.chord_half_angle_rad)
+                                       for tau in (0.0, t_min, t_min + share * (t_max - t_min), t_max)]
+    for speed, tau, half in paths:
+        edges = montecarlo._screen(dg, speed, tau)[0]
+        probes = [h for e in edges for h in _ulps_around(e, 3)] + [0.0, -0.0, -half, half, math.nextafter(half, 4.0),
+                                                                  math.nextafter(-half, -4.0), -4.0, 4.0]
+        for edge, u in zip(probes, montecarlo._on_grid(probes, -half, half)):
+            _assert_least_on_grid(edge, u, half)
+
+
+def test_screened_grid_count_equals_the_exact_step():
+    # with its draws on the grid, the screen's count of the grid values at
+    # and 64 steps around each threshold, and across the whole grid, is the
+    # exact step's on their headings, also where edges stay at their starts
+    for (_, dg), v, share in SCREEN_EXAMPLES:
+        t_min, t_max = _support(dg, v)
+        paths = [(None, None, math.pi)] + [(SpeedModel.fixed(v), tau, dg.chord_half_angle_rad)
+                                           for tau in (0.0, t_min * (1 - 1e-12), t_min, (t_min + t_max) / 2, t_max)]
+        for speed, tau, half in paths:
+            lo_out, lo_in, hi_in, hi_out = montecarlo._screen(dg, speed, tau)[0]
+            x = [math.nextafter(lo_out, math.inf), lo_in, math.nextafter(hi_in, math.inf), hi_out]
+            u = np.concatenate([_grid_near(montecarlo._on_grid(x, -half, half), range(-64, 65)),
+                                np.linspace(0.0, 1.0 - GRID_STEP, 4001)])
+            count = montecarlo._screen(dg, speed, tau, half)[1]
+            got = count(u.copy(), np.empty(u.size, dtype=bool))
+            assert got == _exact_count(dg, speed, tau, _to_heading(u, half))
