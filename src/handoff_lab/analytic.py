@@ -19,11 +19,12 @@ delay tau has elapsed, so the failure probability is exactly F(tau).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, _real_or_nan, coerce_numbers
-from .geometry import SQRT3, CellGeometry, DerivedGeometry, _derive, derive_geometry
+from .geometry import SQRT3, CellGeometry, DerivedGeometry, _lengths, derive_geometry
 
 # numpy is imported by _cdf_many alone, so the scalar closed forms run
 # without loading it.
@@ -33,6 +34,7 @@ if TYPE_CHECKING:
 # Residual tolerance for the overlap solver and width floor for its bracket.
 _ADAPT_TOL = 1e-9
 _ADAPT_MAX_ITER = 200
+_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -93,14 +95,20 @@ def _check_tau(tau_s: float) -> float:
     return tau
 
 
-def _support(dg: DerivedGeometry, v: float) -> Tuple[float, float]:
-    """(reach/v, grazing distance/v): the crossing-time support at speed v.
+def _span(reach: float, half_chord: float, v: float) -> Tuple[float, float]:
+    """(reach/v, grazing distance/v): the crossing-time support at speed v,
+    from the frame's two lengths.
 
     With a delay tau in place of v, the same pair is the slowest speed at
     which some heading crosses within tau and the slowest at which all do.
     An ndarray v gives a pair of arrays.
     """
-    return dg.trigger_to_chord_m / v, math.hypot(dg.trigger_to_chord_m, dg.half_chord_m) / v
+    return reach / v, math.hypot(reach, half_chord) / v
+
+
+def _support(dg: DerivedGeometry, v: float) -> Tuple[float, float]:
+    """_span on derived geometry."""
+    return _span(dg.trigger_to_chord_m, dg.half_chord_m, v)
 
 
 def crossing_time_support(geom: CellGeometry, v_mps: float) -> CrossingTimeSupport:
@@ -123,7 +131,11 @@ def false_handoff_probability(geom: CellGeometry) -> float:
     1 - half_angle/pi.  Scale-free: it depends on overlap only through
     that angle.
     """
-    dg = derive_geometry(geom)
+    return _false_handoff(derive_geometry(geom))
+
+
+def _false_handoff(dg: DerivedGeometry) -> float:
+    """false_handoff_probability on derived geometry."""
     return 1.0 - dg.chord_half_angle_rad / math.pi
 
 
@@ -134,6 +146,8 @@ def crossing_time_pdf(geom: CellGeometry, v_mps: float, t_s: float) -> float:
     1/sqrt singularity at t_min; returns 0 outside, including at t_min
     itself, and for a t_s that is not a finite real number.  Just above
     t_min, where 2*v*t_s rounds onto 2*reach, it returns t_min's 0 too.
+    A density beyond the largest double, next to t_min at the smallest
+    radii and fastest speeds, reads inf.
     """
     v_mps = _check_speed(v_mps)
     dg = derive_geometry(geom)
@@ -143,17 +157,29 @@ def crossing_time_pdf(geom: CellGeometry, v_mps: float, t_s: float) -> float:
     if not math.isfinite(t_s) or t_s <= t_min or t_s >= t_max:
         return 0.0
     radicand = (2.0 * v_mps * t_s) ** 2 - span ** 2
-    return span / (dg.chord_half_angle_rad * t_s * math.sqrt(radicand)) if radicand > 0.0 else 0.0
+    if not radicand > 0.0:
+        return 0.0
+    den = dg.chord_half_angle_rad * t_s * math.sqrt(radicand)
+    if not _NORMAL_MIN <= den < math.inf:
+        # t_s*sqrt(radicand) scales as radius^2/speed, which leaves the
+        # normal range at extreme radii and speeds; divide in two steps
+        return span / math.sqrt(radicand) / (dg.chord_half_angle_rad * t_s)
+    return span / den
 
 
-def _cdf(dg: DerivedGeometry, v: float, tau: float) -> float:
-    """crossing_time_cdf on derived geometry, without input checks."""
-    t_min, t_max = _support(dg, v)
+def _cdf(reach: float, half_chord: float, v: float, tau: float) -> float:
+    """crossing_time_cdf from the frame's two lengths, without input checks,
+    so the overlap solver's steps need no DerivedGeometry.
+
+    The chord half-angle is atan2(half_chord, reach), as _derive computes
+    it, and only the interior branch needs it.
+    """
+    t_min, t_max = _span(reach, half_chord, v)
     if tau <= t_min:
         return 0.0
     if tau >= t_max:
         return 1.0
-    value = math.acos(dg.trigger_to_chord_m / (v * tau)) / dg.chord_half_angle_rad
+    value = math.acos(reach / (v * tau)) / math.atan2(half_chord, reach)
     # clamp only after the branch logic; roundoff can nudge past the ends
     return min(1.0, max(0.0, value))
 
@@ -208,7 +234,8 @@ def crossing_time_cdf(geom: CellGeometry, v_mps: float, tau_s: float) -> float:
     across the support, 1 from t_max on.  The branches meet continuously
     at both ends.
     """
-    return _cdf(derive_geometry(geom), _check_speed(v_mps), _check_tau(tau_s))
+    dg = derive_geometry(geom)
+    return _cdf(dg.trigger_to_chord_m, dg.half_chord_m, _check_speed(v_mps), _check_tau(tau_s))
 
 
 def handoff_failure_probability(geom: CellGeometry, v_mps: float, tau_s: float) -> float:
@@ -298,11 +325,13 @@ def adapt_overlap(
         raise NotBracketedError(f"target_pf must be a positive number, got {given!r}")
 
     # Every bisection point lies in [0, hi] with hi below the overlap bound,
-    # so the radius is checked once and each step skips CellGeometry.
+    # so the radius is checked once and each step skips CellGeometry: it
+    # takes the frame's two lengths and builds no DerivedGeometry.
     a = CellGeometry(cell_radius_m).cell_radius_m
 
     def pf(overlap: float) -> float:
-        return _cdf(_derive(a, float(overlap)), v_mps, tau_s)
+        reach, half_chord = _lengths(a, overlap)
+        return _cdf(reach, half_chord, v_mps, tau_s)
 
     def solution(overlap: float) -> OverlapSolution:
         geom = CellGeometry(cell_radius_m, overlap)

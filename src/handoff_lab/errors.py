@@ -60,18 +60,22 @@ def coerce_numbers(
     included; bools, integers beyond float range and everything else raise
     InvalidParameterError, and so do infinities and NaN with finite=True.
     With each=True every field is a sequence, stored as a tuple of such
-    numbers.
+    numbers.  A value whose type is exactly float (exactly int with
+    integer=True) is already stored as it would be, so it skips the ABC
+    check and the conversion.
     """
+    plain = int if integer else float
     kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
 
     def coerce(value, name):
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise InvalidParameterError(f"must be {what}, got {value!r}", name)
-        try:
-            value = int(value) if integer else float(value)
-        except OverflowError:
-            # no repr: a long enough integer refuses conversion to a string
-            raise InvalidParameterError(f"must be {what} within float range", name) from None
+        if type(value) is not plain:
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise InvalidParameterError(f"must be {what}, got {value!r}", name)
+            try:
+                value = int(value) if integer else float(value)
+            except OverflowError:
+                # no repr: a long enough integer refuses conversion to a string
+                raise InvalidParameterError(f"must be {what} within float range", name) from None
         if finite and not math.isfinite(value):
             raise InvalidParameterError(f"must be finite, got {value!r}", name)
         return value

@@ -8,9 +8,11 @@ Three sweep kinds cover the quantities worth plotting:
     failure_vs_delay   failure probability vs signaling delay, one series
                        per overlap
 
-Every grid point's analytic value comes from the analytic module: one call
+Every grid point's analytic value comes from the analytic module's
+unchecked cores, since SweepSpec has checked every grid geometry: one call
 per point for false handoffs, one array call per series for failures, whose
-values equal the scalar handoff_failure_probability bit for bit.
+values equal the scalar false_handoff_probability and
+handoff_failure_probability bit for bit.
 When Monte Carlo controls are attached, each point gets an estimate and
 standard error from its own derived substream, so the whole table is a pure
 function of the sweep spec.
@@ -22,9 +24,9 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .analytic import SpeedModel, _cdf_many, false_handoff_probability
+from .analytic import SpeedModel, _cdf_many, _false_handoff
 from .errors import InvalidParameterError, coerce_numbers
-from .geometry import CellGeometry, derive_geometry
+from .geometry import CellGeometry, _derive, derive_geometry
 from .montecarlo import SimControls, derive_seed, estimate_failure, estimate_false_handoff
 
 SWEEP_KINDS = ("false_vs_overlap", "failure_vs_speed", "failure_vs_delay")
@@ -163,12 +165,14 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         columns = ["cell_radius_m", "overlap_m", "false_handoff_probability"]
         if spec.mc is not None:
             columns += ["estimate", "std_err"]
+        # SweepSpec has checked 0 <= axis.start and each radius with
+        # axis.stop, so each point goes through the unchecked core, and a
+        # CellGeometry is built only for the sampler
         for a in spec.cell_radius_m:
             for x in axis_values:
-                geom = CellGeometry(a, x)
-                row = [a, x, false_handoff_probability(geom)]
+                row = [a, x, _false_handoff(_derive(a, x))]
                 if spec.mc is not None:
-                    est = estimate_false_handoff(geom, mc_controls())
+                    est = estimate_false_handoff(CellGeometry(a, x), mc_controls())
                     row += [est.p_hat, est.std_err]
                 rows.append(tuple(row))
                 point_index += 1
@@ -185,7 +189,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     for ov in spec.overlap_m:
         geom = CellGeometry(a, ov)
         # SweepSpec keeps every speed in range and every delay finite and
-        # nonnegative, so the whole series goes through the unchecked core
+        # nonnegative, so the whole series goes through the unchecked core,
+        # on the derivation the geometry holds
         probs = _cdf_many(derive_geometry(geom), *speed_delay(grid)).tolist()
         for x, p in zip(axis_values, probs):
             row = [ov, x, p]

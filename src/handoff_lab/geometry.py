@@ -36,6 +36,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 SQRT3 = math.sqrt(3.0)
+# side_to_trigger over the radius: the disc's edge sits this far in front of the side
+_STANDOFF = (2.0 - SQRT3) / 2.0
 
 # How far outside [0, 1] the chord parameter of a hit may fall by roundoff.
 _ENDPOINT_SLACK = 4 * sys.float_info.epsilon
@@ -47,6 +49,9 @@ class CellGeometry:
 
     The overlap must satisfy 0 <= overlap_m < sqrt(3)/2 * cell_radius_m so
     the chord stays strictly between the hexagon side and the cell center.
+    Each instance holds its DerivedGeometry, computed once after the checks
+    and kept outside the fields, so equality, hashing and repr see only the
+    two numbers; derive_geometry returns it.
     """
 
     cell_radius_m: float
@@ -65,14 +70,16 @@ class CellGeometry:
             raise InvalidParameterError(
                 f"must lie in [0, {bound:.6g}) for cell_radius_m={a:.6g}, got {ov!r}", "overlap_m"
             )
+        object.__setattr__(self, "_derived", _derive(a, ov))
 
 
 class DerivedGeometry(NamedTuple):
     """Lengths and the half-angle derived from a CellGeometry.
 
     A NamedTuple rather than a frozen dataclass: it is just as immutable and
-    hashable, and every closed-form call builds one (the overlap solver one
-    per bisection step), which a tuple does in a third of the time.
+    hashable, and each CellGeometry builds one, which a tuple does in a third
+    of the time.  The overlap solver's bisection steps build none; they work
+    from _lengths alone.
     """
 
     side_to_trigger_m: float     # hexagon side to the trigger point
@@ -82,22 +89,27 @@ class DerivedGeometry(NamedTuple):
 
 
 def derive_geometry(geom: CellGeometry) -> DerivedGeometry:
-    """Compute the local handoff-region measurements for one cell pair.
+    """The local handoff-region measurements of one cell pair, which the
+    CellGeometry computed once when it was built.
 
     Invalid geometry raises at CellGeometry construction; nothing is clamped
     here.
     """
-    return _derive(geom.cell_radius_m, geom.overlap_m)
+    return geom._derived
+
+
+def _lengths(a: float, overlap: float) -> Tuple[float, float]:
+    """(trigger_to_chord, half_chord) for radius a and overlap, unchecked:
+    the two lengths of the module docstring's frame."""
+    return _STANDOFF * a + overlap, a / 2.0 + overlap / SQRT3
 
 
 def _derive(a: float, overlap: float) -> DerivedGeometry:
     """derive_geometry without the CellGeometry checks, for callers that
-    already know 0 <= overlap < sqrt(3)/2 * a (the overlap solver's bracket)."""
-    standoff = (2.0 - SQRT3) / 2.0 * a
-    reach = standoff + overlap
-    half_chord = a / 2.0 + overlap / SQRT3
+    already know 0 <= overlap < sqrt(3)/2 * a (a checked sweep axis)."""
+    reach, half_chord = _lengths(a, overlap)
     # positional: side_to_trigger, trigger_to_chord, half_chord, chord_half_angle
-    return DerivedGeometry(standoff, reach, half_chord, math.atan2(half_chord, reach))
+    return DerivedGeometry(_STANDOFF * a, reach, half_chord, math.atan2(half_chord, reach))
 
 
 def local_frame(geom: CellGeometry) -> Tuple[float, float]:

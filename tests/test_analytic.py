@@ -644,3 +644,91 @@ def test_adapt_overlap_unreachable_targets():
     # tau below the zero-overlap minimum crossing time: nothing can fail
     with pytest.raises(NotBracketedError):
         adapt_overlap(1000.0, 50.0, 1.0, 0.1)
+
+
+# ----------------------------------------------------------------------
+# properties over the whole range of radii and speeds
+# ----------------------------------------------------------------------
+
+def _decades():
+    """Numbers spread by decade over [1e-150, 1e150], the radius and speed bounds."""
+    return st.builds(lambda e, m: min(1e150, max(1e-150, m * 10.0**e)), st.integers(-150, 149), st.floats(1.0, 10.0))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(a=_decades(), frac=st.floats(0.0, 0.999), v=_decades())
+@example(a=1e-150, frac=0.0, v=1e150)
+@example(a=1e-150, frac=0.999, v=1e-150)
+@example(a=1e150, frac=0.0, v=1e-150)
+@example(a=1e150, frac=0.999, v=1e150)
+def test_pdf_is_a_density_over_radii_and_speeds(a, frac, v):
+    # nonnegative everywhere probed and of unit mass; quad runs on t/t_min,
+    # where the density is scale-free, so its tolerances mean the same at
+    # every radius and speed
+    geom = CellGeometry(a, frac * SQRT3 / 2.0 * a)
+    support = crossing_time_support(geom, v)
+    t_min, t_max = support.t_min_s, support.t_max_s
+    for t in (0.0, t_min, math.nextafter(t_min, math.inf), 0.5 * (t_min + t_max), math.nextafter(t_max, 0.0), t_max):
+        assert crossing_time_pdf(geom, v, t) >= 0.0
+    total, _ = quad(lambda s: t_min * crossing_time_pdf(geom, v, t_min * s), 1.0, t_max / t_min, limit=200)
+    assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_pdf_property_draws_reach_their_ranges(monkeypatch):
+    # a spy on the support shows the property's draws reach both ends of
+    # every range they come from
+    seen = []
+    support = crossing_time_support
+    monkeypatch.setattr(sys.modules[__name__], "crossing_time_support",
+                        lambda geom, v: seen.append((geom, v)) or support(geom, v))
+    test_pdf_is_a_density_over_radii_and_speeds()
+    radii = [geom.cell_radius_m for geom, _ in seen]
+    fracs = [geom.overlap_m / (SQRT3 / 2.0 * geom.cell_radius_m) for geom, _ in seen]
+    speeds = [v for _, v in seen]
+    assert min(radii) == 1e-150 and max(radii) == 1e150
+    assert min(fracs) == 0.0 and max(fracs) == pytest.approx(0.999)
+    assert min(speeds) == 1e-150 and max(speeds) == 1e150
+    # and the draws spread over the decades between
+    assert len({math.floor(math.log10(a)) for a in radii}) >= 15
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(a=_decades(), frac=st.floats(0.0, 0.999), v=_decades(), share=st.floats(0.02, 0.98))
+@example(a=1e-150, frac=0.0, v=1e150, share=0.02)
+@example(a=1e-150, frac=0.999, v=1e-150, share=0.98)
+@example(a=1e150, frac=0.0, v=1e-150, share=0.98)
+@example(a=1e150, frac=0.999, v=1e150, share=0.02)
+def test_adapt_overlap_round_trips_reachable_targets(a, frac, v, share):
+    # the failure probability of a drawn overlap at a delay a share of the
+    # way into its support is a reachable target; the solver finds that
+    # overlap again within its bracket width
+    overlap = frac * SQRT3 / 2.0 * a
+    geom = CellGeometry(a, overlap)
+    support = crossing_time_support(geom, v)
+    tau = support.t_min_s + share * (support.t_max_s - support.t_min_s)
+    pf = handoff_failure_probability(geom, v, tau)
+    solution = adapt_overlap(a, v, tau, pf)
+    assert abs(solution.overlap_m - overlap) <= 1e-6 * a
+    assert abs(solution.failure_probability - pf) <= 1e-9
+
+
+def test_adapt_overlap_round_trip_draws_reach_their_ranges(monkeypatch):
+    # a spy on the target's failure probability shows the property's draws
+    # reach both ends of every range they come from
+    seen = []
+    failure = handoff_failure_probability
+    monkeypatch.setattr(sys.modules[__name__], "handoff_failure_probability",
+                        lambda geom, v, tau: seen.append((geom, v, tau)) or failure(geom, v, tau))
+    test_adapt_overlap_round_trips_reachable_targets()
+    radii = [geom.cell_radius_m for geom, _, _ in seen]
+    fracs = [geom.overlap_m / (SQRT3 / 2.0 * geom.cell_radius_m) for geom, _, _ in seen]
+    speeds = [v for _, v, _ in seen]
+    shares = []
+    for geom, v, tau in seen:
+        support = crossing_time_support(geom, v)
+        shares.append((tau - support.t_min_s) / (support.t_max_s - support.t_min_s))
+    assert min(radii) == 1e-150 and max(radii) == 1e150
+    assert min(fracs) == 0.0 and max(fracs) == pytest.approx(0.999)
+    assert min(speeds) == 1e-150 and max(speeds) == 1e150
+    assert min(shares) == pytest.approx(0.02) and max(shares) == pytest.approx(0.98)
+    assert len({math.floor(math.log10(a)) for a in radii}) >= 15
