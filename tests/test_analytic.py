@@ -655,7 +655,7 @@ def _decades():
     return st.builds(lambda e, m: min(1e150, max(1e-150, m * 10.0**e)), st.integers(-150, 149), st.floats(1.0, 10.0))
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(derandomize=True, max_examples=20, deadline=None)
 @given(a=_decades(), frac=st.floats(0.0, 0.999), v=_decades())
 @example(a=1e-150, frac=0.0, v=1e150)
 @example(a=1e-150, frac=0.999, v=1e-150)
@@ -689,10 +689,10 @@ def test_pdf_property_draws_reach_their_ranges(monkeypatch):
     assert min(fracs) == 0.0 and max(fracs) == pytest.approx(0.999)
     assert min(speeds) == 1e-150 and max(speeds) == 1e150
     # and the draws spread over the decades between
-    assert len({math.floor(math.log10(a)) for a in radii}) >= 15
+    assert len({math.floor(math.log10(a)) for a in radii}) >= 10
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(derandomize=True, max_examples=25, deadline=None)
 @given(a=_decades(), frac=st.floats(0.0, 0.999), v=_decades(), share=st.floats(0.02, 0.98))
 @example(a=1e-150, frac=0.0, v=1e150, share=0.02)
 @example(a=1e-150, frac=0.999, v=1e-150, share=0.98)
@@ -731,4 +731,4 @@ def test_adapt_overlap_round_trip_draws_reach_their_ranges(monkeypatch):
     assert min(fracs) == 0.0 and max(fracs) == pytest.approx(0.999)
     assert min(speeds) == 1e-150 and max(speeds) == 1e150
     assert min(shares) == pytest.approx(0.02) and max(shares) == pytest.approx(0.98)
-    assert len({math.floor(math.log10(a)) for a in radii}) >= 15
+    assert len({math.floor(math.log10(a)) for a in radii}) >= 10

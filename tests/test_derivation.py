@@ -71,7 +71,7 @@ def _bits(x):
     return x.hex() if isinstance(x, float) else tuple(_bits(y) for y in x)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=30, deadline=None)
 @given(a=magnitudes(), frac=st.floats(0.0, 0.999), v=magnitudes(), share=st.floats(0.0, 1.0))
 @example(a=1e-150, frac=0.0, v=1e150, share=0.5)
 @example(a=1e-150, frac=0.999, v=1e-150, share=0.0)
@@ -152,7 +152,7 @@ def _outcome(solve, *args):
     return type(sol).__name__, _bits((sol.overlap_m, sol.failure_probability, sol.false_handoff_probability))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=20, deadline=None)
 @given(a=magnitudes(), v=magnitudes(), k=st.floats(0.1, 1.6), share=st.floats(0.0, 1.0))
 @example(a=1e-150, v=1e150, k=0.1, share=0.0)
 @example(a=1e150, v=1e-150, k=1.6, share=1.0)
@@ -172,7 +172,7 @@ def test_adapt_overlap_equals_the_solver_that_derived_each_step(a, v, k, share):
 
 
 @pytest.mark.parametrize("a", [1e-150, 1000.0, 1e150])
-@pytest.mark.parametrize("mc", [None, SimControls(samples=3000, seed=11, batches=2)])
+@pytest.mark.parametrize("mc", [None, SimControls(samples=200, seed=11, batches=2)])
 def test_false_vs_overlap_sweep_equals_the_direct_calls(a, mc):
     # the sweep takes the unchecked core and builds a CellGeometry only for
     # the sampler; each value equals the public call's and the written-out
@@ -185,7 +185,7 @@ def test_false_vs_overlap_sweep_equals_the_direct_calls(a, mc):
         expected = [a, spec.axis.points()[i], false_handoff_probability(geom)]
         assert _bits(row[2]) == _bits(1.0 - _written_out(a, row[1])[3] / math.pi)
         if mc is not None:
-            est = estimate_false_handoff(geom, SimControls(samples=3000, seed=derive_seed(11, i), batches=2))
+            est = estimate_false_handoff(geom, SimControls(samples=200, seed=derive_seed(11, i), batches=2))
             expected += [est.p_hat, est.std_err]
         assert _bits(row) == _bits(expected)
 
