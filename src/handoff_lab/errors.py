@@ -76,7 +76,7 @@ def coerce_numbers(
             except OverflowError:
                 # no repr: a long enough integer refuses conversion to a string
                 raise InvalidParameterError(f"must be {what} within float range", name) from None
-        if finite and not math.isfinite(value):
+        if finite and not integer and not math.isfinite(value):  # an int is always finite
             raise InvalidParameterError(f"must be finite, got {value!r}", name)
         return value
 

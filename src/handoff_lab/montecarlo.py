@@ -23,14 +23,18 @@ does, and run the exact step only on the few samples the screen leaves
 (see _sample).  Each decision is monotone: in the heading on either side of
 0 (a hit; a crossing before tau at a fixed speed), and in the speed for the
 headings of one bin (a crossing before tau at a uniform speed).  So false
-handoff and fixed-speed failure count against four edge headings, and
-uniform-speed failure against a staircase of two speed thresholds per
-heading bin.  Draws are compared as Philox's grid values k*2**-53, before
-any is mapped onto its range, so only the samples left over are mapped.
-The exact step checks each edge and threshold, so no count depends on how
-they were placed: counts and output bytes are the exact step's, and no
-closed form is read.  crossing_time_ecdf needs a time per sample; like the
-failure estimators, it draws only headings that hit the chord.
+handoff and fixed-speed failure count against four thresholds at edge
+headings, and uniform-speed failure against a staircase of two speed
+thresholds per heading bin.  Thresholds are placed on the draws' own
+scale, [0, 1], and each draw is compared with them as Philox gives it, a
+grid value k*2**-53, before any is mapped onto its range, so only the
+samples left over are mapped.  The map is monotone, and the exact step
+checks each threshold at the heading or speed the map gives it; one that
+fails falls back to a value that decides nothing (0, 1/2 or 1 for an edge,
++-inf for a speed threshold).  So no count depends on how the thresholds were placed: counts
+and output bytes are the exact step's, and no closed form is read.
+crossing_time_ecdf needs a time per sample; like the failure estimators,
+it draws only headings that hit the chord.
 """
 
 from __future__ import annotations
@@ -54,9 +58,7 @@ if TYPE_CHECKING:
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 16  # samples per kernel chunk, whatever the batch size
-# Generator.random draws grid values k * _GRID_STEP, 0 <= k < _GRID_END.
-_GRID_END = 1 << 53
-_GRID_STEP = 2.0 ** -53
+_GRID_STEP = 2.0 ** -53  # Generator.random draws grid values k * _GRID_STEP, 0 <= k < 2**53
 _BINS = 256  # heading bins of the uniform-speed staircase
 _BLOCK = 1 << 13  # grid values per staircase gather
 # Candidate margin of the KS screen in crossing_time_ecdf.  It only has to
@@ -140,10 +142,11 @@ def _batch_sizes(samples: int, batches: int) -> List[int]:
 
 
 def _scale(x, lo, hi):
-    """Grid values x in [0, 1) mapped onto [lo, hi) in place, with
-    Generator.uniform's own two operations, so each value is the draw that
-    uniform(lo, hi) makes from the same word.  Both operations round
-    monotonically, so the map never reverses an order."""
+    """Values x in [0, 1] mapped onto [lo, hi] in place, with
+    Generator.uniform's own two operations, so each grid value is the draw
+    that uniform(lo, hi) makes from the same word.  Both operations round
+    monotonically, so the map never reverses an order, for any double in
+    [0, 1]."""
     x *= hi - lo
     x += lo
     return x
@@ -166,38 +169,43 @@ def _sample(
 
     Without a speed, it draws headings uniform on [-pi, pi) and returns how
     many miss the chord.  With a speed, it draws headings uniform on [-H, H),
-    H dg's chord half-angle, all of which hit the chord (edges included, see
-    ray_chord_crossing_many); each crossing time is the distance from
+    H dg's chord half-angle, all of which hit the chord, edges included (the
+    miss step accepts a chord endpoint within _ENDPOINT_SLACK), so it skips
+    the miss step: each crossing time is the distance from
     _ray_chord_hits_into divided by the sample's speed.  Then either the
-    times go to out[sample] (out given) or it returns how many are below tau.
+    times go to out[sample] (out given) or it returns how many are below
+    tau.
 
     Without out, every path only counts, and no chunk maps its draws: each
-    is compared as drawn, a grid value k*2**-53 of Generator.random, with
-    thresholds mapped once per call onto that grid, and only the band of
-    samples no threshold decides is mapped onto its range and takes the
-    exact step.  With no speed or a fixed one, _screen counts the headings
-    in [lo_in, hi_in], not those below lo_out or above hi_out, with its four
-    edges mapped by _on_grid.  The decision is monotone in h on each side of
-    0 (s falls as h rises on (-pi/2, pi/2); t rises with |h|), and an edge
-    is kept only where the exact step, run on it, shows a margin of _ETA in
-    its output, never in h: s >= eta at hi_in, s <= 1 - eta at lo_in, s <
-    -slack - eta at hi_out and s > 1 + slack + eta at lo_out (slack:
-    _ENDPOINT_SLACK); t <= tau*(1 - eta) at the inner edges, t > tau*(1 +
-    eta) at the outer.  With a uniform speed, _staircase counts a pair as
-    crossing where its speed's grid value is at least VH of its heading's
-    bin and as not crossing where it is at most VM, each threshold kept only
-    where the exact step shows the same margin at the bin's extreme
-    distance.  The steps err by a few ulps, far below eta (radii and speeds
-    within [1e-150, 1e150] keep every time a normal double), and the true s
-    and t are monotone, so every sample beyond a kept edge or threshold gets
-    the decision its margin implies (a margin in h would not do: t is flat
-    in h near t_min).  So each count is the exact step's, whatever
-    _solve_edges and _solve_speeds return.
+    is compared as drawn, a grid value u = k*2**-53 of Generator.random,
+    with thresholds placed once per call as values in [0, 1], and only the
+    band of samples no threshold decides is mapped by _scale onto its range
+    and takes the exact step.  _scale is monotone for any double in [0, 1],
+    so a draw below (at or above) a threshold x maps at or below (at or
+    above) the heading or speed _scale(x), where the exact step checked it.
+    With no speed or a fixed one, _screen counts the draws in [x1, x2), not
+    those below x0 or from x3 on.  The decision is monotone in h on each
+    side of 0 (s falls as h rises on (-pi/2, pi/2), and a ray with cos h <=
+    0 misses; t rises with |h|), and an x is kept only where the exact step
+    at _scale(x) shows a margin of _ETA in its output, never in h: a hit
+    and s <= 1 - eta at x1, a hit and s >= eta at x2, s > 1 + slack + eta
+    at x0 and s < -slack - eta at x3 (slack: _ENDPOINT_SLACK); t <=
+    tau*(1 - eta) at x1 and x2, t > tau*(1 + eta) at x0 and x3.  Else it
+    falls back to 0, 1/2, 1/2 or 1, which decide nothing.  With a uniform
+    speed, _staircase counts a pair as crossing where its speed's grid value
+    is at least VH of its heading's bin and as not crossing where it is at
+    most VM, each threshold kept only where the exact step shows the same
+    margin at the bin's extreme distance.  The steps err by a few ulps, far
+    below eta (radii and speeds within [1e-150, 1e150] keep every time a
+    normal double), and the true s and t are monotone, so every sample
+    beyond a kept threshold gets the decision its margin implies (a margin
+    in h would not do: t is flat in h near t_min).  So each count is the
+    exact step's, whatever _solve_edges and _solve_speeds return.
     """
     import numpy as np
 
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-        raise InvalidParameterError(f"workers must be an integer >= 1, got {workers!r}")
+        raise InvalidParameterError(f"must be an integer >= 1, got {workers!r}", "workers")
     chunks, first = [], 0
     for batch, nb in enumerate(_batch_sizes(ctl.samples, ctl.batches)):
         chunks += [(batch, nb, start, min(_CHUNK, nb - start), first + start)
@@ -259,77 +267,50 @@ def _sample(
         return sum(pool.map(run, [chunks[w::workers] for w in range(workers)]))
 
 
-def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float], half: Optional[float] = None):
-    """_sample's edges [lo_out, lo_in, hi_in, hi_out] and count(values, mask),
-    how many of values miss (no speed) or cross before tau.  The values are
-    headings, or with half the kernel's grid values of headings on [-half,
-    half): each edge is then mapped once onto the grid (_on_grid), and only
-    the band's values are mapped to headings.  The edges are the mirror
-    pairs of _solve_edges' inner and outer heading, held in [tiny, cap]:
-    tiny keeps lo_out below 0, and up to cap (pi/2, past which every ray
-    misses, or the half-angle H that bounds the time paths' draws) each
-    decision is monotone.  The exact step runs once on the four; an edge
-    whose output misses its margin stays at its start: hi_in at -tiny, the
-    double below lo_in = 0, and the outer edges at +-end, past cap."""
+def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float], half: float):
+    """_sample's grid thresholds [x0, x1, x2, x3] for no speed or a fixed
+    one, and count(values, mask), how many of the grid values miss (no
+    speed) or cross before tau, their headings on [-half, half) mapped by
+    _scale.  _solve_edges' inner and outer headings, divided by 2*half and
+    held in [0, 1/2] (NaN stays NaN), give x = 1/2 -+ outer and 1/2 -+
+    inner.  The exact step runs once on the four headings _scale(x); an x
+    whose output misses its margin falls back to 0, 1/2, 1/2 or 1, the
+    grid's ends and its middle, which _scale maps to heading 0 exactly."""
     import numpy as np
 
     reach, w = dg.trigger_to_chord_m, dg.half_chord_m
-    cap, tiny = (math.pi / 2 if speed is None else dg.chord_half_angle_rad), math.ulp(0.0)
-    inner, outer = (min(max(h, tiny), cap) for h in _solve_edges(dg, speed, tau))
-    edges = [-outer, -inner, inner, outer]
-    at_edges = np.array(edges)
+    inner, outer = np.clip(np.divide(_solve_edges(dg, speed, tau), 2.0 * half), 0.0, 0.5).tolist()
+    x = [0.5 - outer, 0.5 - inner, 0.5 + inner, 0.5 + outer]
+    at_x = _scale(np.array(x), -half, half)
     if speed is None:
         def step(hs):  # how many of hs hit, by the exact miss step
             return hs.size - int(np.count_nonzero(_ray_chord_misses_into(reach, w, hs)))
-        _ray_chord_misses_into(reach, w, at_edges)  # s of each edge, in at_edges
-        (s0, s1, s2, s3), slack = at_edges.tolist(), _ENDPOINT_SLACK + _ETA
-        holds = [s0 > 1.0 + slack, s1 <= 1.0 - _ETA, s2 >= _ETA, s3 < -slack]
+        # the inner checks need a hit too: at +-pi s is near 1/2, but every ray misses
+        miss = _ray_chord_misses_into(reach, w, at_x).tolist()  # and s of each x, in at_x
+        (s0, s1, s2, s3), slack = at_x.tolist(), _ENDPOINT_SLACK + _ETA
+        holds = [s0 > 1.0 + slack, not miss[1] and s1 <= 1.0 - _ETA, not miss[2] and s2 >= _ETA, s3 < -slack]
     else:
         def step(hs):  # how many of hs cross before tau, by the hits step
             return int(np.count_nonzero(np.divide(_ray_chord_hits_into(reach, w, hs), speed.v_mps, out=hs) < tau))
-        t0, t1, t2, t3 = np.divide(_ray_chord_hits_into(reach, w, at_edges), speed.v_mps, out=at_edges).tolist()
+        t0, t1, t2, t3 = np.divide(_ray_chord_hits_into(reach, w, at_x), speed.v_mps, out=at_x).tolist()
         lo, hi = tau * (1.0 - _ETA), tau * (1.0 + _ETA)
         holds = [t0 > hi, t1 <= lo, t2 <= lo, t3 > hi]
-    end = math.nextafter(cap, math.inf)
-    lo_out, lo_in, hi_in, hi_out = (e if ok else s for e, ok, s in zip(edges, holds, [-end, 0.0, -tiny, end]))
-    # with h < x[k]: [x[1], x[2]) = [lo_in, hi_in] is counted, [x[0], x[1]) and [x[2], x[3]) the band
-    x = [math.nextafter(lo_out, math.inf), lo_in, math.nextafter(hi_in, math.inf), hi_out]
-    if half is not None:
-        x = _on_grid(x, -half, half)
+    # a value u < x[k] maps at or below _scale(x[k]): [x1, x2) is counted, [x0, x1) and [x2, x3) the band
+    x = [xk if ok else fall for xk, ok, fall in zip(x, holds, [0.0, 0.5, 0.5, 1.0])]
 
     def count(values, mask) -> int:
         below = [int(np.count_nonzero(np.less(values, xk, out=mask))) for xk in x]
         hits = below[2] - below[1]
         if band := below[3] - below[0] - hits:
             if band < len(values):
-                pick = np.less(values, x[0])  # in the band, an odd number of x exceed h
+                pick = np.less(values, x[0])  # in the band, an odd number of x exceed u
                 for xk in x[1:]:
                     pick ^= np.less(values, xk, out=mask)
                 values = values[pick]
-            hits += step(values if half is None else _scale(values, -half, half))
+            hits += step(_scale(values, -half, half))
         return hits if speed is not None else len(mask) - hits
 
-    return [lo_out, lo_in, hi_in, hi_out], count
-
-
-def _on_grid(edges, lo: float, hi: float) -> List[float]:
-    """For each heading edge, the least grid value u = k*2**-53 that _scale
-    maps onto [lo, hi) at or above it (1.0 when none does).  The map is
-    monotone, so a draw's heading lies below an edge exactly when its grid
-    value lies below the edge's.  k starts from the map solved for u and
-    steps, checking the map itself, to the least k; the solve is within a
-    step or two of it.  k*(span*2**-53) rounds as (k*2**-53)*span does, as
-    both are one rounding of the same exact product."""
-    span, end, grid = hi - lo, _GRID_END, []
-    unit, scale = span * _GRID_STEP, end / span
-    for e in edges:
-        k = math.ceil((e - lo) * scale)
-        while k < end and k * unit + lo < e:
-            k += 1
-        while k > 0 and (k - 1) * unit + lo >= e:
-            k -= 1
-        grid.append(min(max(k, 0), end) * _GRID_STEP)
-    return grid
+    return x, count
 
 
 def _staircase(dg: DerivedGeometry, speed: SpeedModel, tau: float):
@@ -463,7 +444,7 @@ def estimate_failure(
     """
     tau = _real_or_nan(tau_s)
     if not (math.isfinite(tau) and tau >= 0):
-        raise InvalidParameterError(f"tau_s must be finite and nonnegative, got {tau_s!r}")
+        raise InvalidParameterError(f"must be finite and nonnegative, got {tau_s!r}", "tau_s")
     model = speed if isinstance(speed, SpeedModel) else SpeedModel.fixed(speed)
     return _binomial(_sample(derive_geometry(geom), ctl, workers, speed=model, tau=tau), ctl)
 

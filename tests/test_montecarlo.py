@@ -191,8 +191,9 @@ def test_workers_must_be_a_positive_integer(workers):
         if isinstance(workers, np.integer):
             assert call(workers) == call(int(workers))
             continue
-        with pytest.raises(InvalidParameterError, match="workers"):
+        with pytest.raises(InvalidParameterError, match="workers") as err:
             call(workers)
+        assert err.value.key == "workers"
 
 
 # Captured before the estimators drew in chunks of 2**16 samples: sizes on
@@ -270,30 +271,42 @@ def test_false_handoff_misses_equal_nan_count_of_whole_draw(source, ctl, workers
     assert misses == expected
 
 
+GRID_STEP = 2.0 ** -53  # Generator.random draws k * 2**-53, 0 <= k < 2**53
+
+
+def _to_heading(u, half):
+    """Grid values mapped onto [-half, half) as Generator.uniform maps them."""
+    return np.asarray(u, dtype=float) * (half - -half) + -half
+
+
+def _grid_near(u, steps=(0, 1, -1, 64, -64)):
+    """The grid values at and around each finite u (rounded up onto the
+    grid), held in [0, 1)."""
+    u = np.asarray(u, dtype=float)
+    k = np.ceil(u[np.isfinite(u)] * 2.0 ** 53)
+    return np.clip(np.concatenate([k + s for s in steps]) * GRID_STEP, 0.0, 1.0 - GRID_STEP)
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(source=forward_frames())
 @example(source=WIDE_CHORD)
 def test_headings_past_the_screen_miss_the_chord(source):
-    # every heading the false-handoff screen counts as a miss unevaluated,
-    # below its lower outer edge or above its upper one, is one the exact
-    # intersection rejects, on any frame of this layout
-    lo_out, _, _, hi_out = montecarlo._screen(source[1], None, None)[0]
+    # every grid value the false-handoff screen counts as a miss unevaluated,
+    # below its lower outer threshold or from its upper one on, maps to a
+    # heading the exact intersection rejects, on any frame of this layout
+    x0, _, _, x3 = montecarlo._screen(source[1], None, None, math.pi)[0]
     rng = np.random.Generator(np.random.Philox(5))
-    headings = np.concatenate([
-        [hi_out, math.nextafter(hi_out, math.inf), math.pi],
-        rng.uniform(hi_out, math.pi, 100_000),
-        [lo_out, math.nextafter(lo_out, -math.inf), -math.pi],
-        rng.uniform(-math.pi, lo_out, 100_000),
-    ])
-    assert np.isnan(ray_chord_crossing_many(_frame(source[1]), headings)).all()
+    u = np.concatenate([_grid_near([x0, x3], range(-64, 65)), [0.0, 1.0 - GRID_STEP], rng.random(200_000)])
+    u = u[(u < x0) | (u >= x3)]
+    assert np.isnan(ray_chord_crossing_many(_frame(source[1]), _to_heading(u, math.pi))).all()
 
 
 def _whole_draw(ctl):
-    """Every batch's headings, drawn whole with Generator.uniform on [-pi, pi)."""
+    """Every batch's heading grid values, drawn whole with Generator.random."""
     base, rem = divmod(ctl.samples, ctl.batches)
     return np.concatenate([
         np.random.Generator(np.random.Philox(key=np.array([ctl.seed, batch], dtype=np.uint64)))
-        .uniform(-math.pi, math.pi, base + (batch < rem))
+        .random(base + (batch < rem))
         for batch in range(ctl.batches)
     ])
 
@@ -301,8 +314,8 @@ def _whole_draw(ctl):
 def test_failure_paths_skip_the_exact_intersection_at_a_pinned_seed(monkeypatch):
     # the time paths take every distance from the hits-only step and never
     # run the miss step; the false-handoff path runs it once before any
-    # chunk, on exactly the four solved edge headings, and after that only
-    # on the drawn headings in the band between the edges
+    # chunk, on exactly the headings of the four solved grid thresholds, and
+    # after that only on the drawn headings in the bands between them
     calls, found = [], []
     exact, screen = montecarlo._ray_chord_misses_into, montecarlo._screen
     monkeypatch.setattr(montecarlo, "_ray_chord_misses_into",
@@ -315,14 +328,17 @@ def test_failure_paths_skip_the_exact_intersection_at_a_pinned_seed(monkeypatch)
     assert calls == []
     found.clear()
     estimate_false_handoff(PINNED_GEOMETRY, ctl)
-    ((lo_out, lo_in, hi_in, hi_out), _), = found
+    ((x0, x1, x2, x3), _), = found
     inner, outer = montecarlo._solve_edges(derive_geometry(PINNED_GEOMETRY), None, None)
+    x = [0.5 - outer / (2 * math.pi), 0.5 - inner / (2 * math.pi), 0.5 + inner / (2 * math.pi),
+         0.5 + outer / (2 * math.pi)]
     search = [h for phase, h in calls if phase == 0]
-    assert [h.tolist() for h in search] == [[-outer, -inner, inner, outer]] == [[lo_out, lo_in, hi_in, hi_out]]
+    assert [h.tolist() for h in search] == [_to_heading(x, math.pi).tolist()]
+    assert [x0, x1, x2, x3] == x
     band = np.sort(np.concatenate([h for phase, h in calls if phase == 1] or [[]]))
     drawn = _whole_draw(ctl)
-    expected = drawn[((drawn > lo_out) & (drawn < lo_in)) | ((drawn > hi_in) & (drawn < hi_out))]
-    assert band.tobytes() == np.sort(expected).tobytes()
+    expected = drawn[((drawn >= x0) & (drawn < x1)) | ((drawn >= x2) & (drawn < x3))]
+    assert band.tobytes() == np.sort(_to_heading(expected, math.pi)).tobytes()
 
 
 def _exact_count(dg, speed, tau, headings) -> int:
@@ -334,60 +350,42 @@ def _exact_count(dg, speed, tau, headings) -> int:
     return int(np.count_nonzero(times < tau))
 
 
-def _ulps_around(x, n=64):
-    """x and the n doubles on either side of it."""
-    out = [x]
-    for toward in (-math.inf, math.inf):
-        y = x
-        for _ in range(n):
-            y = math.nextafter(y, toward)
-            out.append(y)
-    return out
+def _probes(x):
+    """Grid values around the screen's thresholds: 64 steps on either side
+    of each, a sweep across each band and as far again on either side of
+    it, and a sweep over the whole grid."""
+    parts = [_grid_near(x, range(-64, 65)), [0.0, 0.5 - GRID_STEP, 0.5, 1.0 - GRID_STEP],
+             np.linspace(0.0, 1.0 - GRID_STEP, 2001)]
+    for a, b in ((x[0], x[1]), (x[2], x[3])):
+        parts.append(_grid_near(np.linspace(a - (b - a), b + (b - a), 2001), [0]))
+    return np.concatenate(parts)
 
 
-def _probes(edges, half):
-    """Headings in [-half, half] around the screen's edges: 64 doubles on
-    either side of each, a sweep across each band and as far again on
-    either side of it, and a sweep over the whole range."""
-    lo_out, lo_in, hi_in, hi_out = edges
-    parts = [_ulps_around(e) for e in edges] + [[-half, half, 0.0, -0.0], np.linspace(-half, half, 2001)]
-    for a, b in ((lo_out, lo_in), (hi_in, hi_out)):
-        parts.append(np.linspace(a - (b - a), b + (b - a), 2001))
-    h = np.concatenate(parts)
-    return h[(h >= -half) & (h <= half)]
+# where each threshold falls back to when the exact step does not keep it
+FALLBACKS = [0.0, 0.5, 0.5, 1.0]
 
 
-def _cap(dg, speed):
-    """The largest heading the screen puts an edge at; its start sits one double past it."""
-    return math.pi / 2 if speed is None else dg.chord_half_angle_rad
-
-
-def _starts(dg, speed):
-    """Where each edge starts, and stays unless the exact step keeps it."""
-    end = math.nextafter(_cap(dg, speed), math.inf)
-    return [-end, 0.0, math.nextafter(0.0, -1.0), end]
-
-
-def _margin_checks(dg, speed, tau, edges):
-    """Whether each edge carries the screen's margin in the exact step's
-    output: s >= eta at hi_in and <= 1 - eta at lo_in, s < -slack - eta at
-    hi_out and > 1 + slack + eta at lo_out; or times at most tau*(1 - eta)
-    at the inner edges and above tau*(1 + eta) at the outer ones."""
-    eta, (reach, w) = montecarlo._ETA, _frame(dg)
+def _margin_checks(dg, speed, tau, x, half):
+    """Whether each threshold carries the screen's margin in the exact
+    step's output at its heading: a hit and s <= 1 - eta at x1, a hit and
+    s >= eta at x2, s > 1 + slack + eta at x0 and s < -slack - eta at x3;
+    or times at most tau*(1 - eta) at x1 and x2 and above tau*(1 + eta) at
+    x0 and x3."""
+    eta, (reach, w), h = montecarlo._ETA, _frame(dg), _to_heading(x, half)
     if speed is None:
-        s = np.array(edges)
+        hit = np.isfinite(ray_chord_crossing_many((reach, w), h))
+        s = h.copy()
         _ray_chord_misses_into(reach, w, s)
         slack = _ENDPOINT_SLACK + eta
-        return [s[0] > 1 + slack, s[1] <= 1 - eta, s[2] >= eta, s[3] < -slack]
-    t = np.divide(_ray_chord_hits_into(reach, w, np.array(edges)), speed.v_mps)
+        return [s[0] > 1 + slack, hit[1] and s[1] <= 1 - eta, hit[2] and s[2] >= eta, s[3] < -slack]
+    t = np.divide(_ray_chord_hits_into(reach, w, h), speed.v_mps)
     return [t[0] > tau * (1 + eta), t[1] <= tau * (1 - eta), t[2] <= tau * (1 - eta), t[3] > tau * (1 + eta)]
 
 
-def _margins_hold(dg, speed, tau, edges) -> bool:
-    """Whether each edge carries its margin (_margin_checks) or is still at
-    its start (0 or the double below it, +-end)."""
-    started = [e == s for e, s in zip(edges, _starts(dg, speed))]
-    return all(ok or start for ok, start in zip(_margin_checks(dg, speed, tau, edges), started))
+def _margins_hold(dg, speed, tau, x, half) -> bool:
+    """Whether each threshold carries its margin (_margin_checks) or is at its fallback."""
+    checks = _margin_checks(dg, speed, tau, x, half)
+    return all(ok or xk == fall for ok, xk, fall in zip(checks, x, FALLBACKS))
 
 
 # the screen's property draws: forward frames, speeds, and a share of each
@@ -411,12 +409,12 @@ def _pinned(test):
 @given(source=forward_frames(), v=st.floats(1.0, 60.0), share=st.floats(0.0, 1.0))
 @_pinned
 def test_screened_count_equals_the_exact_step(source, v, share):
-    # the count-only paths count headings by comparing them with four edge
-    # headings and run the exact step only in the band between; for false
-    # handoff and a fixed speed at taus on and next to the ends of the
-    # support, the screen's count of headings next to each edge, across
-    # each band and over the whole range is the exact step's, and each edge
-    # carries its margin
+    # the count-only paths count grid values by comparing them with four
+    # grid thresholds and run the exact step only in the bands between; for
+    # false handoff and a fixed speed at taus on and next to the ends of the
+    # support, the screen's count of grid values next to each threshold,
+    # across each band and over the whole grid is the exact step's on their
+    # headings, and each threshold carries its margin or is at its fallback
     dg = source[1]
     t_min, t_max = _support(dg, v)
     taus = [t_min, math.nextafter(t_min, math.inf), t_min * (1 + 1e-12), t_max,
@@ -427,16 +425,15 @@ def test_screened_count_equals_the_exact_step(source, v, share):
 
 
 def _assert_screen_is_exact(dg, speed, tau, half):
-    """The screen's edges are ordered and carry their margins, and its count
-    of _probes is the exact step's."""
-    edges, count = montecarlo._screen(dg, speed, tau)
-    lo_out, lo_in, hi_in, hi_out = edges
-    # [lo_in, hi_in] is empty (hi_in the double below lo_in = 0) unless an inner edge is kept
-    assert lo_out < lo_in <= math.nextafter(hi_in, math.inf) and hi_in < hi_out
-    assert _margins_hold(dg, speed, tau, edges)
-    h = _probes(edges, half)
-    assert count(h.copy(), np.empty(h.shape, dtype=bool)) == _exact_count(dg, speed, tau, h)
-    return edges
+    """The screen's thresholds are ordered and carry their margins, and its
+    count of _probes is the exact step's on their headings."""
+    x, count = montecarlo._screen(dg, speed, tau, half)
+    # [x1, x2) is empty (both at 1/2) unless an inner threshold is kept
+    assert 0.0 <= x[0] <= x[1] <= 0.5 <= x[2] <= x[3] <= 1.0
+    assert _margins_hold(dg, speed, tau, x, half)
+    u = _probes(x)
+    assert count(u.copy(), np.empty(u.shape, dtype=bool)) == _exact_count(dg, speed, tau, _to_heading(u, half))
+    return x
 
 
 def test_screen_property_draws_reach_their_ranges(monkeypatch):
@@ -449,7 +446,7 @@ def test_screen_property_draws_reach_their_ranges(monkeypatch):
     test_screened_count_equals_the_exact_step()
     bare = [dg for dg, _ in seen if dg.side_to_trigger_m == 0.0]
     cells = [dg for dg, _ in seen if dg.side_to_trigger_m > 0.0]
-    speeds = [speed.v_mps for _, (speed, _) in seen if speed is not None]
+    speeds = [speed.v_mps for _, (speed, *_) in seen if speed is not None]
     offsets = [math.pi / 2 - dg.chord_half_angle_rad for dg in bare]
     assert min(offsets) == pytest.approx(1e-7) and max(offsets) == pytest.approx(0.5)
     assert min(dg.trigger_to_chord_m for dg in bare) == 1e-3 and max(dg.trigger_to_chord_m for dg in bare) == 1e3
@@ -471,7 +468,8 @@ def _at_half_the_margin(dg, speed, tau):
 
 
 # solves that miss the edges: each makes [inner, outer] from the true ones
-# and _solve_edges' arguments
+# and _solve_edges' arguments; past pi/2 every ray misses, though s at
+# headings past 1.6 rad, at pi and at +-inf (held at pi) lies inside [0, 1]
 WRONG_SOLVES = {
     "swapped": lambda inner, outer, args: [outer, inner],
     "midway": lambda inner, outer, args: [(inner + outer) / 2] * 2,
@@ -480,14 +478,18 @@ WRONG_SOLVES = {
     "negative": lambda inner, outer, args: [-inner, -outer],
     "past the range": lambda inner, outer, args: [math.pi, 4.0],
     "nan": lambda inner, outer, args: [math.nan, math.nan],
+    "past pi/2": lambda inner, outer, args: [1.6, 2.0],
+    "just past pi/2": lambda inner, outer, args: [math.nextafter(math.pi / 2, math.inf)] * 2,
+    "infinite": lambda inner, outer, args: [math.inf, -math.inf],
 }
 
 
 @pytest.mark.parametrize("wrong", WRONG_SOLVES.values(), ids=WRONG_SOLVES.keys())
 def test_screen_keeps_only_edges_the_exact_step_checks(monkeypatch, wrong):
     # the screen trusts no solved edge: whatever _solve_edges returns, every
-    # count is the exact step's, an edge is kept (held in [tiny, cap]) only
-    # where its margin holds, and every other edge stays at its start
+    # count is the exact step's, a threshold 1/2 -+ edge/(2*half) (the edge
+    # held in [0, half]) is kept only where its margin holds, and every
+    # other threshold is at its fallback
     solve = montecarlo._solve_edges
     monkeypatch.setattr(montecarlo, "_solve_edges", lambda *args: wrong(*solve(*args), args))
     for source, v, share in SCREEN_EXAMPLES:
@@ -496,23 +498,23 @@ def test_screen_keeps_only_edges_the_exact_step_checks(monkeypatch, wrong):
         paths = [(None, None, math.pi)] + [(SpeedModel.fixed(v), tau, dg.chord_half_angle_rad)
                                            for tau in (t_min, t_min + share * (t_max - t_min), t_max)]
         for speed, tau, half in paths:
-            edges = _assert_screen_is_exact(dg, speed, tau, half)
+            x = _assert_screen_is_exact(dg, speed, tau, half)
             args = dg, speed, tau
-            inner, outer = (min(max(h, math.ulp(0.0)), _cap(dg, speed)) for h in wrong(*solve(*args), args))
-            candidates = [-outer, -inner, inner, outer]
-            kept = _margin_checks(dg, speed, tau, candidates)
-            assert edges == [c if ok else s for c, ok, s in zip(candidates, kept, _starts(dg, speed))]
+            inner, outer = (float(np.clip(h / (2 * half), 0.0, 0.5)) for h in wrong(*solve(*args), args))
+            candidates = [0.5 - outer, 0.5 - inner, 0.5 + inner, 0.5 + outer]
+            kept = _margin_checks(dg, speed, tau, candidates, half)
+            assert x == [c if ok else fall for c, ok, fall in zip(candidates, kept, FALLBACKS)]
 
 
 def test_solved_edges_are_kept_where_edges_exist():
     # the solve lands where the check keeps it: for false handoff and for a
-    # tau inside the support, no edge falls back to its start, so the band
-    # stays thin
+    # tau inside the support, no threshold falls back, so the bands stay thin
     for (_, dg), v, _ in SCREEN_EXAMPLES:
         t_min, t_max = _support(dg, v)
-        for speed, tau in ((None, None), (SpeedModel.fixed(v), (t_min + t_max) / 2)):
-            edges = montecarlo._screen(dg, speed, tau)[0]
-            assert all(e != s for e, s in zip(edges, _starts(dg, speed)))
+        for speed, tau, half in ((None, None, math.pi), (SpeedModel.fixed(v), (t_min + t_max) / 2,
+                                                         dg.chord_half_angle_rad)):
+            x = montecarlo._screen(dg, speed, tau, half)[0]
+            assert all(xk != fall for xk, fall in zip(x, FALLBACKS))
 
 
 def test_speeds_past_their_bound_are_refused():
@@ -660,8 +662,10 @@ def test_fixed_speed_accepts_plain_number():
 
 
 def test_failure_estimate_validation():
-    with pytest.raises(InvalidParameterError):
-        estimate_failure(KM_CELL, 50.0, -1.0, SimControls(samples=10, seed=0))
+    for tau in (-1.0, math.inf, math.nan, True, "3"):
+        with pytest.raises(InvalidParameterError) as err:
+            estimate_failure(KM_CELL, 50.0, tau, SimControls(samples=10, seed=0))
+        assert (err.value.key, str(err.value)) == ("tau_s", f"tau_s must be finite and nonnegative, got {tau!r}")
     with pytest.raises(InvalidParameterError):
         estimate_failure(KM_CELL, 0.0, 3.0, SimControls(samples=10, seed=0))
 
@@ -808,17 +812,8 @@ def test_derive_seed_range():
 
 
 # ----------------------------------------------------------------------
-# draws compared on Philox's grid: the uniform-speed staircase and the
-# screen's grid thresholds
+# the uniform-speed staircase, on Philox's grid
 # ----------------------------------------------------------------------
-
-GRID_STEP = 2.0 ** -53  # Generator.random draws k * 2**-53, 0 <= k < 2**53
-
-
-def _to_heading(u, half):
-    """Grid values mapped onto [-half, half) as Generator.uniform maps them."""
-    return np.asarray(u, dtype=float) * (half - -half) + -half
-
 
 def _to_speed(u, speed):
     """Grid values mapped onto a uniform model's [vmin, vmax) as Generator.uniform maps them."""
@@ -835,14 +830,6 @@ def _bin_grid():
     """Each of the 256 heading bins' first and last grid value."""
     first = np.arange(256) * 2.0 ** -8
     return first, first + (2.0 ** -8 - GRID_STEP)
-
-
-def _grid_near(u, steps=(0, 1, -1, 64, -64)):
-    """The grid values at and around each finite u (rounded up onto the
-    grid), held in [0, 1)."""
-    u = np.asarray(u, dtype=float)
-    k = np.ceil(u[np.isfinite(u)] * 2.0 ** 53)
-    return np.clip(np.concatenate([k + s for s in steps]) * GRID_STEP, 0.0, 1.0 - GRID_STEP)
 
 
 def _staircase_probes(tables):
@@ -1072,50 +1059,14 @@ def test_uniform_path_steps_only_bin_ends_and_the_band_at_a_pinned_seed(monkeypa
     assert stepped.tobytes() == np.sort(_to_heading(u_h[band], half)).tobytes()
 
 
-def _assert_least_on_grid(edge, u, half):
-    """u is the least grid value whose heading on [-half, half) is >= edge,
-    or 1.0 when none is."""
-    assert u * 2.0 ** 53 == math.floor(u * 2.0 ** 53) and 0.0 <= u <= 1.0
-    if u < 1.0:
-        assert _to_heading([u], half)[0] >= edge
-    else:
-        assert _to_heading([1.0 - GRID_STEP], half)[0] < edge
-    if u > 0.0:
-        assert _to_heading([u - GRID_STEP], half)[0] < edge
-
-
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(source=forward_frames(), v=st.floats(1.0, 60.0), share=st.floats(0.0, 1.0))
-@_pinned
-def test_grid_thresholds_are_the_least_grid_values_at_each_edge(source, v, share):
-    # the count paths compare draws on the grid: each of the screen's
-    # thresholds, an edge or the double beside it, maps to the least grid
-    # value at or above it, and so do headings around it and the range's ends
-    dg = source[1]
-    t_min, t_max = _support(dg, v)
-    paths = [(None, None, math.pi)] + [(SpeedModel.fixed(v), tau, dg.chord_half_angle_rad)
-                                       for tau in (0.0, t_min, t_min + share * (t_max - t_min), t_max)]
-    for speed, tau, half in paths:
-        edges = montecarlo._screen(dg, speed, tau)[0]
-        probes = [h for e in edges for h in _ulps_around(e, 3)] + [0.0, -0.0, -half, half, math.nextafter(half, 4.0),
-                                                                  math.nextafter(-half, -4.0), -4.0, 4.0]
-        for edge, u in zip(probes, montecarlo._on_grid(probes, -half, half)):
-            _assert_least_on_grid(edge, u, half)
-
-
 def test_screened_grid_count_equals_the_exact_step():
-    # with its draws on the grid, the screen's count of the grid values at
-    # and 64 steps around each threshold, and across the whole grid, is the
-    # exact step's on their headings, also where edges stay at their starts
-    for (_, dg), v, share in SCREEN_EXAMPLES:
+    # the screen's count is the exact step's also where thresholds fall
+    # back: below the support no heading crosses in time, so no inner
+    # threshold is kept and [x1, x2) is empty
+    for (_, dg), v, _ in SCREEN_EXAMPLES:
         t_min, t_max = _support(dg, v)
-        paths = [(None, None, math.pi)] + [(SpeedModel.fixed(v), tau, dg.chord_half_angle_rad)
-                                           for tau in (0.0, t_min * (1 - 1e-12), t_min, (t_min + t_max) / 2, t_max)]
-        for speed, tau, half in paths:
-            lo_out, lo_in, hi_in, hi_out = montecarlo._screen(dg, speed, tau)[0]
-            x = [math.nextafter(lo_out, math.inf), lo_in, math.nextafter(hi_in, math.inf), hi_out]
-            u = np.concatenate([_grid_near(montecarlo._on_grid(x, -half, half), range(-64, 65)),
-                                np.linspace(0.0, 1.0 - GRID_STEP, 4001)])
-            count = montecarlo._screen(dg, speed, tau, half)[1]
-            got = count(u.copy(), np.empty(u.size, dtype=bool))
-            assert got == _exact_count(dg, speed, tau, _to_heading(u, half))
+        _assert_screen_is_exact(dg, None, None, math.pi)
+        for tau in (0.0, t_min * (1 - 1e-12), t_min, (t_min + t_max) / 2, t_max):
+            x = _assert_screen_is_exact(dg, SpeedModel.fixed(v), tau, dg.chord_half_angle_rad)
+            if tau < t_min:
+                assert x[1] == x[2] == 0.5
