@@ -373,9 +373,8 @@ def _margin_checks(dg, speed, tau, x, half):
     x0 and x3."""
     eta, (reach, w), h = montecarlo._ETA, _frame(dg), _to_heading(x, half)
     if speed is None:
-        hit = np.isfinite(ray_chord_crossing_many((reach, w), h))
         s = h.copy()
-        _ray_chord_misses_into(reach, w, s)
+        hit = ~_ray_chord_misses_into(reach, w, s)
         slack = _ENDPOINT_SLACK + eta
         return [s[0] > 1 + slack, hit[1] and s[1] <= 1 - eta, hit[2] and s[2] >= eta, s[3] < -slack]
     t = np.divide(_ray_chord_hits_into(reach, w, h), speed.v_mps)
