@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, _real_or_nan, coerce_numbers
-from .geometry import SQRT3, CellGeometry, DerivedGeometry, _lengths, derive_geometry
+from .geometry import SQRT3, CellGeometry, DerivedGeometry, _derive, _lengths, derive_geometry
 
 # numpy is imported by _cdf_many alone, so the scalar closed forms run
 # without loading it.
@@ -325,8 +325,8 @@ def adapt_overlap(
         raise NotBracketedError(f"target_pf must be a positive number, got {given!r}")
 
     # Every bisection point lies in [0, hi] with hi below the overlap bound,
-    # so the radius is checked once and each step skips CellGeometry: it
-    # takes the frame's two lengths and builds no DerivedGeometry.
+    # so the radius is checked once and neither a step nor the solution
+    # builds a CellGeometry: each works from the frame's two lengths.
     a = CellGeometry(cell_radius_m).cell_radius_m
 
     def pf(overlap: float) -> float:
@@ -334,12 +334,7 @@ def adapt_overlap(
         return _cdf(reach, half_chord, v_mps, tau_s)
 
     def solution(overlap: float) -> OverlapSolution:
-        geom = CellGeometry(cell_radius_m, overlap)
-        return OverlapSolution(
-            overlap_m=overlap,
-            failure_probability=handoff_failure_probability(geom, v_mps, tau_s),
-            false_handoff_probability=false_handoff_probability(geom),
-        )
+        return OverlapSolution(overlap, pf(overlap), _false_handoff(_derive(a, overlap)))
 
     lo, hi = 0.0, SQRT3 / 2.0 * a - 1e-9 * a
     pf_lo, pf_hi = pf(lo), pf(hi)

@@ -18,23 +18,39 @@ the batch sizes, never on the worker count; workers split the chunks, and
 counts (integers) and per-sample values do not depend on who computed
 them, so results are identical under any worker count.
 
+Each exact step is written once: _times gives the crossing times of grid
+pairs (heading, speed), and _hits counts the pairs the exact step says yes
+to, rays that hit the chord with no speed and crossings before tau with
+one.  The kernel's time path and the screens' bands and checks use them.
+
 The estimators that only count screen, as crossing_time_ecdf's KS step
-does, and run the exact step only on the few samples the screen leaves
-(see _sample).  Each decision is monotone: in the heading on either side of
-0 (a hit; a crossing before tau at a fixed speed), and in the speed for the
-headings of one bin (a crossing before tau at a uniform speed).  So false
-handoff and fixed-speed failure count against four thresholds at edge
-headings, and uniform-speed failure against a staircase of two speed
-thresholds per heading bin.  Thresholds are placed on the draws' own
-scale, [0, 1], and each draw is compared with them as Philox gives it, a
-grid value k*2**-53, before any is mapped onto its range, so only the
-samples left over are mapped.  The map is monotone, and the exact step
-checks each threshold at the heading or speed the map gives it; one that
-fails falls back to a value that decides nothing (0, 1/2 or 1 for an edge,
-+-inf for a speed threshold).  So no count depends on how the thresholds were placed: counts
-and output bytes are the exact step's, and no closed form is read.
-crossing_time_ecdf needs a time per sample; like the failure estimators,
-it draws only headings that hit the chord.
+does.  False handoff and fixed-speed failure compare each heading's grid
+value with four edge thresholds (_screen), uniform-speed failure each
+pair's speed with two thresholds of its heading's bin (_staircase); the
+thresholds are placed once per call on the draws' own scale, [0, 1], and
+only the band no threshold decides is mapped and goes to _hits.  Each
+count is the exact step's on every sample, whatever the solves return:
+
+- The map is monotone.  _scale rounds monotonically for any double in
+  [0, 1], so a draw below (at or above) x maps at or below (at or above)
+  _scale(x), and each decision is monotone in the heading on either side
+  of 0 and in the speed within a heading bin.
+- The margin lies in the step's output.  A threshold is kept only where
+  the exact step at _scale(x) shows a margin of _ETA in s or in t against
+  tau, never in the heading (t is flat in h near t_min).  The steps err by
+  a few ulps, far below _ETA (radii and speeds within [1e-150, 1e150] keep
+  every time a normal double), so every sample beyond a kept threshold
+  gets the decision its margin implies.
+- Each fallback decides nothing: 0, 1/2, 1/2 or 1 for an edge (the grid's
+  ends and its middle, which _scale maps to heading 0 exactly), +-inf for
+  a speed threshold, so the band takes in every sample it leaves.
+- One step serves both check and band.  Each check runs the arithmetic of
+  the samples it decides: _times, the miss step under _hits, or on each
+  bin's extreme headings the hits step and divide of _times.
+
+So counts and output bytes are the exact step's, and no closed form is
+read.  crossing_time_ecdf needs a time per sample; like the failure
+estimators, it draws only headings that hit the chord.
 """
 
 from __future__ import annotations
@@ -44,7 +60,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .analytic import SpeedModel, _cdf_many, _check_tau
 from .errors import InvalidParameterError, _real_or_nan, coerce_numbers
@@ -65,9 +81,7 @@ _BLOCK = 1 << 13  # grid values per staircase gather
 # exceed twice the ~1e-15 error of the fast CDF; a wider margin admits more
 # candidates but never changes the statistic.
 _KS_SCREEN = 1e-9
-# Margin of _sample's edge screen and staircase in the exact step's output (s, or t/tau), far above its
-# few-ulp error.
-_ETA = 1e-9
+_ETA = 1e-9  # the screens' margin in the exact step's output (module docstring)
 
 # One Philox bit generator and its Generator per thread, built on first use:
 # constructing a Philox draws OS entropy for a seed sequence the kernel never
@@ -136,11 +150,6 @@ def _thread_generator():
     return pair
 
 
-def _batch_sizes(samples: int, batches: int) -> List[int]:
-    base, rem = divmod(samples, batches)
-    return [base + 1 if i < rem else base for i in range(batches)]
-
-
 def _scale(x, lo, hi):
     """Values x in [0, 1] mapped onto [lo, hi] in place, with
     Generator.uniform's own two operations, so each grid value is the draw
@@ -164,63 +173,26 @@ def _sample(
     """The one Monte Carlo kernel: every sample of ctl, drawn and reduced in
     chunks of _CHUNK samples, in buffers allocated once per worker (per
     chunk only the band's samples and the staircase's two _BLOCK-sized
-    gather buffers).  It works from dg's two lengths, trigger_to_chord_m and
-    half_chord_m.
-
-    Without a speed, it draws headings uniform on [-pi, pi) and returns how
-    many miss the chord.  With a speed, it draws headings uniform on [-H, H),
-    H dg's chord half-angle, all of which hit the chord, edges included (the
-    miss step accepts a chord endpoint within _ENDPOINT_SLACK), so it skips
-    the miss step: each crossing time is the distance from
-    _ray_chord_hits_into divided by the sample's speed.  Then either the
-    times go to out[sample] (out given) or it returns how many are below
-    tau.
-
-    Without out, every path only counts, and no chunk maps its draws: each
-    is compared as drawn, a grid value u = k*2**-53 of Generator.random,
-    with thresholds placed once per call as values in [0, 1], and only the
-    band of samples no threshold decides is mapped by _scale onto its range
-    and takes the exact step.  _scale is monotone for any double in [0, 1],
-    so a draw below (at or above) a threshold x maps at or below (at or
-    above) the heading or speed _scale(x), where the exact step checked it.
-    With no speed or a fixed one, _screen counts the draws in [x1, x2), not
-    those below x0 or from x3 on.  The decision is monotone in h on each
-    side of 0 (s falls as h rises on (-pi/2, pi/2), and a ray with cos h <=
-    0 misses; t rises with |h|), and an x is kept only where the exact step
-    at _scale(x) shows a margin of _ETA in its output, never in h: a hit
-    and s <= 1 - eta at x1, a hit and s >= eta at x2, s > 1 + slack + eta
-    at x0 and s < -slack - eta at x3 (slack: _ENDPOINT_SLACK); t <=
-    tau*(1 - eta) at x1 and x2, t > tau*(1 + eta) at x0 and x3.  Else it
-    falls back to 0, 1/2, 1/2 or 1, which decide nothing.  With a uniform
-    speed, _staircase counts a pair as crossing where its speed's grid value
-    is at least VH of its heading's bin and as not crossing where it is at
-    most VM, each threshold kept only where the exact step shows the same
-    margin at the bin's extreme distance.  The steps err by a few ulps, far
-    below eta (radii and speeds within [1e-150, 1e150] keep every time a
-    normal double), and the true s and t are monotone, so every sample
-    beyond a kept threshold gets the decision its margin implies (a margin
-    in h would not do: t is flat in h near t_min).  So each count is the
-    exact step's, whatever _solve_edges and _solve_speeds return.
+    gather buffers).  With out given, each sample's time from _times goes
+    to out[sample]; without, it returns how many samples _hits counts, by
+    _screen (no speed or a fixed one) or _staircase (a uniform one) and
+    _hits on their bands only.
     """
     import numpy as np
 
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise InvalidParameterError(f"must be an integer >= 1, got {workers!r}", "workers")
+    base, rem = divmod(ctl.samples, ctl.batches)  # the first rem batches hold one more sample
     chunks, first = [], 0
-    for batch, nb in enumerate(_batch_sizes(ctl.samples, ctl.batches)):
+    for batch in range(ctl.batches):
+        nb = base + (batch < rem)
         chunks += [(batch, nb, start, min(_CHUNK, nb - start), first + start)
                    for start in range(0, nb, _CHUNK)]
         first += nb
     width = min(_CHUNK, -(-ctl.samples // ctl.batches))  # the largest batch, at most a chunk
     drawn = speed is not None and speed.kind == "uniform"
-    reach, w = dg.trigger_to_chord_m, dg.half_chord_m
-    half_range = math.pi if speed is None else dg.chord_half_angle_rad
-    if out is not None:
-        count = None
-    elif drawn:
-        count = _staircase(dg, speed, tau)[1]
-    else:
-        count = _screen(dg, speed, tau, half_range)[1]
+    screen = _staircase if drawn else _screen
+    count = None if out is not None else screen(dg, speed, tau)[1]
 
     def run(jobs) -> int:
         key, counter = [ctl.seed, 0], [0, 0, 0, 0]
@@ -250,9 +222,7 @@ def _sample(
             if count is not None:
                 hits += count(u, u_v, mask) if drawn else count(u, mask[:m])
                 continue
-            dist = _ray_chord_hits_into(reach, w, _scale(u, -half_range, half_range))
-            np.divide(dist, _scale(u_v, speed.vmin_mps, speed.vmax_mps) if drawn else speed.v_mps,
-                      out=out[at:at + m])
+            _times(dg, speed, u, u_v, out=out[at:at + m])
         return hits
 
     workers = min(int(workers), len(chunks))
@@ -267,32 +237,49 @@ def _sample(
         return sum(pool.map(run, [chunks[w::workers] for w in range(workers)]))
 
 
-def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float], half: float):
-    """_sample's grid thresholds [x0, x1, x2, x3] for no speed or a fixed
-    one, and count(values, mask), how many of the grid values miss (no
-    speed) or cross before tau, their headings on [-half, half) mapped by
-    _scale.  _solve_edges' inner and outer headings, divided by 2*half and
-    held in [0, 1/2] (NaN stays NaN), give x = 1/2 -+ outer and 1/2 -+
-    inner.  The exact step runs once on the four headings _scale(x); an x
-    whose output misses its margin falls back to 0, 1/2, 1/2 or 1, the
-    grid's ends and its middle, which _scale maps to heading 0 exactly."""
+def _times(dg: DerivedGeometry, speed: SpeedModel, u_h, u_v=None, out=None):
+    """Crossing times of grid pairs, in place in u_h or into out: the hits
+    step's distance at each heading u_h mapped onto [-H, H), H dg's chord
+    half-angle, where every ray hits (the miss step accepts a chord end
+    within _ENDPOINT_SLACK), over speed.v_mps or u_v mapped onto [vmin, vmax]."""
     import numpy as np
 
-    reach, w = dg.trigger_to_chord_m, dg.half_chord_m
+    half = dg.chord_half_angle_rad
+    dist = _ray_chord_hits_into(dg.trigger_to_chord_m, dg.half_chord_m, _scale(u_h, -half, half))
+    v = speed.v_mps if u_v is None else _scale(u_v, speed.vmin_mps, speed.vmax_mps)
+    return np.divide(dist, v, out=dist if out is None else out)
+
+
+def _hits(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float], u_h, u_v=None) -> int:
+    """How many grid pairs the exact step counts, overwriting u_h (and u_v):
+    with no speed, the headings mapped onto [-pi, pi) whose ray hits the
+    chord by the miss step; otherwise the pairs whose _times is below tau."""
+    import numpy as np
+
+    if speed is None:
+        miss = _ray_chord_misses_into(dg.trigger_to_chord_m, dg.half_chord_m, _scale(u_h, -math.pi, math.pi))
+        return u_h.size - int(np.count_nonzero(miss))
+    return int(np.count_nonzero(_times(dg, speed, u_h, u_v) < tau))
+
+
+def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float]):
+    """_sample's grid thresholds [x0, x1, x2, x3] for no speed or a fixed
+    one, x = 1/2 -+ outer and 1/2 -+ inner from _solve_edges' headings over
+    2*H (H = pi with no speed), and count(values, mask), how many grid values
+    _hits counts: those in [x1, x2), and by _hits those in [x0, x1) or [x2, x3)."""
+    import numpy as np
+
+    half = math.pi if speed is None else dg.chord_half_angle_rad
     inner, outer = np.clip(np.divide(_solve_edges(dg, speed, tau), 2.0 * half), 0.0, 0.5).tolist()
     x = [0.5 - outer, 0.5 - inner, 0.5 + inner, 0.5 + outer]
-    at_x = _scale(np.array(x), -half, half)
     if speed is None:
-        def step(hs):  # how many of hs hit, by the exact miss step
-            return hs.size - int(np.count_nonzero(_ray_chord_misses_into(reach, w, hs)))
+        s = _scale(np.array(x), -half, half)
         # the inner checks need a hit too: at +-pi s is near 1/2, but every ray misses
-        miss = _ray_chord_misses_into(reach, w, at_x).tolist()  # and s of each x, in at_x
-        (s0, s1, s2, s3), slack = at_x.tolist(), _ENDPOINT_SLACK + _ETA
+        miss = _ray_chord_misses_into(dg.trigger_to_chord_m, dg.half_chord_m, s).tolist()  # and s of each x, in s
+        (s0, s1, s2, s3), slack = s.tolist(), _ENDPOINT_SLACK + _ETA
         holds = [s0 > 1.0 + slack, not miss[1] and s1 <= 1.0 - _ETA, not miss[2] and s2 >= _ETA, s3 < -slack]
     else:
-        def step(hs):  # how many of hs cross before tau, by the hits step
-            return int(np.count_nonzero(np.divide(_ray_chord_hits_into(reach, w, hs), speed.v_mps, out=hs) < tau))
-        t0, t1, t2, t3 = np.divide(_ray_chord_hits_into(reach, w, at_x), speed.v_mps, out=at_x).tolist()
+        t0, t1, t2, t3 = _times(dg, speed, np.array(x)).tolist()
         lo, hi = tau * (1.0 - _ETA), tau * (1.0 + _ETA)
         holds = [t0 > hi, t1 <= lo, t2 <= lo, t3 > hi]
     # a value u < x[k] maps at or below _scale(x[k]): [x1, x2) is counted, [x0, x1) and [x2, x3) the band
@@ -307,38 +294,27 @@ def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[floa
                 for xk in x[1:]:
                     pick ^= np.less(values, xk, out=mask)
                 values = values[pick]
-            hits += step(_scale(values, -half, half))
-        return hits if speed is not None else len(mask) - hits
+            hits += _hits(dg, speed, tau, values)
+        return hits
 
     return x, count
 
 
 def _staircase(dg: DerivedGeometry, speed: SpeedModel, tau: float):
     """_sample's speed thresholds [VH, VM] for a uniform speed, one pair per
-    heading bin, and count(u_h, u_v, mask), how many of the grid pairs
-    (heading, speed) cross before tau; mask holds 2*len(u_h) bools.
-
-    Bin i holds the headings whose grid value u_h has floor(_BINS*u_h) = i,
-    an exact product and cast.  A pair crosses surely where u_v >= VH[i]
-    and surely not where u_v <= VM[i]; only the band between takes the
-    exact step.  The hits step runs once on each bin's ends of largest and
-    smallest |h| (_bin_ends), mapped by _scale; the true distance rises with
-    |h|, so these bound every distance in the bin.  _solve_speeds places the
-    thresholds; each is held in [0, 1] (NaN becomes 0) and kept only where
-    the exact step at its speed, mapped by _scale, shows t <= tau*(1 - eta)
-    at the bin's largest distance (VH) or t > tau*(1 + eta) at its smallest
-    (VM); else it is +inf or -inf.  A correctly rounded d/v falls as v
-    rises, and the step's distance errs by a few ulps, far below eta, so
-    every pair beyond a kept threshold gets the decision its margin implies,
-    whatever _solve_speeds returns.  The two margins also make VH > VM."""
+    heading bin i = floor(_BINS*u_h), and count(u_h, u_v, mask), how many
+    grid pairs _hits counts (mask holds 2*len(u_h) bools): those with u_v >=
+    VH[i], and by _hits those with VM[i] < u_v < VH[i].  The hits step runs
+    once on each bin's ends of largest and smallest |h| (_bin_ends), for
+    _solve_speeds and for the checks: VH needs t <= tau*(1 - eta) at the
+    largest, VM t > tau*(1 + eta) at the smallest, which also makes VH > VM."""
     import numpy as np
 
     reach, w, half = dg.trigger_to_chord_m, dg.half_chord_m, dg.chord_half_angle_rad
-    vmin, vmax = speed.vmin_mps, speed.vmax_mps
     d = _ray_chord_hits_into(reach, w, _scale(_bin_ends().copy(), -half, half))
     u = np.fmax(_solve_speeds(d, reach, speed, tau), 0.0)  # NaN becomes 0, a speed the check decides on
     np.fmin(u, 1.0, out=u)
-    t = np.divide(d, _scale(u.copy(), vmin, vmax), out=d)
+    t = np.divide(d, _scale(u.copy(), speed.vmin_mps, speed.vmax_mps), out=d)
     np.putmask(u[:_BINS], t[:_BINS] > tau * (1.0 - _ETA), math.inf)
     np.putmask(u[_BINS:], t[_BINS:] <= tau * (1.0 + _ETA), -math.inf)
     vh, vm = u[:_BINS], u[_BINS:]
@@ -356,9 +332,7 @@ def _staircase(dg: DerivedGeometry, speed: SpeedModel, tau: float):
         hits = int(np.count_nonzero(sure))
         band ^= sure  # VH > VM, so a sure pair also lies above VM
         if band.any():
-            dist = _ray_chord_hits_into(reach, w, _scale(u_h[band], -half, half))
-            t = np.divide(dist, _scale(u_v[band], vmin, vmax), out=dist)
-            hits += int(np.count_nonzero(t < tau))
+            hits += _hits(dg, speed, tau, u_h[band], u_v[band])
         return hits
 
     return [vh, vm], count
@@ -420,7 +394,7 @@ def estimate_false_handoff(geom: CellGeometry, ctl: SimControls, *, workers: int
     is pure segment intersection, so this estimate is a genuinely independent
     check of the closed-form false-handoff probability.
     """
-    return _binomial(_sample(derive_geometry(geom), ctl, workers), ctl)
+    return _binomial(ctl.samples - _sample(derive_geometry(geom), ctl, workers), ctl)
 
 
 def estimate_failure(
@@ -437,10 +411,7 @@ def estimate_failure(
     trajectory's crossing time is its exact intersection distance divided by
     its speed.  `speed` is either a fixed value in m/s or a SpeedModel;
     uniform models draw one speed per trajectory.  The count is the one a
-    time per trajectory gives, but the kernel screens: a fixed speed counts
-    headings against four edge headings, a uniform one (heading, speed)
-    pairs against two speed thresholds per heading bin, and only the few
-    trajectories between take the exact intersection (see _sample).
+    time per trajectory gives, found by a screen (see the module docstring).
     """
     tau = _real_or_nan(tau_s)
     if not (math.isfinite(tau) and tau >= 0):
@@ -478,7 +449,6 @@ def crossing_time_ecdf(
     times = np.empty(ctl.samples)
     _sample(dg, ctl, workers, speed=speed, out=times)
     times.sort()
-    n = len(times)
     # every heading in [-h, h] hits the chord, edges included, so no time is
     # NaN; a NaN, were one to appear, would sort last and be refused here as
     # the scalar CDF refuses it
@@ -487,7 +457,7 @@ def crossing_time_ecdf(
     # the ECDF is levels[i] just below sample i and levels[i + 1] at it; one
     # difference array serves D+ and then D-, so the step's peak memory
     # stays below that of the CDF call above
-    levels = np.arange(n + 1) / n
+    levels = np.arange(ctl.samples + 1) / ctl.samples
     diff = levels[1:] - fast
     near = diff >= diff.max() - _KS_SCREEN
     np.subtract(fast, levels[:-1], out=diff)
@@ -496,4 +466,4 @@ def crossing_time_ecdf(
     model = _cdf_many(dg, speed.v_mps, times[near])
     ks = max(float((levels[near + 1] - model).max()), float((model - levels[near]).max()))
     times.setflags(write=False)
-    return EcdfReport(times_s=times, ks_stat=ks, n=n)
+    return EcdfReport(times_s=times, ks_stat=ks, n=ctl.samples)

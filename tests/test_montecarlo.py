@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import math
 import sys
 import tracemalloc
@@ -253,12 +255,12 @@ def chunk_straddling_controls(draw):
 @given(source=forward_frames(), ctl=chunk_straddling_controls(), workers=st.integers(1, 2))
 @example(source=WIDE_CHORD, ctl=SimControls(2**17 + 1, 7, 2), workers=2)
 def test_false_handoff_misses_equal_nan_count_of_whole_draw(source, ctl, workers):
-    # the kernel screens headings past the half-plane and counts misses
-    # from the intersection's mask; it must count exactly the NaNs of the
-    # plain intersection over every heading of every batch, drawn whole
+    # the kernel screens headings and counts the hits of the miss step on
+    # the rest; the misses it leaves must be exactly the NaNs of the plain
+    # intersection over every heading of every batch, drawn whole
     geom, dg = source
     if geom is None:
-        misses = montecarlo._sample(dg, ctl, workers)
+        misses = ctl.samples - montecarlo._sample(dg, ctl, workers)
     else:
         misses = round(estimate_false_handoff(geom, ctl, workers=workers).p_hat * ctl.samples)
     base, rem = divmod(ctl.samples, ctl.batches)
@@ -294,7 +296,7 @@ def test_headings_past_the_screen_miss_the_chord(source):
     # every grid value the false-handoff screen counts as a miss unevaluated,
     # below its lower outer threshold or from its upper one on, maps to a
     # heading the exact intersection rejects, on any frame of this layout
-    x0, _, _, x3 = montecarlo._screen(source[1], None, None, math.pi)[0]
+    x0, _, _, x3 = montecarlo._screen(source[1], None, None)[0]
     rng = np.random.Generator(np.random.Philox(5))
     u = np.concatenate([_grid_near([x0, x3], range(-64, 65)), [0.0, 1.0 - GRID_STEP], rng.random(200_000)])
     u = u[(u < x0) | (u >= x3)]
@@ -311,41 +313,57 @@ def _whole_draw(ctl):
     ])
 
 
+# how far test_failure_paths_skip_the_exact_intersection_at_a_pinned_seed
+# widens the solved edges, inner and outer: each band grows to about 3e-4 of
+# the grid, where the true ones are about 5e-10 wide and hold no draw
+WIDEN = (-1e-3, 1e-3)
+
+
 def test_failure_paths_skip_the_exact_intersection_at_a_pinned_seed(monkeypatch):
     # the time paths take every distance from the hits-only step and never
     # run the miss step; the false-handoff path runs it once before any
-    # chunk, on exactly the headings of the four solved grid thresholds, and
-    # after that only on the drawn headings in the bands between them
+    # chunk, on exactly the headings of the four grid thresholds, and after
+    # that only on the drawn headings in the bands between them.  The solved
+    # edges are widened (the inner one inward, the outer one outward), so
+    # they still pass their checks and the bands hold some of the draws
     calls, found = [], []
-    exact, screen = montecarlo._ray_chord_misses_into, montecarlo._screen
+    ctl = SimControls(2**17 + 5, 11, 3)
+    plain = estimate_false_handoff(PINNED_GEOMETRY, ctl)
+    exact, screen, solve = montecarlo._ray_chord_misses_into, montecarlo._screen, montecarlo._solve_edges
     monkeypatch.setattr(montecarlo, "_ray_chord_misses_into",
                         lambda *args: calls.append((len(found), args[2].copy())) or exact(*args))
     monkeypatch.setattr(montecarlo, "_screen", lambda *args: found.append(screen(*args)) or found[-1])
-    ctl = SimControls(2**17 + 5, 11, 3)
+    monkeypatch.setattr(montecarlo, "_solve_edges", lambda *args: [h + dh for h, dh in zip(solve(*args), WIDEN)])
     estimate_failure(PINNED_GEOMETRY, 50.0, 8.0, ctl)
     estimate_failure(PINNED_GEOMETRY, SpeedModel.uniform(40.0, 60.0), 8.0, ctl)
     crossing_time_ecdf(PINNED_GEOMETRY, 50.0, ctl)
     assert calls == []
     found.clear()
-    estimate_false_handoff(PINNED_GEOMETRY, ctl)
+    assert estimate_false_handoff(PINNED_GEOMETRY, ctl) == plain
     ((x0, x1, x2, x3), _), = found
-    inner, outer = montecarlo._solve_edges(derive_geometry(PINNED_GEOMETRY), None, None)
-    x = [0.5 - outer / (2 * math.pi), 0.5 - inner / (2 * math.pi), 0.5 + inner / (2 * math.pi),
-         0.5 + outer / (2 * math.pi)]
+    inner, outer = (h / (2 * math.pi) for h in montecarlo._solve_edges(derive_geometry(PINNED_GEOMETRY), None, None))
+    x = [0.5 - outer, 0.5 - inner, 0.5 + inner, 0.5 + outer]
     search = [h for phase, h in calls if phase == 0]
     assert [h.tolist() for h in search] == [_to_heading(x, math.pi).tolist()]
-    assert [x0, x1, x2, x3] == x
+    assert [x0, x1, x2, x3] == x  # each widened edge is kept
     band = np.sort(np.concatenate([h for phase, h in calls if phase == 1] or [[]]))
     drawn = _whole_draw(ctl)
     expected = drawn[((drawn >= x0) & (drawn < x1)) | ((drawn >= x2) & (drawn < x3))]
+    assert 0 < expected.size < 0.01 * ctl.samples
     assert band.tobytes() == np.sort(_to_heading(expected, math.pi)).tobytes()
+
+
+def _half(dg, speed):
+    """Half the width of the heading range the kernel draws from: pi with
+    no speed, else the chord half-angle."""
+    return math.pi if speed is None else dg.chord_half_angle_rad
 
 
 def _exact_count(dg, speed, tau, headings) -> int:
     """How many headings the exact step counts: those the plain intersection
-    misses (no speed), or those whose hits-step time is below tau."""
+    hits (no speed), or those whose hits-step time is below tau."""
     if speed is None:
-        return int(np.count_nonzero(np.isnan(ray_chord_crossing_many(_frame(dg), headings))))
+        return int(np.count_nonzero(~np.isnan(ray_chord_crossing_many(_frame(dg), headings))))
     times = np.divide(_ray_chord_hits_into(*_frame(dg), headings.copy()), speed.v_mps)
     return int(np.count_nonzero(times < tau))
 
@@ -365,13 +383,13 @@ def _probes(x):
 FALLBACKS = [0.0, 0.5, 0.5, 1.0]
 
 
-def _margin_checks(dg, speed, tau, x, half):
+def _margin_checks(dg, speed, tau, x):
     """Whether each threshold carries the screen's margin in the exact
     step's output at its heading: a hit and s <= 1 - eta at x1, a hit and
     s >= eta at x2, s > 1 + slack + eta at x0 and s < -slack - eta at x3;
     or times at most tau*(1 - eta) at x1 and x2 and above tau*(1 + eta) at
     x0 and x3."""
-    eta, (reach, w), h = montecarlo._ETA, _frame(dg), _to_heading(x, half)
+    eta, (reach, w), h = montecarlo._ETA, _frame(dg), _to_heading(x, _half(dg, speed))
     if speed is None:
         s = h.copy()
         hit = ~_ray_chord_misses_into(reach, w, s)
@@ -381,9 +399,9 @@ def _margin_checks(dg, speed, tau, x, half):
     return [t[0] > tau * (1 + eta), t[1] <= tau * (1 - eta), t[2] <= tau * (1 - eta), t[3] > tau * (1 + eta)]
 
 
-def _margins_hold(dg, speed, tau, x, half) -> bool:
+def _margins_hold(dg, speed, tau, x) -> bool:
     """Whether each threshold carries its margin (_margin_checks) or is at its fallback."""
-    checks = _margin_checks(dg, speed, tau, x, half)
+    checks = _margin_checks(dg, speed, tau, x)
     return all(ok or xk == fall for ok, xk, fall in zip(checks, x, FALLBACKS))
 
 
@@ -418,20 +436,20 @@ def test_screened_count_equals_the_exact_step(source, v, share):
     t_min, t_max = _support(dg, v)
     taus = [t_min, math.nextafter(t_min, math.inf), t_min * (1 + 1e-12), t_max,
             math.nextafter(t_max, 0.0), t_min + share * (t_max - t_min)]
-    paths = [(None, None, math.pi)] + [(SpeedModel.fixed(v), tau, dg.chord_half_angle_rad) for tau in taus]
-    for speed, tau, half in paths:
-        _assert_screen_is_exact(dg, speed, tau, half)
+    for speed, tau in [(None, None)] + [(SpeedModel.fixed(v), tau) for tau in taus]:
+        _assert_screen_is_exact(dg, speed, tau)
 
 
-def _assert_screen_is_exact(dg, speed, tau, half):
+def _assert_screen_is_exact(dg, speed, tau):
     """The screen's thresholds are ordered and carry their margins, and its
     count of _probes is the exact step's on their headings."""
-    x, count = montecarlo._screen(dg, speed, tau, half)
+    x, count = montecarlo._screen(dg, speed, tau)
     # [x1, x2) is empty (both at 1/2) unless an inner threshold is kept
     assert 0.0 <= x[0] <= x[1] <= 0.5 <= x[2] <= x[3] <= 1.0
-    assert _margins_hold(dg, speed, tau, x, half)
+    assert _margins_hold(dg, speed, tau, x)
     u = _probes(x)
-    assert count(u.copy(), np.empty(u.shape, dtype=bool)) == _exact_count(dg, speed, tau, _to_heading(u, half))
+    headings = _to_heading(u, _half(dg, speed))
+    assert count(u.copy(), np.empty(u.shape, dtype=bool)) == _exact_count(dg, speed, tau, headings)
     return x
 
 
@@ -494,14 +512,14 @@ def test_screen_keeps_only_edges_the_exact_step_checks(monkeypatch, wrong):
     for source, v, share in SCREEN_EXAMPLES:
         dg = source[1]
         t_min, t_max = _support(dg, v)
-        paths = [(None, None, math.pi)] + [(SpeedModel.fixed(v), tau, dg.chord_half_angle_rad)
-                                           for tau in (t_min, t_min + share * (t_max - t_min), t_max)]
-        for speed, tau, half in paths:
-            x = _assert_screen_is_exact(dg, speed, tau, half)
+        taus = (t_min, t_min + share * (t_max - t_min), t_max)
+        for speed, tau in [(None, None)] + [(SpeedModel.fixed(v), tau) for tau in taus]:
+            x = _assert_screen_is_exact(dg, speed, tau)
             args = dg, speed, tau
+            half = _half(dg, speed)
             inner, outer = (float(np.clip(h / (2 * half), 0.0, 0.5)) for h in wrong(*solve(*args), args))
             candidates = [0.5 - outer, 0.5 - inner, 0.5 + inner, 0.5 + outer]
-            kept = _margin_checks(dg, speed, tau, candidates, half)
+            kept = _margin_checks(dg, speed, tau, candidates)
             assert x == [c if ok else fall for c, ok, fall in zip(candidates, kept, FALLBACKS)]
 
 
@@ -510,9 +528,8 @@ def test_solved_edges_are_kept_where_edges_exist():
     # tau inside the support, no threshold falls back, so the bands stay thin
     for (_, dg), v, _ in SCREEN_EXAMPLES:
         t_min, t_max = _support(dg, v)
-        for speed, tau, half in ((None, None, math.pi), (SpeedModel.fixed(v), (t_min + t_max) / 2,
-                                                         dg.chord_half_angle_rad)):
-            x = montecarlo._screen(dg, speed, tau, half)[0]
+        for speed, tau in ((None, None), (SpeedModel.fixed(v), (t_min + t_max) / 2)):
+            x = montecarlo._screen(dg, speed, tau)[0]
             assert all(xk != fall for xk, fall in zip(x, FALLBACKS))
 
 
@@ -551,11 +568,34 @@ def test_screen_is_exact_at_the_speed_and_radius_bounds(a, v, overlap_frac):
     assert sys.float_info.min < support.t_min_s < support.t_max_s < sys.float_info.max
     ctl = SimControls(70000, 3, 2)
     for tau in (0.0, 5e-324, 1.7e308, support.t_min_s, support.t_max_s):
-        _assert_screen_is_exact(dg, SpeedModel.fixed(v), tau, dg.chord_half_angle_rad)
+        _assert_screen_is_exact(dg, SpeedModel.fixed(v), tau)
         p_hat = estimate_failure(geom, v, tau, ctl).p_hat
         if tau in (0.0, 5e-324, 1.7e308):
             assert p_hat == handoff_failure_probability(geom, v, tau) == (tau == 1.7e308)
     assert math.isfinite(crossing_time_ecdf(geom, v, ctl).ks_stat)
+
+
+# (cell, fixed speed): every corner of the radius and speed bounds, and a km
+# cell at 1 and 50 m/s, each at overlap fractions 0 and 0.999
+TIE_CELLS = [(CellGeometry(a, frac * math.sqrt(3.0) / 2.0 * a), v)
+             for a, speeds in ((1e-150, (1e-150, 1e150)), (1e150, (1e-150, 1e150)), (1000.0, (1.0, 50.0)))
+             for v in speeds for frac in (0.0, 0.999)]
+
+
+@pytest.mark.parametrize("geom,v", TIE_CELLS)
+def test_fixed_speed_count_equals_the_ecdf_times_below_tau(geom, v):
+    # the count path and the time path draw the same headings under the same
+    # controls, so the screened count below tau is the number of ECDF times
+    # below it, sample by sample; a tau equal to a drawn time puts that
+    # sample in a band, and one ulp beside it lands on either side of it
+    ctl = SimControls(2**16 + 3001, 7)  # two chunks
+    times = crossing_time_ecdf(geom, v, ctl).times_s
+    t_lo, t_mid, t_hi = float(times[0]), float(times[len(times) // 2]), float(times[-1])
+    taus = [0.0, t_lo, t_mid, t_hi] + [math.nextafter(t, to) for t in (t_lo, t_hi) for to in (0.0, math.inf)]
+    for tau in taus:
+        for workers in (1, 2):
+            counted = round(estimate_failure(geom, v, tau, ctl, workers=workers).p_hat * ctl.samples)
+            assert counted == np.count_nonzero(times < tau), (tau, workers)
 
 
 def test_memory_is_bounded_by_the_chunk():
@@ -587,6 +627,39 @@ def test_different_seeds_give_different_draws():
 # ----------------------------------------------------------------------
 # agreement with the closed forms
 # ----------------------------------------------------------------------
+
+def _analytic_reads(source):
+    """The names a module's source imports from analytic (or analytic
+    itself, imported whole), and the top-level statements that name
+    _cdf_many or _check_tau."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("analytic"):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.name for alias in node.names if alias.name.endswith("analytic")]
+    readers = set()
+    for node in tree.body:
+        named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) and named & {"_cdf_many", "_check_tau"}:
+            readers.add(getattr(node, "name", "module level"))
+    return sorted(imported), readers
+
+
+def test_sampler_reads_no_closed_form():
+    # the estimates check the closed forms only while no sampling path calls
+    # one: montecarlo imports from analytic only the speed model and the two
+    # helpers of the KS step, and only crossing_time_ecdf names those two
+    imported, readers = _analytic_reads(inspect.getsource(montecarlo))
+    assert imported == ["SpeedModel", "_cdf_many", "_check_tau"]
+    assert readers == {"crossing_time_ecdf"}
+    # the rule sees a screen that reads a closed form, and a module import
+    screen = "def _screen(dg, speed, tau):\n    return _cdf_many(dg, speed.v_mps, tau)\n"
+    assert _analytic_reads(screen)[1] == {"_screen"}
+    assert _analytic_reads("from . import analytic\nimport handoff_lab.analytic\n")[0] == [
+        "analytic", "handoff_lab.analytic"]
+
 
 def test_false_handoff_converges():
     expected = 7.0 / 12.0
@@ -1064,8 +1137,8 @@ def test_screened_grid_count_equals_the_exact_step():
     # threshold is kept and [x1, x2) is empty
     for (_, dg), v, _ in SCREEN_EXAMPLES:
         t_min, t_max = _support(dg, v)
-        _assert_screen_is_exact(dg, None, None, math.pi)
+        _assert_screen_is_exact(dg, None, None)
         for tau in (0.0, t_min * (1 - 1e-12), t_min, (t_min + t_max) / 2, t_max):
-            x = _assert_screen_is_exact(dg, SpeedModel.fixed(v), tau, dg.chord_half_angle_rad)
+            x = _assert_screen_is_exact(dg, SpeedModel.fixed(v), tau)
             if tau < t_min:
                 assert x[1] == x[2] == 0.5
