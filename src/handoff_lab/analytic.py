@@ -35,6 +35,7 @@ if TYPE_CHECKING:
 _ADAPT_TOL = 1e-9
 _ADAPT_MAX_ITER = 200
 _NORMAL_MIN = sys.float_info.min
+_U = 2.0**-53  # unit roundoff, the unit of _cdf_error_bound
 
 
 @dataclass(frozen=True)
@@ -309,6 +310,36 @@ class OverlapSolution:
     false_handoff_probability: float
 
 
+def _cdf_error_bound(reach: float, v: float, tau: float) -> float:
+    """E, a bound on |pf(x) - g(x)|, pf(x) being _cdf at the overlap
+    solver's step at overlap x, from that step's reach and y = reach/(v*tau);
+    inf where 1 - y < 512u, u = 2**-53.
+
+    g(x) is the CDF in exact arithmetic on the step's own lengths: reach =
+    c + x with c = fl(_STANDOFF*a), half-chord h = a/2 + x/SQRT3, and
+    F = acos(y)/H with H = atan2(h, reach) in [pi/4, 5*pi/12].  The
+    computed lengths carry relative errors of at most u (reach) and 2u (h),
+    and computed y at most 3.01u.  So atan2 moves by at most 1.51u plus its
+    own ulp, under 4u relative to H >= pi/4; acos moves by at most
+    3.01u*y/sqrt(1 - xi**2) for some xi between y and its computed value,
+    which is at most 3.2u*y/sqrt(1 - y**2) where 1 - y >= 32u, plus its own
+    ulp; the quotient adds an ulp.  With F <= 1 that is
+
+        |pf - g| <= 8u + 3.2u*y / (sqrt(1 - y**2) * pi/4).
+
+    The branches agree: where pf is 1 but g < 1, or the reverse, y lies
+    within 4u of cos(H) <= cos(pi/4) and |pf - g| <= 5.3u; pf is 0 only
+    where y > 1 - 4u.  E = 16u + 8u*y/(sqrt((1 - y)*(1 + y)) * pi/4), taken
+    at the computed y with 1 - y >= 512u, exceeds that bound at the exact y
+    by 8u, which covers the roundings of the margins E enters.  Where E is
+    finite, s = sqrt(1 - y**2) > 31 sqrt(u), so g >= s/(5*pi/12) > 24 sqrt(u).
+    """
+    y = reach / (v * tau)
+    if 1.0 - y < 512.0 * _U:
+        return math.inf
+    return 16.0 * _U + 8.0 * _U * y / (math.sqrt((1.0 - y) * (1.0 + y)) * (math.pi / 4.0))
+
+
 def adapt_overlap(
     cell_radius_m: float, v_mps: float, tau_s: float, target_pf: float
 ) -> OverlapSolution:
@@ -318,6 +349,39 @@ def adapt_overlap(
     means a longer ride to it), so bisection on [0, sqrt(3)/2*a) converges.
     Raises NotBracketedError when no overlap in that range can reach the
     target.  Ties at a bracket edge return the edge.
+
+    The result is the plain bisection's mid: each step evaluates the CDF pf
+    at mid, stops once |pf - target| <= 1e-9 with the bracket at most
+    1e-7*a wide, and else keeps the side of mid's sign, for at most 200
+    steps.  A step that leaves lo and hi unchanged stops it too, since every
+    later step would repeat its mid.  Steps whose sign is certified skip the
+    evaluation: a mid at or below a point L takes lo = mid, one at or above
+    a point R takes hi = mid.  L and R lie a little either side of a root
+    guessed by secant steps on a smooth residual; a side with no certified
+    point keeps its bracket end, whose sign the checks already know, so a
+    bad guess costs evaluations, never bits.
+
+    Why the skipped steps decide as the evaluated ones would: let g(x) be
+    the CDF in exact arithmetic on the step's lengths (_cdf_error_bound),
+    with y = reach/(v*tau), s = sqrt(1 - y**2), theta = acos(y) and
+    H = atan2(h, reach).  On the interior branch theta' = -1/(v*tau*s) and
+    H' = -b/(reach**2 + h**2), b = a/2 - c/SQRT3 = a*(1/2 - _STANDOFF/sqrt 3).
+    With theta <= H and v*tau*s <= h there,
+    theta*|H'| / (H*|theta'|) <= b*h/(reach**2 + h**2) <= b/h <= 2b/a < 0.846,
+    so g = theta/H falls: g is nonincreasing in x, and
+    |g'| >= 0.154/(H*v*tau*s) >= 0.118/(v*tau*s).
+
+    - L is kept when pf(L) - target > tol + 2E(L).  Each mid <= L has a
+      smaller y, so E(L) bounds its error too, and g(mid) >= g(L) gives
+      pf(mid) - target >= pf(L) - 2E(L) - target > tol: no stop, lo = mid.
+    - R is kept when target - pf(R) > tol + 2E(R).  E's term in y grows by
+      8u/(pi/4 * v*tau * s**3) per unit of x, at most |g'| where s >= 10
+      sqrt(u), so there g + E falls, and a mid >= R with s >= 10 sqrt(u)
+      has pf(mid) <= g(R) + E(R) <= pf(R) + 2E(R) < target - tol.  Where
+      s < 10 sqrt(u), acos moves by at most acos(1 - 3.01u) < 2.46 sqrt(u),
+      so pf(mid) <= (10 + 2.46)*sqrt(u)/(pi/4) < 16 sqrt(u) < g(R), since a
+      finite E(R) puts g(R) above 24 sqrt(u); and g(R) <= pf(R) + E(R) <
+      target - tol.
     """
     v_mps, tau_s = _check_speed(v_mps), _check_tau(tau_s)
     target_pf, given = _real_or_nan(target_pf), target_pf
@@ -333,8 +397,8 @@ def adapt_overlap(
         reach, half_chord = _lengths(a, overlap)
         return _cdf(reach, half_chord, v_mps, tau_s)
 
-    def solution(overlap: float) -> OverlapSolution:
-        return OverlapSolution(overlap, pf(overlap), _false_handoff(_derive(a, overlap)))
+    def solution(overlap: float, value: float) -> OverlapSolution:
+        return OverlapSolution(overlap, value, _false_handoff(_derive(a, overlap)))
 
     lo, hi = 0.0, SQRT3 / 2.0 * a - 1e-9 * a
     pf_lo, pf_hi = pf(lo), pf(hi)
@@ -344,23 +408,59 @@ def adapt_overlap(
             f"{pf_lo:.9g}; no overlap can raise it further"
         )
     if abs(pf_lo - target_pf) <= _ADAPT_TOL:
-        return solution(lo)
+        return solution(lo, pf_lo)
     if target_pf < pf_hi - _ADAPT_TOL:
         raise NotBracketedError(
             f"target_pf={target_pf:.9g} is below {pf_hi:.9g}, the failure probability "
             f"at the maximum overlap; the target is unreachable"
         )
     if abs(pf_hi - target_pf) <= _ADAPT_TOL:
-        return solution(hi)
+        return solution(hi, pf_hi)
 
-    mid = lo
+    # A guess at the root: secant steps on reach - v*tau*cos(target*H),
+    # which is zero where F = target and needs no acos and no clamp.
+    vt = v_mps * tau_s
+
+    def smooth(overlap: float) -> float:
+        reach, half_chord = _lengths(a, overlap)
+        return reach - vt * math.cos(target_pf * math.atan2(half_chord, reach))
+
+    x0, x1 = lo, hi
+    r0, r1 = smooth(x0), smooth(x1)
+    for _ in range(6):
+        if r1 == r0:
+            break
+        x0, x1, r0 = x1, x1 - r1 * (x1 - x0) / (r1 - r0), r1
+        if not lo < x1 < hi or abs(x1 - x0) < 1e-10 * a:
+            break
+        r1 = smooth(x1)
+    # Points beside the guess whose sign the margin certifies; a side that
+    # certifies none keeps its bracket end, whose sign the checks above know.
+    left, right = lo, hi
+    for side in (-1.0, 1.0):
+        d = 1e-9 * a
+        for _ in range(3):
+            x = x1 + side * d
+            if not lo < x < hi:
+                break
+            reach, half_chord = _lengths(a, x)
+            margin = side * (target_pf - _cdf(reach, half_chord, v_mps, tau_s))
+            if margin > _ADAPT_TOL + 2.0 * _cdf_error_bound(reach, v_mps, tau_s):
+                left, right = (x, right) if side < 0.0 else (left, x)
+                break
+            d *= 32.0
+
     for _ in range(_ADAPT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        resid = pf(mid) - target_pf
+        # a mid at or past a certified point takes that point's side unevaluated
+        value = math.inf if mid <= left else -math.inf if mid >= right else pf(mid)
+        resid = value - target_pf
         if abs(resid) <= _ADAPT_TOL and hi - lo <= 1e-7 * a:
             break
+        if not lo < mid < hi:
+            break  # a fixed point: every further step would repeat this mid
         if resid > 0.0:
             lo = mid
         else:
             hi = mid
-    return solution(mid)
+    return solution(mid, value if math.isfinite(value) else pf(mid))

@@ -252,17 +252,24 @@ def chunk_straddling_controls(draw):
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
-@given(source=forward_frames(), ctl=chunk_straddling_controls(), workers=st.integers(1, 2))
-@example(source=WIDE_CHORD, ctl=SimControls(2**17 + 1, 7, 2), workers=2)
-def test_false_handoff_misses_equal_nan_count_of_whole_draw(source, ctl, workers):
+@given(source=forward_frames(), ctl=chunk_straddling_controls(), workers=st.integers(1, 2), widen=st.booleans())
+@example(source=WIDE_CHORD, ctl=SimControls(2**17 + 1, 7, 2), workers=2, widen=False)
+@example(source=WIDE_CHORD, ctl=SimControls(2**17 + 1, 7, 2), workers=2, widen=True)
+def test_false_handoff_misses_equal_nan_count_of_whole_draw(source, ctl, workers, widen):
     # the kernel screens headings and counts the hits of the miss step on
     # the rest; the misses it leaves must be exactly the NaNs of the plain
-    # intersection over every heading of every batch, drawn whole
+    # intersection over every heading of every batch, drawn whole.  With
+    # widen, the solved edges are widened by WIDEN, so the bands between
+    # them hold draws and the miss step's count there decides the result
     geom, dg = source
-    if geom is None:
-        misses = ctl.samples - montecarlo._sample(dg, ctl, workers)
-    else:
-        misses = round(estimate_false_handoff(geom, ctl, workers=workers).p_hat * ctl.samples)
+    with pytest.MonkeyPatch.context() as patch:
+        if widen:
+            solve = montecarlo._solve_edges
+            patch.setattr(montecarlo, "_solve_edges", lambda *args: [h + dh for h, dh in zip(solve(*args), WIDEN)])
+        if geom is None:
+            misses = ctl.samples - montecarlo._sample(dg, ctl, workers)
+        else:
+            misses = round(estimate_false_handoff(geom, ctl, workers=workers).p_hat * ctl.samples)
     base, rem = divmod(ctl.samples, ctl.batches)
     expected = 0
     for batch in range(ctl.batches):
@@ -314,8 +321,9 @@ def _whole_draw(ctl):
 
 
 # how far test_failure_paths_skip_the_exact_intersection_at_a_pinned_seed
-# widens the solved edges, inner and outer: each band grows to about 3e-4 of
-# the grid, where the true ones are about 5e-10 wide and hold no draw
+# and test_false_handoff_misses_equal_nan_count_of_whole_draw widen the
+# solved edges, inner and outer: each band grows to about 3e-4 of the grid,
+# where the true ones are about 5e-10 wide and seldom hold a draw
 WIDEN = (-1e-3, 1e-3)
 
 
@@ -974,6 +982,16 @@ def test_staircase_count_equals_the_exact_step(source, vmin, ratio, share):
     t_first, t_last = _support(dg, speed.vmax_mps)[0], _support(dg, vmin)[1]
     for tau in _around_the_support(t_first, t_last, share):
         _assert_staircase_is_exact(dg, speed, tau)
+    # a solve that puts bin 0's VH at grid speed 0.5, with tau the time there
+    # at the bin's larger distance: the exact step does not count t == tau,
+    # so the check's margin must refuse that threshold for the count to hold
+    first, last = _bin_grid()
+    d = _ray_chord_hits_into(*_frame(dg), _to_heading([first[0], last[0]], dg.chord_half_angle_rad))
+    tie = float(np.max(d) / _to_speed(0.5, speed))
+    solve = montecarlo._solve_speeds
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_solve_speeds", lambda *args: np.concatenate([[0.5], solve(*args)[1:]]))
+        assert _assert_staircase_is_exact(dg, speed, tie)[0][0] == math.inf
 
 
 def test_staircase_property_draws_reach_their_ranges(monkeypatch):
