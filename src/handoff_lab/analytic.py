@@ -362,8 +362,9 @@ def adapt_overlap(
     bad guess costs evaluations, never bits.
 
     Why the skipped steps decide as the evaluated ones would: let g(x) be
-    the CDF in exact arithmetic on the step's lengths (_cdf_error_bound),
-    with y = reach/(v*tau), s = sqrt(1 - y**2), theta = acos(y) and
+    the CDF in exact arithmetic on the step's lengths, and E(x) the bound on
+    |pf - g| that _cdf_error_bound derives (u = 2**-53, tol = 1e-9), with
+    y = reach/(v*tau), s = sqrt(1 - y**2), theta = acos(y) and
     H = atan2(h, reach).  On the interior branch theta' = -1/(v*tau*s) and
     H' = -b/(reach**2 + h**2), b = a/2 - c/SQRT3 = a*(1/2 - _STANDOFF/sqrt 3).
     With theta <= H and v*tau*s <= h there,

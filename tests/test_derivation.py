@@ -262,8 +262,9 @@ def test_cdf_error_bound_holds_against_60_digits(a, v, frac, near_max, offset):
     # the solver's step CDF lies within _cdf_error_bound of the CDF in exact
     # arithmetic, near both ends of the support, where acos is worst
     # conditioned; and where the bound is finite, the exact CDF is above
-    # 24*sqrt(u), the level the step can reach by rounding alone just above
-    # t_min, so a certified right-hand point needs no floor of its own
+    # 24*sqrt(u), clear of the 16*sqrt(u) the step can reach by rounding
+    # alone just above t_min, so a certified right-hand point needs no floor
+    # of its own (adapt_overlap's docstring)
     dg, tau = _near_an_end(a, frac, v, near_max, offset)
     overlap = frac * SQRT3 / 2.0 * a
     exact = _exact_cdf(a, overlap, v, tau)
@@ -314,9 +315,11 @@ def test_certified_steps_hold_for_a_cdf_that_wiggles_within_its_bound(monkeypatc
         odd = struct.unpack("<q", struct.pack("<d", reach))[0] & 1
         return cdf(reach, half_chord, v, tau) + WIGGLE * (1 - 2 * odd)
 
+    def step(dg, v, tau):
+        return wiggled(dg.trigger_to_chord_m, dg.half_chord_m, v, tau)
+
     monkeypatch.setattr(analytic, "_cdf", wiggled)
     monkeypatch.setattr(analytic, "_cdf_error_bound", lambda *args: bound(*args) + WIGGLE)
-    step = lambda dg, v, tau: wiggled(dg.trigger_to_chord_m, dg.half_chord_m, v, tau)  # noqa: E731
     for a, v, tau, target in _reachable_draws(5, 300):
         assert _outcome(adapt_overlap, a, v, tau, target) == _outcome(_reference_adapt, a, v, tau, target, step)
 
