@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Tuple
 from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, _real_or_nan, coerce_numbers
 from .geometry import SQRT3, CellGeometry, DerivedGeometry, _derive, _lengths, derive_geometry
 
-# numpy is imported by _cdf_many alone, so the scalar closed forms run
+# numpy is imported by _cdf_fast alone, so the scalar closed forms run
 # without loading it.
 if TYPE_CHECKING:
     import numpy as np
@@ -185,47 +185,27 @@ def _cdf(reach: float, half_chord: float, v: float, tau: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _cdf_many(dg: DerivedGeometry, v, tau, *, exact: bool = True) -> "np.ndarray":
-    """_cdf over arrays: v and tau broadcast, and every element equals the
-    scalar _cdf bit for bit.
+def _cdf_fast(dg: DerivedGeometry, v: float, times: "np.ndarray") -> "np.ndarray":
+    """_cdf at one speed v over an array of positive times, with numpy's
+    arccos, for a screen that recomputes its candidates with _cdf: the KS
+    step of montecarlo.crossing_time_ecdf.
 
-    The branches, the acos argument and the clamp are single IEEE operations
-    in either form.  The acos itself is not: numpy's SIMD arccos differs
-    from libm's acos in the last ulp on about 9% of inputs on AVX-512
-    hardware, so the interior elements go through math.acos one by one.
-
-    exact=False takes numpy's arccos instead, whose pass over 1e5 elements
-    is about a hundred times faster.  Its value is within a few ulp of
-    libm's acos, which is at most pi/2, and is then divided by the chord
-    half-angle, which exceeds pi/4 for every valid geometry (it falls from
-    5*pi/12 at zero overlap towards pi/4 at the overlap bound).  Branches
-    and clamp are the same, so each element is within about 1e-15 of the
-    exact one.  It is for screens that recompute their candidates with
-    exact=True, such as the KS step of montecarlo.crossing_time_ecdf.
+    numpy's arccos, about a hundred times faster than libm's acos over 1e5
+    elements, is within a few ulp of it and at most pi/2; the chord
+    half-angle it is divided by exceeds pi/4 for every valid geometry.  The
+    t_min branch is _cdf's own: beside it the argument is 1 - 1 ulp, whose
+    arccos is 1.5e-8 where _cdf reads 0.  So each element is within about
+    1e-15 of _cdf's value.
     """
     import numpy as np
 
-    v = np.asarray(v, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    t_min, t_max = _support(dg, v)
-    out = (tau >= t_max).astype(float)
-    inside = (tau > t_min) & (tau < t_max)
-    # one fresh array x of interior values (a scalar speed stays scalar);
-    # every step then runs in place on it, in the scalar form's order
-    if v.ndim == 0:
-        x = np.broadcast_to(tau, out.shape)[inside]
-        x *= v
-    else:
-        x = np.broadcast_to(v, out.shape)[inside]
-        x *= tau if tau.ndim == 0 else np.broadcast_to(tau, out.shape)[inside]
+    x = np.multiply(times, v)
     np.divide(dg.trigger_to_chord_m, x, out=x)
-    if exact:
-        x = np.fromiter(map(math.acos, x), float, len(x))
-    else:
-        np.arccos(x, out=x)
+    np.arccos(np.minimum(x, 1.0, out=x), out=x)
     x /= dg.chord_half_angle_rad
-    out[inside] = np.clip(x, 0.0, 1.0, out=x)
-    return out
+    np.minimum(x, 1.0, out=x)
+    x[times <= dg.trigger_to_chord_m / v] = 0.0
+    return x
 
 
 def crossing_time_cdf(geom: CellGeometry, v_mps: float, tau_s: float) -> float:

@@ -529,7 +529,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out is None or args.out == "-":
             sys.stdout.write(text)
         else:
-            with open(args.out, "w", newline="") as fh:
+            try:
+                fh = open(args.out, "w", newline="")
+            except OSError as exc:
+                raise ScenarioValidationError("out", f"cannot write {args.out!r}: {exc.strerror}") from exc
+            with fh:
                 fh.write(text)
         return 0
     except Exception as exc:

@@ -8,10 +8,9 @@ Three sweep kinds cover the quantities worth plotting:
     failure_vs_delay   failure probability vs signaling delay, one series
                        per overlap
 
-Every grid point's analytic value comes from the analytic module's
-unchecked cores, since SweepSpec has checked every grid geometry: one call
-per point for false handoffs, one array call per series for failures, whose
-values equal the scalar false_handoff_probability and
+Every grid point's analytic value comes from one call of the analytic
+module's unchecked scalar cores, since SweepSpec has checked every grid
+geometry, so it equals false_handoff_probability or
 handoff_failure_probability bit for bit.
 When Monte Carlo controls are attached, each point gets an estimate and
 standard error from its own derived substream, so the whole table is a pure
@@ -24,12 +23,15 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .analytic import SpeedModel, _cdf_many, _false_handoff
+from .analytic import SpeedModel, _cdf, _false_handoff
 from .errors import InvalidParameterError, coerce_numbers
-from .geometry import CellGeometry, _derive, derive_geometry
+from .geometry import CellGeometry, _derive, _lengths
 from .montecarlo import SimControls, derive_seed, estimate_failure, estimate_false_handoff
 
 SWEEP_KINDS = ("false_vs_overlap", "failure_vs_speed", "failure_vs_delay")
+# Grid points (series x steps) a sweep may have.  A point's row and its CSV
+# text peak at about 250 bytes (500 with mc), so no sweep needs over 0.5 GB.
+_MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,10 @@ class SweepSpec:
                 raise InvalidParameterError(f"needs exactly one value for {self.kind}", "cell_radius_m")
             if not self.overlap_m:
                 raise InvalidParameterError(f"needs at least one value for {self.kind}", "overlap_m")
+        series = len(self.cell_radius_m if self.kind == "false_vs_overlap" else self.overlap_m)
+        if series * self.axis.steps > _MAX_POINTS:
+            raise InvalidParameterError(
+                f"gives {series} x {self.axis.steps} grid points, more than {_MAX_POINTS}", "axis.steps")
         speeds = {}
         if self.kind == "failure_vs_speed":
             if self.delay_s is None or not self.delay_s >= 0:
@@ -146,57 +152,31 @@ def _provenance(spec: SweepSpec) -> Dict[str, str]:
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate one sweep spec into a table.
 
-    Rows are emitted series-major, then along the axis.  SweepSpec has
-    checked every grid geometry.
+    Rows are emitted series-major, then along the axis, and a row's index
+    is its point's substream index.  SweepSpec has checked every grid
+    geometry, 0 <= axis.start, every speed and every delay, so each value
+    comes from an unchecked core, and a CellGeometry is built only per
+    failure series and per sampled point.
     """
-    grid = spec.axis.points()
-    axis_values = grid.tolist()
-    rows = []
-    point_index = 0
-
-    def mc_controls() -> SimControls:
-        return SimControls(
-            samples=spec.mc.samples,
-            seed=derive_seed(spec.mc.seed, point_index),
-            batches=spec.mc.batches,
-        )
-
-    if spec.kind == "false_vs_overlap":
-        columns = ["cell_radius_m", "overlap_m", "false_handoff_probability"]
-        if spec.mc is not None:
-            columns += ["estimate", "std_err"]
-        # SweepSpec has checked 0 <= axis.start and each radius with
-        # axis.stop, so each point goes through the unchecked core, and a
-        # CellGeometry is built only for the sampler
-        for a in spec.cell_radius_m:
-            for x in axis_values:
-                row = [a, x, _false_handoff(_derive(a, x))]
-                if spec.mc is not None:
-                    est = estimate_false_handoff(CellGeometry(a, x), mc_controls())
-                    row += [est.p_hat, est.std_err]
-                rows.append(tuple(row))
-                point_index += 1
-        return SweepTable(tuple(columns), tuple(rows), _provenance(spec))
-
-    def speed_delay(x):
-        return (x, spec.delay_s) if spec.kind == "failure_vs_speed" else (spec.speed_mps, x)
-
-    a = spec.cell_radius_m[0]
+    by_radius = spec.kind == "false_vs_overlap"
     swept_name = "speed_mps" if spec.kind == "failure_vs_speed" else "delay_s"
-    columns = ["overlap_m", swept_name, "failure_probability"]
+    columns = ["cell_radius_m", "overlap_m", "false_handoff_probability"] if by_radius else [
+        "overlap_m", swept_name, "failure_probability"]
     if spec.mc is not None:
         columns += ["estimate", "std_err"]
-    for ov in spec.overlap_m:
-        geom = CellGeometry(a, ov)
-        # SweepSpec keeps every speed in range and every delay finite and
-        # nonnegative, so the whole series goes through the unchecked core,
-        # on the derivation the geometry holds
-        probs = _cdf_many(derive_geometry(geom), *speed_delay(grid)).tolist()
-        for x, p in zip(axis_values, probs):
-            row = [ov, x, p]
+    a = spec.cell_radius_m[0]
+    axis_values = spec.axis.points().tolist()
+    rows = []
+    for s in spec.cell_radius_m if by_radius else spec.overlap_m:
+        if not by_radius:
+            geom, lengths = CellGeometry(a, s), _lengths(a, s)
+        for x in axis_values:
+            v, tau = (x, spec.delay_s) if swept_name == "speed_mps" else (spec.speed_mps, x)
+            row = (s, x, _false_handoff(_derive(s, x)) if by_radius else _cdf(*lengths, v, tau))
             if spec.mc is not None:
-                est = estimate_failure(geom, *speed_delay(x), mc_controls())
-                row += [est.p_hat, est.std_err]
-            rows.append(tuple(row))
-            point_index += 1
+                ctl = SimControls(spec.mc.samples, derive_seed(spec.mc.seed, len(rows)), spec.mc.batches)
+                est = (estimate_false_handoff(CellGeometry(s, x), ctl) if by_radius
+                       else estimate_failure(geom, v, tau, ctl))
+                row += (est.p_hat, est.std_err)
+            rows.append(row)
     return SweepTable(tuple(columns), tuple(rows), _provenance(spec))

@@ -62,7 +62,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
-from .analytic import SpeedModel, _cdf_many, _check_tau
+from .analytic import SpeedModel, _cdf, _cdf_fast, _check_tau
 from .errors import InvalidParameterError, _real_or_nan, coerce_numbers
 from .geometry import _ENDPOINT_SLACK, CellGeometry, DerivedGeometry, derive_geometry
 from .geometry import _ray_chord_hits_into, _ray_chord_misses_into
@@ -183,12 +183,16 @@ def _sample(
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise InvalidParameterError(f"must be an integer >= 1, got {workers!r}", "workers")
     base, rem = divmod(ctl.samples, ctl.batches)  # the first rem batches hold one more sample
-    chunks, first = [], 0
-    for batch in range(ctl.batches):
-        nb = base + (batch < rem)
-        chunks += [(batch, nb, start, min(_CHUNK, nb - start), first + start)
-                   for start in range(0, nb, _CHUNK)]
-        first += nb
+    per_big, per = -(-(base + 1) // _CHUNK), -(-base // _CHUNK)  # chunks per batch of base + 1, of base
+    n_big = rem * per_big
+    n_chunks = n_big + (ctl.batches - rem) * per
+
+    def chunk(j: int):
+        """Chunk j in batch order: (batch, its size, start in it, size, first sample)."""
+        batch, k = divmod(j, per_big) if j < n_big else divmod(j - n_big + rem * per, per)
+        nb, start = base + (batch < rem), k * _CHUNK
+        return batch, nb, start, min(_CHUNK, nb - start), batch * base + min(batch, rem) + start
+
     width = min(_CHUNK, -(-ctl.samples // ctl.batches))  # the largest batch, at most a chunk
     drawn = speed is not None and speed.kind == "uniform"
     screen = _staircase if drawn else _screen
@@ -225,16 +229,18 @@ def _sample(
             _times(dg, speed, u, u_v, out=out[at:at + m])
         return hits
 
-    workers = min(int(workers), len(chunks))
-    if workers <= 1:
-        return run(chunks)
-    # chunks are dealt to workers in a fixed way; counts are integers and
-    # every value lands in its own slot of out, so no result depends on the
-    # worker count
+    # chunks are dealt to workers in a fixed way, worker w taking chunks w,
+    # w + workers, ... lazily, so no schedule is held; counts are integers
+    # and every value lands in its own slot of out, so no result depends on
+    # the worker count
+    workers = min(int(workers), n_chunks)
+    jobs = [map(chunk, range(w, n_chunks, workers)) for w in range(workers)]
+    if workers == 1:
+        return run(jobs[0])
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(run, [chunks[w::workers] for w in range(workers)]))
+        return sum(pool.map(run, jobs))
 
 
 def _times(dg: DerivedGeometry, speed: SpeedModel, u_h, u_v=None, out=None):
@@ -427,20 +433,22 @@ def crossing_time_ecdf(
 
     Returns the sorted sample, the Kolmogorov-Smirnov sup statistic against
     the closed-form distribution, and the sample size.  At 95% confidence
-    the statistic should stay below 1.36/sqrt(n).
+    the statistic should stay below 1.36/sqrt(n).  The sample holds one
+    float per draw, so its memory grows with ctl.samples, unlike the
+    estimators'.
 
     The statistic is the one a per-sample loop over the scalar
     crossing_time_cdf gives, bit for bit, found by a screen.  The model
     distribution is first evaluated over the whole sample with numpy's
-    arccos (analytic._cdf_many with exact=False), which is within about
-    1e-15 of the exact value because the chord half-angle exceeds pi/4.
-    Every sample whose KS difference, D+ = i/n - F or D- = F - (i-1)/n,
-    lies within _KS_SCREEN = 1e-9 of that difference's maximum is a
-    candidate.  At the exact argmax the approximate difference lies within
-    twice the approximation error of the approximate maximum, far below
-    1e-9, so the exact argmax is always a candidate.  Only the candidates,
-    usually one per difference, are then evaluated exactly with libm's
-    acos, and the statistic is the largest exact difference among them.
+    arccos (analytic._cdf_fast), which is within about 1e-15 of the exact
+    value because the chord half-angle exceeds pi/4.  Every sample whose
+    KS difference, D+ = i/n - F or D- = F - (i-1)/n, lies within
+    _KS_SCREEN = 1e-9 of that difference's maximum is a candidate.  At the
+    exact argmax the approximate difference lies within twice the
+    approximation error of the approximate maximum, far below 1e-9, so the
+    exact argmax is always a candidate.  Only the candidates, usually one
+    per difference, are then evaluated by the scalar analytic._cdf, and the
+    statistic is the largest exact difference among them.
     """
     import numpy as np
 
@@ -453,7 +461,7 @@ def crossing_time_ecdf(
     # NaN; a NaN, were one to appear, would sort last and be refused here as
     # the scalar CDF refuses it
     _check_tau(float(times[-1]))
-    fast = _cdf_many(dg, speed.v_mps, times, exact=False)
+    fast = _cdf_fast(dg, speed.v_mps, times)
     # the ECDF is levels[i] just below sample i and levels[i + 1] at it; one
     # difference array serves D+ and then D-, so the step's peak memory
     # stays below that of the CDF call above
@@ -463,7 +471,7 @@ def crossing_time_ecdf(
     np.subtract(fast, levels[:-1], out=diff)
     near |= diff >= diff.max() - _KS_SCREEN
     near = np.flatnonzero(near)
-    model = _cdf_many(dg, speed.v_mps, times[near])
+    model = np.array([_cdf(dg.trigger_to_chord_m, dg.half_chord_m, speed.v_mps, t) for t in times[near].tolist()])
     ks = max(float((levels[near + 1] - model).max()), float((model - levels[near]).max()))
     times.setflags(write=False)
     return EcdfReport(times_s=times, ks_stat=ks, n=ctl.samples)

@@ -1,5 +1,6 @@
 import copy
 import math
+import os
 import re
 import xml.etree.ElementTree as ET
 
@@ -465,6 +466,26 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["", "missing/out.csv"], ids=["directory", "missing-directory"])
+def test_main_out_that_cannot_be_opened_names_out(tmp_path, capsys, target):
+    # the result is computed, but --out cannot be opened: bad input, exit 2,
+    # and no file is left behind
+    out = tmp_path / target
+    flags = ["--cell-radius-m", "1000", "--overlap-m", "0", "--speed-mps", "50", "--delay-s", "3"]
+    assert main(["analytic"] + flags + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out: cannot write {str(out)!r}: ")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+def test_main_out_that_fails_while_writing_exits_1(capsys):
+    flags = ["--cell-radius-m", "1000", "--overlap-m", "0", "--speed-mps", "50", "--delay-s", "3"]
+    assert main(["analytic"] + flags + ["--out", "/dev/full"]) == 1
+    assert "No space left" in capsys.readouterr().err
+
+
 def test_main_integer_beyond_float_range_names_key(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     path = tmp_path / "scenario.yaml"
@@ -629,7 +650,9 @@ def test_sweep_spec_validation_error_paths():
      "overlap_m[1]: must lie in [0, 866.025) for cell_radius_m=1000, got 5000.0\n"),
     ("kind: failure_vs_delay\naxis: {start: 0, stop: 8, steps: 5}\ncell_radius_m: 1.0e+200\nspeed_mps: 20\n",
      "cell_radius_m[0]: must lie in [1e-150, 1e150], got 1e+200\n"),
-], ids=["false_vs_overlap", "failure_vs_speed", "failure_vs_delay"])
+    (SWEEP_DOC.replace("steps: 8", "steps: 10000000000000"),
+     "axis.steps: gives 2 x 10000000000000 grid points, more than 1000000\n"),
+], ids=["false_vs_overlap", "failure_vs_speed", "failure_vs_delay", "steps"])
 def test_sweep_grid_past_its_bounds_is_refused_at_the_key(tmp_path, capsys, monkeypatch, doc, want):
     # the grid is checked while the spec is parsed, so the error names the
     # document key at fault, as every other bad sweep input does

@@ -5,7 +5,7 @@ import pytest
 
 from handoff_lab.analytic import false_handoff_probability, handoff_failure_probability
 from handoff_lab.errors import InvalidParameterError
-from handoff_lab.experiments import Axis, SweepSpec, SweepTable, run_sweep
+from handoff_lab.experiments import _MAX_POINTS, Axis, SweepSpec, SweepTable, run_sweep
 from handoff_lab.geometry import CellGeometry
 from handoff_lab.montecarlo import SimControls
 
@@ -261,6 +261,19 @@ def test_invalid_grid_point_is_named():
                   overlap_m=(0.0, SQRT3 * 250.0), delay_s=3.0)
     assert err.value.key == "overlap_m[1]"
     assert "cell_radius_m=500" in str(err.value)
+
+
+def test_grid_past_the_point_cap_is_refused_at_axis_steps():
+    # the spec refuses series x steps above the cap when it is built, so
+    # 10**13 steps allocate nothing
+    with pytest.raises(InvalidParameterError) as err:
+        SweepSpec("failure_vs_delay", Axis(0.0, 5.0, 10**13), cell_radius_m=(1000.0,), speed_mps=50.0)
+    assert err.value.key == "axis.steps"
+    half = _MAX_POINTS // 2
+    SweepSpec("false_vs_overlap", Axis(0.0, 5.0, half), cell_radius_m=(1000.0, 2000.0))
+    with pytest.raises(InvalidParameterError) as err:
+        SweepSpec("false_vs_overlap", Axis(0.0, 5.0, half + 1), cell_radius_m=(1000.0, 2000.0))
+    assert (err.value.key, err.value.reason) == ("axis.steps", f"gives 2 x {half + 1} grid points, more than {_MAX_POINTS}")
 
 
 @pytest.mark.parametrize("kind,axis,fixed,key", [

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from handoff_lab import montecarlo
 from handoff_lab.analytic import (
     SpeedModel,
-    _cdf_many,
+    _cdf_fast,
     _support,
     crossing_time_cdf,
     crossing_time_support,
@@ -618,6 +618,54 @@ def test_memory_is_bounded_by_the_chunk():
     assert peak < 16 * 2**20
 
 
+class _FirstChunk(Exception):
+    """Raised by a spy count after the kernel's first chunk."""
+
+
+@pytest.mark.parametrize("samples,batches", [(10**6, 1), (10**15, 1), (10**12, 10**12)],
+                         ids=["1e6", "1e15", "1e12-batches"])
+def test_set_up_memory_does_not_grow_with_the_sample_count(monkeypatch, samples, batches):
+    # the chunk schedule is index arithmetic, so the kernel holds no list of
+    # chunks: set-up to the first chunk's count stays near a chunk's 0.6 MB
+    # of buffers (a list of chunks took 25 MB at 1e10 samples)
+    def screen(dg, speed, tau):
+        def count(values, mask):
+            raise _FirstChunk
+        return None, count
+
+    monkeypatch.setattr(montecarlo, "_screen", screen)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_FirstChunk):
+            estimate_false_handoff(KM_CELL, SimControls(samples=samples, seed=1, batches=batches))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("chunk", [1000, 4099, 2**16])
+@pytest.mark.parametrize("block", [1000, 4099, 2**16])
+def test_chunk_and_block_sizes_change_no_result(monkeypatch, chunk, block):
+    # chunk boundaries cut batches of 10001 and 10000 samples unevenly, and
+    # the staircase's gather blocks cut each chunk; no value may move
+    ctl = SimControls(samples=30_001, seed=77, batches=3)
+    uniform = SpeedModel.uniform(30.0, 70.0)
+
+    def results(workers):
+        ecdf = crossing_time_ecdf(KM_CELL, 50.0, ctl, workers=workers)
+        return (estimate_false_handoff(KM_CELL, ctl, workers=workers),
+                estimate_failure(KM_CELL, 50.0, 3.0, ctl, workers=workers),
+                estimate_failure(KM_CELL, uniform, 3.0, ctl, workers=workers),
+                ecdf.times_s.tobytes(), ecdf.ks_stat)
+
+    want = results(1)
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    assert results(1) == want
+    assert results(2) == want
+
+
 def test_ecdf_repeat_runs_are_byte_identical():
     ctl = SimControls(samples=10, seed=7)
     first = crossing_time_ecdf(KM_CELL, 50.0, ctl)
@@ -639,7 +687,7 @@ def test_different_seeds_give_different_draws():
 def _analytic_reads(source):
     """The names a module's source imports from analytic (or analytic
     itself, imported whole), and the top-level statements that name
-    _cdf_many or _check_tau."""
+    _cdf, _cdf_fast or _check_tau."""
     tree = ast.parse(source)
     imported = []
     for node in ast.walk(tree):
@@ -650,21 +698,22 @@ def _analytic_reads(source):
     readers = set()
     for node in tree.body:
         named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-        if not isinstance(node, (ast.Import, ast.ImportFrom)) and named & {"_cdf_many", "_check_tau"}:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) and named & {"_cdf", "_cdf_fast", "_check_tau"}:
             readers.add(getattr(node, "name", "module level"))
     return sorted(imported), readers
 
 
 def test_sampler_reads_no_closed_form():
     # the estimates check the closed forms only while no sampling path calls
-    # one: montecarlo imports from analytic only the speed model and the two
-    # helpers of the KS step, and only crossing_time_ecdf names those two
+    # one: montecarlo imports from analytic only the speed model and the three
+    # helpers of the KS step, and only crossing_time_ecdf names those
     imported, readers = _analytic_reads(inspect.getsource(montecarlo))
-    assert imported == ["SpeedModel", "_cdf_many", "_check_tau"]
+    assert imported == ["SpeedModel", "_cdf", "_cdf_fast", "_check_tau"]
     assert readers == {"crossing_time_ecdf"}
     # the rule sees a screen that reads a closed form, and a module import
-    screen = "def _screen(dg, speed, tau):\n    return _cdf_many(dg, speed.v_mps, tau)\n"
+    screen = "def _screen(dg, speed, tau):\n    return _cdf_fast(dg, speed.v_mps, tau)\n"
     assert _analytic_reads(screen)[1] == {"_screen"}
+    assert _analytic_reads("def _hits(dg, v, t):\n    return _cdf(1.0, 1.0, v, t)\n")[1] == {"_hits"}
     assert _analytic_reads("from . import analytic\nimport handoff_lab.analytic\n")[0] == [
         "analytic", "handoff_lab.analytic"]
 
@@ -824,14 +873,13 @@ def test_ecdf_ks_screen_keeps_an_argmax_the_fast_cdf_ranks_second(monkeypatch):
         out[:] = times
         return 0
 
-    def cdf_many(dg, v, tau, *, exact=True):
-        values = _cdf_many(dg, v, tau, exact=exact)
-        if not exact:
-            values[0] += 1e-12
+    def cdf_fast(dg, v, times):
+        values = _cdf_fast(dg, v, times)
+        values[0] += 1e-12
         return values
 
     monkeypatch.setattr(montecarlo, "_sample", sample)
-    monkeypatch.setattr(montecarlo, "_cdf_many", cdf_many)
+    monkeypatch.setattr(montecarlo, "_cdf_fast", cdf_fast)
     report = crossing_time_ecdf(KM_CELL, 50.0, SimControls(4, 0))
     assert report.ks_stat == _loop_ks(KM_CELL, 50.0, times)
 
@@ -842,7 +890,7 @@ def test_ecdf_ks_is_exact_where_numpy_arccos_is_not():
     # arccos alone gives another statistic; the screen must not
     report = crossing_time_ecdf(KM_CELL, 50.0, SimControls(samples=2_000, seed=1))
     exact = _loop_ks(KM_CELL, 50.0, report.times_s)
-    fast = _ks_over(_cdf_many(derive_geometry(KM_CELL), 50.0, report.times_s, exact=False))
+    fast = _ks_over(_cdf_fast(derive_geometry(KM_CELL), 50.0, report.times_s))
     if fast == exact:
         pytest.skip("numpy's arccos agrees with libm's acos at the maximising sample here")
     assert report.ks_stat == exact
