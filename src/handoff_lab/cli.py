@@ -34,6 +34,7 @@ from .errors import (
     NotBracketedError,
     ScenarioParseError,
     ScenarioValidationError,
+    UnknownBaseStationError,
     _shape,
     coerce_numbers,
 )
@@ -413,8 +414,13 @@ def _classify(args: argparse.Namespace) -> str:
     scenario = _scenario(args)
     if scenario.topology is None:
         raise ScenarioValidationError("topology", "classify needs a topology block")
-    kind = classify_handoff(scenario.topology, args.from_bs, args.to_bs)
-    delay = delay_for(scenario.delay_profile, kind)
+    for key in ("from_bs", "to_bs"):  # classify_handoff's refusals, each at its flag's key
+        try:
+            scenario.topology.locate(getattr(args, key))
+        except UnknownBaseStationError as exc:
+            raise ScenarioValidationError(key, str(exc)) from None
+    kind = _checked("to_bs", classify_handoff, scenario.topology, args.from_bs, args.to_bs)
+    delay = _checked("delay_profile.link_layer_s", delay_for, scenario.delay_profile, kind)
     return render_csv(("handoff_type", "delay_s"), [(kind.value, delay)])
 
 

@@ -1,14 +1,19 @@
+import argparse
+import contextlib
 import copy
+import io
 import math
 import os
+import random
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from handoff_lab import cli, experiments, montecarlo
 from handoff_lab.analytic import (
     SpeedModel,
     crossing_time_support,
@@ -19,6 +24,7 @@ from handoff_lab.analytic import (
 from handoff_lab.cli import (
     _SCENARIO_KEYS,
     _SWEEP_KEYS,
+    _build_parser,
     _load_yaml_mapping,
     SEED_ENV_VAR,
     main,
@@ -31,6 +37,7 @@ from handoff_lab.cli import (
 from handoff_lab.errors import (
     HandoffLabError,
     InvalidParameterError,
+    NotBracketedError,
     ScenarioParseError,
     ScenarioValidationError,
 )
@@ -316,6 +323,33 @@ def test_classify_refuses_a_misspelt_topology_key(tmp_path, capsys):
 def test_classify_names_the_path_of_a_bad_topology_block(tmp_path, capsys, doc, want):
     assert run_scenario(tmp_path, "classify", doc, "--from-bs", "bs11", "--to-bs", "bs12") == 2
     assert capsys.readouterr().err == "error: " + want
+
+
+FLAGS = ["--cell-radius-m", "1000", "--overlap-m", "0", "--speed-mps", "50"]
+
+
+@pytest.mark.parametrize("command,doc,flags,want", [
+    ("analytic", None, FLAGS + ["--delay-s", "-1"], "delay_s: must be nonnegative, got -1.0"),
+    ("analytic", "", [], "cell_radius_m: is required"),
+    ("classify", MINIMAL, ["--from-bs", "bs10", "--to-bs", "bs11"], "topology: classify needs a topology block"),
+    ("classify", TOPOLOGY_DOC, ["--from-bs", "zz", "--to-bs", "bs11"], "from_bs: unknown base station 'zz'"),
+    ("classify", TOPOLOGY_DOC, ["--from-bs", "bs11", "--to-bs", "zz"], "to_bs: unknown base station 'zz'"),
+    ("classify", TOPOLOGY_DOC, ["--from-bs", "zz", "--to-bs", "zz"], "from_bs: unknown base station 'zz'"),
+    ("classify", TOPOLOGY_DOC, ["--from-bs", "bs11", "--to-bs", "bs11"],
+     "to_bs: handoff endpoints must differ, got 'bs11' twice"),
+    ("classify", TOPOLOGY_DOC, ["--from-bs", "bs10", "--to-bs", "bs11"],
+     "delay_profile.link_layer_s: link-layer handoffs have no delay in this profile; set link_layer_s to model one"),
+], ids=["negative-delay", "empty-scenario", "classify-without-topology", "unknown-from-bs", "unknown-to-bs",
+        "both-unknown", "same-station", "link-layer-without-delay"])
+def test_main_refusal_names_its_key(tmp_path, capsys, command, doc, flags, want):
+    # one line, the key and then the reason; exit 2 and no file written
+    out = tmp_path / "out.csv"
+    if doc is not None:
+        (tmp_path / "scenario.yaml").write_text(doc)
+        flags = ["--scenario", str(tmp_path / "scenario.yaml"), *flags]
+    assert main([command, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not out.exists()
 
 
 def test_svg_rejected_outside_sweep(tmp_path, capsys):
@@ -628,6 +662,24 @@ def test_sweep_svg_structure(tmp_path, monkeypatch):
     assert "overlap_m=0" in texts and "overlap_m=50" in texts
 
 
+def test_sweep_svg_of_a_flat_series(tmp_path, monkeypatch):
+    # every delay lies below t_min, so every value is 0: the y range widens
+    # to [-0.5, 0.5] (padded by 5%) instead of dividing by zero, and the
+    # line runs along the middle of the plot
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text("kind: failure_vs_delay\naxis: {start: 0, stop: 1, steps: 3}\n"
+                    "cell_radius_m: 1000\noverlap_m: 0\nspeed_mps: 50\n")
+    out = tmp_path / "chart.svg"
+    assert main(["sweep", "--spec", str(spec), "--format", "svg", "--out", str(out)]) == 0
+    root = ET.fromstring(out.read_text())
+    ns = "{http://www.w3.org/2000/svg}"
+    (poly,) = root.findall(f"{ns}polyline")
+    assert [p.split(",")[1] for p in poly.attrib["points"].split()] == ["185.00"] * 3
+    texts = [el.text for el in root.findall(f"{ns}text")]
+    assert {"-0.55", "-0.275", "0", "0.275", "0.55"} <= set(texts)
+
+
 def test_sweep_spec_validation_error_paths():
     with pytest.raises(ScenarioValidationError) as err:
         parse_sweep_spec("axis: {start: 0, stop: 1, steps: 4}\ncell_radius_m: 1000", env={})
@@ -641,6 +693,14 @@ def test_sweep_spec_validation_error_paths():
     with pytest.raises(ScenarioValidationError) as err:
         parse_sweep_spec(SWEEP_DOC.replace("stop: 80", "stop: 8"), env={})
     assert str(err.value) == "axis.stop: must exceed start, got [10.0, 8.0]"
+    # a kind YAML reads as a list is refused at kind, as any unknown kind is
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_sweep_spec(SWEEP_DOC.replace("kind: failure_vs_speed", "kind: [failure_vs_speed]"), env={})
+    assert str(err.value) == (
+        "kind: must be one of false_vs_overlap, failure_vs_speed, failure_vs_delay, got ['failure_vs_speed']")
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_sweep_spec(SWEEP_DOC.replace("overlap_m: [0, 50]", "overlap_m: []"), env={})
+    assert str(err.value) == "overlap_m: needs at least one value for failure_vs_speed"
 
 
 @pytest.mark.parametrize("doc,want", [
@@ -773,15 +833,118 @@ def test_parsers_give_a_result_or_a_package_error(data):
         pass
 
 
+# ----------------------------------------------------------------------
+# any command line: exit 0, 2, or 1 only where adapt's target is unreachable
+# ----------------------------------------------------------------------
+
+PARSER = _build_parser()
+SUBCOMMANDS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+# what a refusal may name: a document key, or a flag's dest that is no key
+REFUSAL_KEYS = {*_SCENARIO_KEYS, *_SWEEP_KEYS, "format", "out", "from_bs", "to_bs"}
+REFUSAL_AT_KEY = re.compile(r"error: ([a-z_]+)[^ ]*: ")
+ARGV_DRAWS = 1000
+
+
+def test_any_command_line_exits_0_2_or_1_and_names_what_it_refuses(tmp_path, monkeypatch):
+    # a valid command line, with one to three of its subcommand's flags set to
+    # a value from the pool of the flag's sort (now and then from any pool) or
+    # dropped, run in main: a refusal is one line naming its key or its file,
+    # argparse's names a flag on its last line, exit 1 is only adapt's
+    # unreachable target, and a run that fails leaves no --out file
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    # one parser serves every draw: building it costs more than most runs
+    monkeypatch.setattr(cli, "_build_parser", lambda: PARSER)
+
+    # 2**64 is a valid sample count whose run would never end: each estimate
+    # still gets its inputs as given, but draws at most 64 samples
+    def capped(estimate):
+        def run(*args):
+            *rest, ctl = args
+            return estimate(*rest, SimControls(min(ctl.samples, 64), ctl.seed, min(ctl.batches, 64)))
+        return run
+
+    for module in (montecarlo, experiments):
+        for name in ("estimate_false_handoff", "estimate_failure"):
+            monkeypatch.setattr(module, name, capped(getattr(montecarlo, name)))
+    unreachable, solve = [], cli.adapt_overlap
+
+    def adapt_overlap(*args):
+        try:
+            return solve(*args)
+        except NotBracketedError as exc:
+            unreachable.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "adapt_overlap", adapt_overlap)
+    (tmp_path / "scenario.yaml").write_text(TOPOLOGY_DOC + "mc: {samples: 100, seed: 1}\n")
+    (tmp_path / "spec.yaml").write_text(SWEEP_DOC.replace("20000", "100").replace("steps: 8", "steps: 3"))
+    (tmp_path / "dir").mkdir()
+    missing = tmp_path / "missing.csv"
+    scenario, spec = str(tmp_path / "scenario.yaml"), str(tmp_path / "spec.yaml")
+    outs = ["", str(tmp_path / "dir"), str(missing)]
+    pools = {
+        "number": ["0", "-1", "-0.5", "nan", "inf", "1e400", str(2**64), "1", "50"],
+        "file": [*outs, scenario, spec],
+        "id": ["", "bs10", "bs11", "bs20", "zz"],
+    }
+    bases = {
+        "analytic": {"--scenario": scenario}, "simulate": {"--scenario": scenario},
+        "adapt": {"--scenario": scenario, "--target-pf": "0.2"},
+        "classify": {"--scenario": scenario, "--from-bs": "bs11", "--to-bs": "bs12"}, "sweep": {"--spec": spec},
+    }
+    rng = random.Random(0)
+    codes = set()
+    for _ in range(ARGV_DRAWS):
+        command = rng.choice(sorted(SUBCOMMANDS))
+        flags = {**bases[command], "--out": str(missing)}
+        actions = [a for a in SUBCOMMANDS[command]._actions if not isinstance(a, argparse._HelpAction)]
+        for action in rng.sample(actions, rng.randint(1, 3)):
+            flag = action.option_strings[-1]
+            if rng.random() < 0.1:
+                flags.pop(flag, None)
+                continue
+            sort = "number" if action.type else "file" if action.dest in ("scenario", "spec") else "id"
+            values = outs if action.dest == "out" else list(action.choices or pools[sort])
+            if action.dest != "out" and rng.random() < 0.1:
+                values = [v for pool in pools.values() for v in pool]
+            flags[flag] = rng.choice(values)
+        argv = [command, *(part for item in flags.items() for part in item)]
+        unreachable.clear()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"argparse {exc.code}"
+        codes.add(code)
+        assert not (code and missing.exists()), argv
+        missing.unlink(missing_ok=True)
+        lines = err.getvalue().splitlines()
+        if code == "argparse 2":
+            assert any(opt in lines[-1] for a in actions for opt in a.option_strings), argv
+            continue
+        if code == 0:
+            continue
+        assert code == 2 or (code == 1 and unreachable), (argv, lines)
+        (line,) = lines
+        at_key = REFUSAL_AT_KEY.match(line)
+        files = [flags[flag] for flag in ("--scenario", "--spec") if flag in flags]
+        assert ((at_key and at_key[1] in REFUSAL_KEYS) or (code == 1 and line == f"error: {unreachable[-1]}")
+                or any(f"{path!r}" in line for path in files)), (argv, line)
+    assert codes == {0, 1, 2, "argparse 2"}
+
+
 @pytest.mark.parametrize("make,key,message", [
     (lambda: SimControls(0, 1), "samples", "samples must be an integer >= 1, got 0"),
     (lambda: CellGeometry(1000.0, 900.0), "overlap_m",
      "overlap_m must lie in [0, 866.025) for cell_radius_m=1000, got 900.0"),
     (lambda: SweepSpec("false_vs_overlap", Axis(0.0, 1.0, 2), cell_radius_m=(1000.0, "x")),
      "cell_radius_m[1]", "cell_radius_m[1] must be a real number, got 'x'"),
+    (lambda: SweepSpec("false_vs_overlap", Axis(0.0, 1.0, 2), cell_radius_m=5.0),
+     "cell_radius_m", "cell_radius_m must be a sequence of numbers, got 5.0"),
     (lambda: DelayProfile(intra_s=2.0, inter_s=1.0), "inter_s",
      "inter_s must be at least intra_s, got 1.0 < 2.0"),
-], ids=["SimControls", "CellGeometry", "coerce_numbers", "DelayProfile"])
+], ids=["SimControls", "CellGeometry", "coerce_numbers", "coerce_numbers-scalar", "DelayProfile"])
 def test_library_errors_carry_their_key_apart_from_the_reason(make, key, message):
     # the message reads as it always has; the CLI reports the reason at the key
     with pytest.raises(InvalidParameterError) as err:

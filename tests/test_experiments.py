@@ -292,6 +292,45 @@ def test_sweep_speeds_past_their_bound_are_named(kind, axis, fixed, key):
     assert err.value.reason.startswith("must lie in [1e-150, 1e150], got ")
 
 
+R = (1000.0,)
+
+
+@pytest.mark.parametrize("kind,axis,fields,key,reason", [
+    ("nope", Axis(1.0, 2.0, 3), {"cell_radius_m": R}, "kind",
+     "must be one of false_vs_overlap, failure_vs_speed, failure_vs_delay, got 'nope'"),
+    ("false_vs_overlap", Axis(0.0, 5.0, 3), {}, "cell_radius_m", "needs at least one value for false_vs_overlap"),
+    ("false_vs_overlap", Axis(-1.0, 5.0, 3), {"cell_radius_m": R}, "axis.start",
+     "must be 0 or above for false_vs_overlap"),
+    ("failure_vs_speed", Axis(10.0, 50.0, 3), {"cell_radius_m": (1000.0, 2000.0), "delay_s": 3.0}, "cell_radius_m",
+     "needs exactly one value for failure_vs_speed"),
+    ("failure_vs_delay", Axis(0.0, 5.0, 3), {"speed_mps": 50.0}, "cell_radius_m",
+     "needs exactly one value for failure_vs_delay"),
+    ("failure_vs_speed", Axis(10.0, 50.0, 3), {"cell_radius_m": R, "overlap_m": (), "delay_s": 3.0}, "overlap_m",
+     "needs at least one value for failure_vs_speed"),
+    ("failure_vs_delay", Axis(0.0, 5.0, 3), {"cell_radius_m": R, "overlap_m": (), "speed_mps": 50.0}, "overlap_m",
+     "needs at least one value for failure_vs_delay"),
+    ("failure_vs_speed", Axis(10.0, 50.0, 3), {"cell_radius_m": R}, "delay_s",
+     "must be given and nonnegative for failure_vs_speed"),
+    ("failure_vs_speed", Axis(10.0, 50.0, 3), {"cell_radius_m": R, "delay_s": -1.0}, "delay_s",
+     "must be given and nonnegative for failure_vs_speed"),
+    ("failure_vs_delay", Axis(0.0, 5.0, 3), {"cell_radius_m": R}, "speed_mps", "must be given for failure_vs_delay"),
+    ("failure_vs_delay", Axis(-1.0, 5.0, 3), {"cell_radius_m": R, "speed_mps": 50.0}, "axis.start",
+     "must be 0 or above for failure_vs_delay"),
+], ids=["kind", "no-radius", "overlap-below-0", "two-radii", "no-radius-for-failure", "no-overlap-speed",
+        "no-overlap-delay", "no-delay", "negative-delay", "no-speed", "delay-below-0"])
+def test_each_single_fault_spec_is_refused_at_its_key(kind, axis, fields, key, reason):
+    with pytest.raises(InvalidParameterError) as err:
+        SweepSpec(kind=kind, axis=axis, **fields)
+    assert (err.value.key, err.value.reason) == (key, reason)
+
+
+def test_a_fixed_value_the_kind_does_not_use_is_not_checked():
+    # false_vs_overlap holds no speed or delay fixed, so it takes any it is given
+    table = run_sweep(SweepSpec("false_vs_overlap", Axis(0.0, 5.0, 2), cell_radius_m=R, speed_mps=0.0, delay_s=-1.0))
+    assert table.columns == ("cell_radius_m", "overlap_m", "false_handoff_probability")
+    assert table.provenance["speed_mps"] == "0" and table.provenance["delay_s"] == "-1"
+
+
 def test_provenance_records_the_spec():
     spec = SweepSpec(
         kind="failure_vs_speed",

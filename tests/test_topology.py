@@ -173,6 +173,28 @@ def test_empty_identifiers_rejected(kind):
                 ForeignAgent(fa_id=ids["fa_id"], bs_ids=(ids["bs_id"], "b2")),)),))
 
 
+ID_PATHS = {"system_id": "systems[1].system_id", "gfa_id": "systems[1].gfa_id",
+            "fa_id": "systems[1].fas[1].fa_id", "bs_id": "systems[1].fas[1].bs_ids[1]"}
+
+
+@pytest.mark.parametrize("kind", list(ID_PATHS))
+@pytest.mark.parametrize("ident,message", [
+    (7, "{path} must be a string, got 7"),
+    ("", "empty {kind} at {path}; identifiers must be nonempty"),
+    ("b0", "duplicate identifier 'b0' at {path} (already a bs_id)"),
+], ids=["not-a-string", "empty", "duplicate"])
+def test_each_id_fault_names_its_path(kind, ident, message):
+    # the id of this kind in the second system, its second foreign agent
+    # and that agent's second base station is the only one at fault
+    ids = {"system_id": "s1", "gfa_id": "g1", "fa_id": "f2", "bs_id": "b3", kind: ident}
+    systems = (AccessSystem("s0", "g0", (ForeignAgent("f0", ("b0",)),)),
+               AccessSystem(ids["system_id"], ids["gfa_id"], (
+                   ForeignAgent("f1", ("b1",)), ForeignAgent(ids["fa_id"], ("b2", ids["bs_id"])))))
+    with pytest.raises(InvalidParameterError) as err:
+        NetworkTopology(systems)
+    assert str(err.value) == message.format(path=ID_PATHS[kind], kind=kind)
+
+
 def test_empty_containers_rejected():
     # the topology checks the whole forest, and names the empty container's path
     full = AccessSystem("s1", "g1", (ForeignAgent("f1", ("b1",)),))
@@ -341,6 +363,17 @@ def test_from_dict_allows_and_ignores_ha_id(ha_id):
     topo = NetworkTopology.from_dict(_doc(system_extra={"ha_id": ha_id}))
     assert topo.locate("b2") == ("f2", "g1")
     assert classify_handoff(topo, "b1", "b3") is HandoffType.INTER_SYSTEM
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"systems": "oops"}, "systems must be a list"),
+    ({"systems": [{"system_id": "s", "gfa_id": "g", "fas": {"fa_id": "f"}}]}, "systems[0].fas must be a list"),
+    (_doc(fa_extra={"bs_ids": "b2"}), "systems[0].fas[1].bs_ids must be a list"),
+], ids=["systems", "fas", "bs_ids"])
+def test_from_dict_refuses_a_container_that_is_not_a_list(doc, message):
+    with pytest.raises(InvalidParameterError) as err:
+        NetworkTopology.from_dict(doc)
+    assert str(err.value) == message
 
 
 def test_from_dict_refuses_a_null_list():
