@@ -339,18 +339,13 @@ def render_sweep_svg(table: SweepTable) -> str:
 
 
 def _analytic_row(scenario: Scenario) -> Tuple[Tuple[str, ...], Tuple[float, ...]]:
-    geom = scenario.geometry
-    tau = scenario.resolved_delay_s()
+    geom, speed, tau = scenario.geometry, scenario.speed, scenario.resolved_delay_s()
     pa = false_handoff_probability(geom)
-    if scenario.speed.kind == "fixed":
-        support = crossing_time_support(geom, scenario.speed.v_mps)
-        t_min, t_max = support.t_min_s, support.t_max_s
-        pf = handoff_failure_probability(geom, scenario.speed.v_mps, tau)
-    else:
-        # support of the crossing time over the whole speed range
-        t_min = crossing_time_support(geom, scenario.speed.vmax_mps).t_min_s
-        t_max = crossing_time_support(geom, scenario.speed.vmin_mps).t_max_s
-        pf = expected_failure_over_speed(geom, scenario.speed, tau)
+    fixed = speed.kind == "fixed"
+    # the crossing time's support over the speed range: t_min at the fastest speed, t_max at the slowest
+    fastest, slowest = (speed.v_mps, speed.v_mps) if fixed else (speed.vmax_mps, speed.vmin_mps)
+    t_min, t_max = crossing_time_support(geom, fastest).t_min_s, crossing_time_support(geom, slowest).t_max_s
+    pf = handoff_failure_probability(geom, speed.v_mps, tau) if fixed else expected_failure_over_speed(geom, speed, tau)
     columns = ("false_handoff_probability", "t_min_s", "t_max_s", "failure_probability")
     return columns, (pa, t_min, t_max, pf)
 

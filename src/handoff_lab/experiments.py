@@ -28,7 +28,13 @@ from .errors import InvalidParameterError, coerce_numbers
 from .geometry import CellGeometry, _derive, _lengths
 from .montecarlo import SimControls, derive_seed, estimate_failure, estimate_false_handoff
 
-SWEEP_KINDS = ("false_vs_overlap", "failure_vs_speed", "failure_vs_delay")
+# kind: (series field, swept quantity, fixed value it needs, value column)
+_KINDS = {
+    "false_vs_overlap": ("cell_radius_m", "overlap_m", None, "false_handoff_probability"),
+    "failure_vs_speed": ("overlap_m", "speed_mps", "delay_s", "failure_probability"),
+    "failure_vs_delay": ("overlap_m", "delay_s", "speed_mps", "failure_probability"),
+}
+SWEEP_KINDS = tuple(_KINDS)
 # Grid points (series x steps) a sweep may have.  A point's row and its CSV
 # text peak at about 250 bytes (500 with mc), so no sweep needs over 0.5 GB.
 _MAX_POINTS = 10**6
@@ -78,46 +84,39 @@ class SweepSpec:
         coerce_numbers(self, "cell_radius_m", "overlap_m", each=True, finite=True)
         fixed = [name for name in ("speed_mps", "delay_s") if getattr(self, name) is not None]
         coerce_numbers(self, *fixed, finite=True)
-        if self.kind not in SWEEP_KINDS:
+        if self.kind not in SWEEP_KINDS:  # a tuple, so an unhashable kind is refused here too
             raise InvalidParameterError(f"must be one of {', '.join(SWEEP_KINDS)}, got {self.kind!r}", "kind")
-        if self.kind == "false_vs_overlap":
-            if not self.cell_radius_m:
-                raise InvalidParameterError(f"needs at least one value for {self.kind}", "cell_radius_m")
-            if self.axis.start < 0:
-                raise InvalidParameterError(f"must be 0 or above for {self.kind}", "axis.start")
-        else:
-            if len(self.cell_radius_m) != 1:
-                raise InvalidParameterError(f"needs exactly one value for {self.kind}", "cell_radius_m")
-            if not self.overlap_m:
-                raise InvalidParameterError(f"needs at least one value for {self.kind}", "overlap_m")
-        series = len(self.cell_radius_m if self.kind == "false_vs_overlap" else self.overlap_m)
-        if series * self.axis.steps > _MAX_POINTS:
+        series, swept, needs, _ = _KINDS[self.kind]
+        values = getattr(self, series)
+        if series == "overlap_m" and len(self.cell_radius_m) != 1:
+            raise InvalidParameterError(f"needs exactly one value for {self.kind}", "cell_radius_m")
+        if not values:
+            raise InvalidParameterError(f"needs at least one value for {self.kind}", series)
+        if len(values) * self.axis.steps > _MAX_POINTS:
             raise InvalidParameterError(
-                f"gives {series} x {self.axis.steps} grid points, more than {_MAX_POINTS}", "axis.steps")
-        speeds = {}
-        if self.kind == "failure_vs_speed":
-            if self.delay_s is None or not self.delay_s >= 0:
-                raise InvalidParameterError(f"must be given and nonnegative for {self.kind}", "delay_s")
-            speeds = {"axis.start": self.axis.start, "axis.stop": self.axis.stop}
-        if self.kind == "failure_vs_delay":
-            if self.speed_mps is None:
-                raise InvalidParameterError(f"must be given for {self.kind}", "speed_mps")
-            if self.axis.start < 0:
-                raise InvalidParameterError(f"must be 0 or above for {self.kind}", "axis.start")
-            speeds = {"speed_mps": self.speed_mps}
+                f"gives {len(values)} x {self.axis.steps} grid points, more than {_MAX_POINTS}", "axis.steps")
+        if needs == "delay_s" and (self.delay_s is None or not self.delay_s >= 0):
+            raise InvalidParameterError(f"must be given and nonnegative for {self.kind}", "delay_s")
+        if needs == "speed_mps" and self.speed_mps is None:
+            raise InvalidParameterError(f"must be given for {self.kind}", "speed_mps")
+        # a swept overlap or delay starts at 0 or above, a swept speed within the speed range
+        if swept != "speed_mps" and self.axis.start < 0:
+            raise InvalidParameterError(f"must be 0 or above for {self.kind}", "axis.start")
+        speeds = ({"axis.start": self.axis.start, "axis.stop": self.axis.stop} if swept == "speed_mps"
+                  else {"speed_mps": self.speed_mps} if needs == "speed_mps" else {})
         for key, v in speeds.items():
             try:
                 SpeedModel.fixed(v)
             except InvalidParameterError as exc:
                 raise InvalidParameterError(exc.reason, key) from None
-        # each radius and each overlap of its series (the axis stop for false_vs_overlap) make a CellGeometry
-        swept = self.kind == "false_vs_overlap"
+        # each radius and each overlap of its series (the axis stop where the overlap is swept) make a CellGeometry
         for i, a in enumerate(self.cell_radius_m):
-            for j, ov in enumerate([self.axis.stop] if swept else self.overlap_m):
+            for j, ov in enumerate([self.axis.stop] if swept == "overlap_m" else self.overlap_m):
                 try:
                     CellGeometry(a, ov)
                 except InvalidParameterError as exc:
-                    at = f"cell_radius_m[{i}]" if exc.key == "cell_radius_m" else "axis.stop" if swept else f"overlap_m[{j}]"
+                    at = (f"cell_radius_m[{i}]" if exc.key == "cell_radius_m" else "axis.stop" if swept == "overlap_m"
+                          else f"overlap_m[{j}]")
                     raise InvalidParameterError(exc.reason, at) from None
 
 
@@ -158,20 +157,17 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     comes from an unchecked core, and a CellGeometry is built only per
     failure series and per sampled point.
     """
-    by_radius = spec.kind == "false_vs_overlap"
-    swept_name = "speed_mps" if spec.kind == "failure_vs_speed" else "delay_s"
-    columns = ["cell_radius_m", "overlap_m", "false_handoff_probability"] if by_radius else [
-        "overlap_m", swept_name, "failure_probability"]
-    if spec.mc is not None:
-        columns += ["estimate", "std_err"]
+    series, swept, _, value = _KINDS[spec.kind]
+    by_radius = series == "cell_radius_m"
+    columns = [series, swept, value] + (["estimate", "std_err"] if spec.mc is not None else [])
     a = spec.cell_radius_m[0]
     axis_values = spec.axis.points().tolist()
     rows = []
-    for s in spec.cell_radius_m if by_radius else spec.overlap_m:
+    for s in getattr(spec, series):
         if not by_radius:
             geom, lengths = CellGeometry(a, s), _lengths(a, s)
         for x in axis_values:
-            v, tau = (x, spec.delay_s) if swept_name == "speed_mps" else (spec.speed_mps, x)
+            v, tau = (x, spec.delay_s) if swept == "speed_mps" else (spec.speed_mps, x)
             row = (s, x, _false_handoff(_derive(s, x)) if by_radius else _cdf(*lengths, v, tau))
             if spec.mc is not None:
                 ctl = SimControls(spec.mc.samples, derive_seed(spec.mc.seed, len(rows)), spec.mc.batches)

@@ -52,24 +52,31 @@ class NetworkTopology:
             raise InvalidParameterError("systems must not be empty")
         self.systems = systems
         self._by_bs: Dict[str, Tuple[str, str]] = {}
-        seen: Dict[str, str] = {}  # id: its kind; an id's path is spelt out only to raise
+        seen: Dict[str, str] = {}  # id: its kind
+
+        def check(ident, kind: str, path: str, *at: int) -> None:
+            """Record ident, of this kind at path.format(*at), if it is a new
+            nonempty string; else refuse it.  The path is spelt out only to raise."""
+            if not isinstance(ident, str) or not ident or ident in seen:
+                path = path.format(*at)
+                if not isinstance(ident, str):
+                    raise InvalidParameterError(f"{path} must be a string, got {ident!r}")
+                if not ident:
+                    raise InvalidParameterError(f"empty {kind} at {path}; identifiers must be nonempty")
+                raise InvalidParameterError(f"duplicate identifier {ident!r} at {path} (already a {seen[ident]})")
+            seen[ident] = kind
+
         for i, sys_ in enumerate(systems):
-            for kind, ident in (("system_id", sys_.system_id), ("gfa_id", sys_.gfa_id)):
-                if not isinstance(ident, str) or not ident or ident in seen:
-                    raise _id_error(ident, seen, kind, i)
-                seen[ident] = kind
+            check(sys_.system_id, "system_id", "systems[{}].system_id", i)
+            check(sys_.gfa_id, "gfa_id", "systems[{}].gfa_id", i)
             if not sys_.fas:
                 raise InvalidParameterError(f"systems[{i}].fas must not be empty")
             for j, fa in enumerate(sys_.fas):
-                if not isinstance(fa.fa_id, str) or not fa.fa_id or fa.fa_id in seen:
-                    raise _id_error(fa.fa_id, seen, "fa_id", i, j)
-                seen[fa.fa_id] = "fa_id"
+                check(fa.fa_id, "fa_id", "systems[{}].fas[{}].fa_id", i, j)
                 if not fa.bs_ids:
                     raise InvalidParameterError(f"systems[{i}].fas[{j}].bs_ids must not be empty")
                 for k, bs in enumerate(fa.bs_ids):
-                    if not isinstance(bs, str) or not bs or bs in seen:
-                        raise _id_error(bs, seen, "bs_id", i, j, k)
-                    seen[bs] = "bs_id"
+                    check(bs, "bs_id", "systems[{}].fas[{}].bs_ids[{}]", i, j, k)
                     self._by_bs[bs] = (fa.fa_id, sys_.gfa_id)
 
     @classmethod
@@ -162,14 +169,3 @@ def delay_for(profile: DelayProfile, handoff_type: HandoffType) -> float:
         )
     return profile.link_layer_s
 
-
-def _id_error(ident, seen: Dict[str, str], kind: str, *indices: int) -> InvalidParameterError:
-    """Why NetworkTopology refuses ident, the id of this kind at these indices."""
-    path = {"system_id": "systems[{}].system_id", "gfa_id": "systems[{}].gfa_id",
-            "fa_id": "systems[{}].fas[{}].fa_id",
-            "bs_id": "systems[{}].fas[{}].bs_ids[{}]"}[kind].format(*indices)
-    if not isinstance(ident, str):
-        return InvalidParameterError(f"{path} must be a string, got {ident!r}")
-    if not ident:
-        return InvalidParameterError(f"empty {kind} at {path}; identifiers must be nonempty")
-    return InvalidParameterError(f"duplicate identifier {ident!r} at {path} (already a {seen[ident]})")
