@@ -325,11 +325,9 @@ def test_classify_names_the_path_of_a_bad_topology_block(tmp_path, capsys, doc, 
     assert capsys.readouterr().err == "error: " + want
 
 
-FLAGS = ["--cell-radius-m", "1000", "--overlap-m", "0", "--speed-mps", "50"]
-
-
 @pytest.mark.parametrize("command,doc,flags,want", [
-    ("analytic", None, FLAGS + ["--delay-s", "-1"], "delay_s: must be nonnegative, got -1.0"),
+    ("analytic", None, ["--cell-radius-m", "1000", "--overlap-m", "0", "--speed-mps", "50", "--delay-s", "-1"],
+     "delay_s: must be nonnegative, got -1.0"),
     ("analytic", "", [], "cell_radius_m: is required"),
     ("classify", MINIMAL, ["--from-bs", "bs10", "--to-bs", "bs11"], "topology: classify needs a topology block"),
     ("classify", TOPOLOGY_DOC, ["--from-bs", "zz", "--to-bs", "bs11"], "from_bs: unknown base station 'zz'"),
