@@ -13,6 +13,7 @@ PyYAML is imported only where a command reads a file.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -120,13 +121,26 @@ def _yaml_loader(name: str):
     return loader
 
 
+def _yaml_reason(exc) -> str:
+    """PyYAML's error on one line: each part's text with the line and column
+    of its mark, or a reader error's position, and not the name PyYAML gives
+    the text it parsed, "<unicode string>"."""
+    import yaml
+
+    if not isinstance(exc, yaml.MarkedYAMLError):
+        return " ".join(str(exc).replace('in "<unicode string>",', "at").split())
+    parts = [(exc.context, exc.context_mark), (exc.problem, exc.problem_mark), (exc.note, None)]
+    return "; ".join(text + (f" at line {mark.line + 1}, column {mark.column + 1}" if mark else "")
+                     for text, mark in parts if text)
+
+
 def _load_yaml_mapping(text: str, what: str) -> dict:
     import yaml
 
     try:
         doc = yaml.load(text, Loader=_yaml_loader(_YAML_LOADER))
     except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"{what} is not valid YAML: {exc}") from exc
+        raise ScenarioParseError(f"{what} is not valid YAML: {_yaml_reason(exc)}") from exc
     except ValueError as exc:  # an integer past Python's digit limit; libyaml on a lone surrogate
         raise ScenarioParseError(f"{what} could not be read: {exc}") from exc
     if doc is None:
@@ -352,7 +366,7 @@ def _analytic_row(scenario: Scenario) -> Tuple[Tuple[str, ...], Tuple[float, ...
 
 def _scenario(args: argparse.Namespace) -> Scenario:
     """The scenario file, if any, with the flags merged in; only then is svg refused."""
-    doc = _load_yaml_mapping(_read_text(args.scenario), "scenario") if args.scenario else {}
+    doc = _load_file(args.scenario, "scenario") if args.scenario else {}
     scenario = scenario_from_dict(_merge_flags(doc, args, _SCENARIO_KEYS), env=os.environ)
     if args.format == "svg":
         raise ScenarioValidationError("format", "svg output is only available for sweep")
@@ -382,7 +396,7 @@ def _simulate(args: argparse.Namespace) -> str:
 def _sweep(args: argparse.Namespace) -> str:
     from .experiments import run_sweep
 
-    doc = _load_yaml_mapping(_read_text(args.spec), "sweep spec")
+    doc = _load_file(args.spec, "sweep spec")
     table = run_sweep(sweep_spec_from_dict(_merge_flags(doc, args, _SWEEP_KEYS), env=os.environ))
     if args.format == "svg":
         return render_sweep_svg(table)
@@ -512,6 +526,11 @@ def _merge_flags(doc: dict, args: argparse.Namespace, keys) -> dict:
     return doc
 
 
+def _load_file(path: str, what: str) -> dict:
+    """The YAML mapping in the file at path; every refusal names the file."""
+    return _load_yaml_mapping(_read_text(path), f"{what} {path!r}")
+
+
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -522,18 +541,37 @@ def _read_text(path: str) -> str:
         raise ScenarioParseError(f"{path!r} is not UTF-8 text: {exc}") from exc
 
 
+def _cannot_write(path: str, reason: str) -> ScenarioValidationError:
+    return ScenarioValidationError("out", f"cannot write {path!r}: {reason}")
+
+
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an --out that is a directory or whose parent
+    directory cannot be reached, with open()'s reason; main opens it only
+    after the run, so a run that fails writes no file."""
+    if os.path.isdir(path):
+        raise _cannot_write(path, os.strerror(errno.EISDIR))
+    try:
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the trailing "" needs a directory
+    except OSError as exc:
+        raise _cannot_write(path, exc.strerror) from exc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        to_file = args.out is not None and args.out != "-"
+        if to_file:
+            _check_out(args.out)
         # argparse chose the subcommand's function; a run that fails writes no file
         text = args.run(args)
-        if args.out is None or args.out == "-":
+        if not to_file:
             sys.stdout.write(text)
         else:
             try:
                 fh = open(args.out, "w", newline="")
             except OSError as exc:
-                raise ScenarioValidationError("out", f"cannot write {args.out!r}: {exc.strerror}") from exc
+                raise _cannot_write(args.out, exc.strerror) from exc
             with fh:
                 fh.write(text)
         return 0

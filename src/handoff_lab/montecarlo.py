@@ -47,6 +47,13 @@ count is the exact step's on every sample, whatever the solves return:
 - One step serves both check and band.  Each check runs the arithmetic of
   the samples it decides: _times, the miss step under _hits, or on each
   bin's extreme headings the hits step and divide of _times.
+- A decided screen draws nothing.  Where _screen keeps no band (x0 = x1,
+  x2 = x3) and its counted interval [x1, x2) holds none of [0, 1) or all
+  of it, every grid value gets the same decision, so _sample returns 0 or
+  every sample before it allocates, sets a Philox state or starts a
+  thread.  At a fixed speed these are a tau below the fastest crossing
+  and one above the slowest, each by the margin; with no speed the miss
+  step's edges always leave a band.
 
 So counts and output bytes are the exact step's, and no closed form is
 read.  crossing_time_ecdf needs a time per sample; like the failure
@@ -176,12 +183,19 @@ def _sample(
     gather buffers).  With out given, each sample's time from _times goes
     to out[sample]; without, it returns how many samples _hits counts, by
     _screen (no speed or a fixed one) or _staircase (a uniform one) and
-    _hits on their bands only.
+    _hits on their bands only.  A screen that decides every grid value
+    alike gives its share, 0 or 1, in place of a count function, and then
+    every sample or none counts without a draw, a buffer or a thread.
     """
     import numpy as np
 
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise InvalidParameterError(f"must be an integer >= 1, got {workers!r}", "workers")
+    drawn = speed is not None and speed.kind == "uniform"
+    screen = _staircase if drawn else _screen
+    count = None if out is not None else screen(dg, speed, tau)[1]
+    if isinstance(count, int):  # the screen decided every grid value alike
+        return count * ctl.samples
     base, rem = divmod(ctl.samples, ctl.batches)  # the first rem batches hold one more sample
     per_big, per = -(-(base + 1) // _CHUNK), -(-base // _CHUNK)  # chunks per batch of base + 1, of base
     n_big = rem * per_big
@@ -194,9 +208,6 @@ def _sample(
         return batch, nb, start, min(_CHUNK, nb - start), batch * base + min(batch, rem) + start
 
     width = min(_CHUNK, -(-ctl.samples // ctl.batches))  # the largest batch, at most a chunk
-    drawn = speed is not None and speed.kind == "uniform"
-    screen = _staircase if drawn else _screen
-    count = None if out is not None else screen(dg, speed, tau)[1]
 
     def run(jobs) -> int:
         key, counter = [ctl.seed, 0], [0, 0, 0, 0]
@@ -272,7 +283,10 @@ def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[floa
     """_sample's grid thresholds [x0, x1, x2, x3] for no speed or a fixed
     one, x = 1/2 -+ outer and 1/2 -+ inner from _solve_edges' headings over
     2*H (H = pi with no speed), and count(values, mask), how many grid values
-    _hits counts: those in [x1, x2), and by _hits those in [x0, x1) or [x2, x3)."""
+    _hits counts: those in [x1, x2), and by _hits those in [x0, x1) or [x2, x3).
+    Where the kept thresholds leave no band and [x1, x2) is empty or all of
+    [0, 1), count would give 0 or len(values) for any values, so the share,
+    the int 0 or 1, stands in its place."""
     import numpy as np
 
     half = math.pi if speed is None else dg.chord_half_angle_rad
@@ -290,6 +304,8 @@ def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[floa
         holds = [t0 > hi, t1 <= lo, t2 <= lo, t3 > hi]
     # a value u < x[k] maps at or below _scale(x[k]): [x1, x2) is counted, [x0, x1) and [x2, x3) the band
     x = [xk if ok else fall for xk, ok, fall in zip(x, holds, [0.0, 0.5, 0.5, 1.0])]
+    if x[0] == x[1] and x[2] == x[3] and (x[1] >= x[2] or x[1] <= 0.0 and x[2] >= 1.0):
+        return x, int(x[1] < x[2])  # no band, and [x1, x2) holds no grid value or all of them
 
     def count(values, mask) -> int:
         below = [int(np.count_nonzero(np.less(values, xk, out=mask))) for xk in x]

@@ -498,13 +498,22 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
 @pytest.mark.parametrize("target", ["", "missing/out.csv"], ids=["directory", "missing-directory"])
-def test_main_out_that_cannot_be_opened_names_out(tmp_path, capsys, target):
-    # the result is computed, but --out cannot be opened: bad input, exit 2,
-    # and no file is left behind
+def test_main_out_that_cannot_be_opened_names_out(tmp_path, capsys, monkeypatch, target, command):
+    # --out cannot be opened: bad input, exit 2, and no file is left behind;
+    # it is refused before the run, so a simulate whose estimators fail on
+    # any call never reaches them
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before --out was checked")
+
+    for name in ("estimate_false_handoff", "estimate_failure"):
+        monkeypatch.setattr(montecarlo, name, fail)
     out = tmp_path / target
     flags = ["--cell-radius-m", "1000", "--overlap-m", "0", "--speed-mps", "50", "--delay-s", "3"]
-    assert main(["analytic"] + flags + ["--out", str(out)]) == 2
+    if command == "simulate":
+        flags += ["--samples", "1000", "--seed", "1"]
+    assert main([command] + flags + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: out: cannot write {str(out)!r}: ")
     assert err.count("\n") == 1
@@ -582,6 +591,10 @@ def test_main_adapt_refuses_a_target_pf_outside_0_1(capsys, value):
 # ----------------------------------------------------------------------
 # sweep output files
 # ----------------------------------------------------------------------
+
+# a file that is not valid YAML, and one whose document is no mapping
+BAD_YAML = "cell_radius_m: [unclosed\n"
+LIST_YAML = "- just\n- a\n- list\n"
 
 SWEEP_DOC = """
 kind: failure_vs_speed
@@ -876,13 +889,15 @@ def test_any_command_line_exits_0_2_or_1_and_names_what_it_refuses(tmp_path, mon
     monkeypatch.setattr(cli, "adapt_overlap", adapt_overlap)
     (tmp_path / "scenario.yaml").write_text(TOPOLOGY_DOC + "mc: {samples: 100, seed: 1}\n")
     (tmp_path / "spec.yaml").write_text(SWEEP_DOC.replace("20000", "100").replace("steps: 8", "steps: 3"))
+    (tmp_path / "bad.yaml").write_text(BAD_YAML)
+    (tmp_path / "list.yaml").write_text(LIST_YAML)
     (tmp_path / "dir").mkdir()
     missing = tmp_path / "missing.csv"
     scenario, spec = str(tmp_path / "scenario.yaml"), str(tmp_path / "spec.yaml")
     outs = ["", str(tmp_path / "dir"), str(missing)]
     pools = {
         "number": ["0", "-1", "-0.5", "nan", "inf", "1e400", str(2**64), "1", "50"],
-        "file": [*outs, scenario, spec],
+        "file": [*outs, scenario, spec, str(tmp_path / "bad.yaml"), str(tmp_path / "list.yaml")],
         "id": ["", "bs10", "bs11", "bs20", "zz"],
     }
     bases = {
@@ -1000,6 +1015,28 @@ def test_both_loaders_report_a_parse_error(monkeypatch, loader, text):
     monkeypatch.setattr("handoff_lab.cli._YAML_LOADER", loader)
     with pytest.raises(ScenarioParseError):
         parse_scenario(text, env={})
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+@pytest.mark.parametrize("command,flag,what", [("analytic", "--scenario", "scenario"),
+                                               ("sweep", "--spec", "sweep spec")], ids=["scenario", "sweep"])
+def test_main_yaml_refusals_are_one_line_naming_the_file(tmp_path, capsys, monkeypatch, loader, command, flag, what):
+    # PyYAML's reason keeps its problem and the line and column of each
+    # mark, on one line after the file's name; a text with no file keeps
+    # the bare "scenario"
+    monkeypatch.setattr("handoff_lab.cli._YAML_LOADER", loader)
+    bad, listed = tmp_path / "bad.yaml", tmp_path / "list.yaml"
+    bad.write_text(BAD_YAML)
+    listed.write_text(LIST_YAML)
+    flow = "is not valid YAML: while parsing a flow sequence at line 1, column 16; "
+    errs = {}
+    for path, reason in ((bad, flow), (listed, "must be a mapping of keys to values\n")):
+        assert main([command, flag, str(path)]) == 2
+        errs[path] = capsys.readouterr().err
+        assert errs[path].startswith(f"error: {what} {str(path)!r} {reason}") and errs[path].count("\n") == 1
+    assert errs[bad].endswith(" at line 2, column 1\n") and "<unicode string>" not in errs[bad]
+    with pytest.raises(ScenarioParseError, match="^scenario " + re.escape(flow)):
+        parse_scenario(BAD_YAML, env={})
 
 
 # ----------------------------------------------------------------------

@@ -187,6 +187,7 @@ def test_workers_must_be_a_positive_integer(workers):
     calls = [
         lambda w: estimate_false_handoff(KM_CELL, ctl, workers=w),
         lambda w: estimate_failure(KM_CELL, 50.0, 3.0, ctl, workers=w),
+        lambda w: estimate_failure(KM_CELL, 50.0, 2.0, ctl, workers=w),  # decided by the screen: no draw
         lambda w: crossing_time_ecdf(KM_CELL, 50.0, ctl, workers=w).times_s.tobytes(),
     ]
     for call in calls:
@@ -436,28 +437,36 @@ def _pinned(test):
 def test_screened_count_equals_the_exact_step(source, v, share):
     # the count-only paths count grid values by comparing them with four
     # grid thresholds and run the exact step only in the bands between; for
-    # false handoff and a fixed speed at taus on and next to the ends of the
-    # support, the screen's count of grid values next to each threshold,
-    # across each band and over the whole grid is the exact step's on their
-    # headings, and each threshold carries its margin or is at its fallback
+    # false handoff and a fixed speed at taus on, next to and beyond the
+    # ends of the support, the screen's count of grid values next to each
+    # threshold, across each band and over the whole grid is the exact
+    # step's on their headings, and each threshold carries its margin or is
+    # at its fallback; far beyond the ends the screen decides every value
     dg = source[1]
     t_min, t_max = _support(dg, v)
     taus = [t_min, math.nextafter(t_min, math.inf), t_min * (1 + 1e-12), t_max,
-            math.nextafter(t_max, 0.0), t_min + share * (t_max - t_min)]
+            math.nextafter(t_max, 0.0), t_min + share * (t_max - t_min),
+            0.0, math.nextafter(t_min, 0.0), t_min * (1 - 1e-12), math.nextafter(t_max, math.inf), 2 * t_max]
     for speed, tau in [(None, None)] + [(SpeedModel.fixed(v), tau) for tau in taus]:
         _assert_screen_is_exact(dg, speed, tau)
 
 
 def _assert_screen_is_exact(dg, speed, tau):
     """The screen's thresholds are ordered and carry their margins, and its
-    count of _probes is the exact step's on their headings."""
+    count of _probes is the exact step's on their headings; a screen that
+    decides every grid value gives the share each one counts, 0 or 1."""
     x, count = montecarlo._screen(dg, speed, tau)
     # [x1, x2) is empty (both at 1/2) unless an inner threshold is kept
     assert 0.0 <= x[0] <= x[1] <= 0.5 <= x[2] <= x[3] <= 1.0
     assert _margins_hold(dg, speed, tau, x)
     u = _probes(x)
     headings = _to_heading(u, _half(dg, speed))
-    assert count(u.copy(), np.empty(u.shape, dtype=bool)) == _exact_count(dg, speed, tau, headings)
+    if isinstance(count, int):
+        assert count in (0, 1) and x[0] == x[1] and x[2] == x[3]
+        counted = count * len(u)
+    else:
+        counted = count(u.copy(), np.empty(u.shape, dtype=bool))
+    assert counted == _exact_count(dg, speed, tau, headings)
     return x
 
 
@@ -599,7 +608,9 @@ def test_fixed_speed_count_equals_the_ecdf_times_below_tau(geom, v):
     ctl = SimControls(2**16 + 3001, 7)  # two chunks
     times = crossing_time_ecdf(geom, v, ctl).times_s
     t_lo, t_mid, t_hi = float(times[0]), float(times[len(times) // 2]), float(times[-1])
+    t_max = _support(derive_geometry(geom), v)[1]
     taus = [0.0, t_lo, t_mid, t_hi] + [math.nextafter(t, to) for t in (t_lo, t_hi) for to in (0.0, math.inf)]
+    taus += [t_max * (1 + 1e-8), 2 * t_max]  # beyond the support, where the screen counts every sample
     for tau in taus:
         for workers in (1, 2):
             counted = round(estimate_failure(geom, v, tau, ctl, workers=workers).p_hat * ctl.samples)
@@ -738,12 +749,21 @@ def test_failure_estimate_converges():
     assert abs(est.p_hat - expected) <= 3.0 * est.std_err
 
 
-def test_failure_estimate_exact_branches():
-    # below the minimum crossing time nothing fails; above the maximum all do
-    never = estimate_failure(KM_CELL, 50.0, 2.0, SimControls(samples=20_000, seed=8))
-    assert never.p_hat == 0.0 and never.std_err == 0.0
-    always = estimate_failure(KM_CELL, 50.0, 20.0, SimControls(samples=20_000, seed=8))
-    assert always.p_hat == 1.0 and always.std_err == 0.0
+def test_failure_estimate_exact_branches(monkeypatch):
+    # below the minimum crossing time nothing fails; above the maximum all
+    # do; the edge screen decides both, so neither sets a Philox state,
+    # allocates a chunk buffer or runs a worker: each worker, the main
+    # thread's included, gets its thread's generator before any of these
+    def no_draw():
+        raise AssertionError("a decided estimate drew")
+
+    monkeypatch.setattr(montecarlo, "_thread_generator", no_draw)
+    ctl = SimControls(samples=2**17, seed=8)  # two chunks, so two workers would run
+    for workers in (1, 2):
+        never = estimate_failure(KM_CELL, 50.0, 2.0, ctl, workers=workers)
+        assert never.p_hat == 0.0 and never.std_err == 0.0
+        always = estimate_failure(KM_CELL, 50.0, 20.0, ctl, workers=workers)
+        assert always.p_hat == 1.0 and always.std_err == 0.0
 
 
 def test_failure_estimate_uniform_speed():
