@@ -23,8 +23,8 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
-from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, _real_or_nan, coerce_numbers
-from .geometry import SQRT3, CellGeometry, DerivedGeometry, _derive, _lengths, derive_geometry
+from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, _coerce, _real_or_nan, coerce_numbers
+from .geometry import SQRT3, CellGeometry, DerivedGeometry, _check_radius, _chord_half_angle, _lengths, derive_geometry
 
 # numpy is imported by _cdf_fast alone, so the scalar closed forms run
 # without loading it.
@@ -82,16 +82,18 @@ def _in_speed_range(v: float) -> bool:
     return 1e-150 <= v <= 1e150
 
 
+# Each check reads a plain float as it is, the common case, and leaves any
+# other value (np.float64 and other float subclasses too) to _real_or_nan.
 def _check_speed(v_mps: float) -> float:
-    v = _real_or_nan(v_mps)
+    v = v_mps if type(v_mps) is float else _real_or_nan(v_mps)
     if not _in_speed_range(v):
         raise OutOfDomainError(f"speed must lie in [1e-150, 1e150] m/s, got {v_mps!r}")
     return v
 
 
 def _check_tau(tau_s: float) -> float:
-    tau = _real_or_nan(tau_s)
-    if not (math.isfinite(tau) and tau >= 0):
+    tau = tau_s if type(tau_s) is float else _real_or_nan(tau_s)
+    if not 0.0 <= tau < math.inf:
         raise OutOfDomainError(f"tau_s must be finite and nonnegative, got {tau_s!r}")
     return tau
 
@@ -107,11 +109,6 @@ def _span(reach: float, half_chord: float, v: float) -> Tuple[float, float]:
     return reach / v, math.hypot(reach, half_chord) / v
 
 
-def _support(dg: DerivedGeometry, v: float) -> Tuple[float, float]:
-    """_span on derived geometry."""
-    return _span(dg.trigger_to_chord_m, dg.half_chord_m, v)
-
-
 def crossing_time_support(geom: CellGeometry, v_mps: float) -> CrossingTimeSupport:
     """Earliest and latest possible chord-crossing times at a fixed speed.
 
@@ -119,9 +116,8 @@ def crossing_time_support(geom: CellGeometry, v_mps: float) -> CrossingTimeSuppo
     latest grazes a chord endpoint, longer by the secant of the chord
     half-angle.
     """
-    v_mps = _check_speed(v_mps)
-    t_min, t_max = _support(derive_geometry(geom), v_mps)
-    return CrossingTimeSupport(t_min_s=t_min, t_max_s=t_max)
+    _, reach, half_chord, _ = derive_geometry(geom)
+    return CrossingTimeSupport(*_span(reach, half_chord, _check_speed(v_mps)))
 
 
 def false_handoff_probability(geom: CellGeometry) -> float:
@@ -132,12 +128,13 @@ def false_handoff_probability(geom: CellGeometry) -> float:
     1 - half_angle/pi.  Scale-free: it depends on overlap only through
     that angle.
     """
-    return _false_handoff(derive_geometry(geom))
+    return _false_handoff(derive_geometry(geom).chord_half_angle_rad)
 
 
-def _false_handoff(dg: DerivedGeometry) -> float:
-    """false_handoff_probability on derived geometry."""
-    return 1.0 - dg.chord_half_angle_rad / math.pi
+def _false_handoff(half_angle: float) -> float:
+    """false_handoff_probability from the chord half-angle alone, so a sweep
+    point or the overlap solver's solution needs no DerivedGeometry."""
+    return 1.0 - half_angle / math.pi
 
 
 def crossing_time_pdf(geom: CellGeometry, v_mps: float, t_s: float) -> float:
@@ -151,20 +148,20 @@ def crossing_time_pdf(geom: CellGeometry, v_mps: float, t_s: float) -> float:
     radii and fastest speeds, reads inf.
     """
     v_mps = _check_speed(v_mps)
-    dg = derive_geometry(geom)
-    span = 2.0 * dg.trigger_to_chord_m
-    t_min, t_max = _support(dg, v_mps)
+    _, reach, half_chord, half_angle = derive_geometry(geom)
+    span = 2.0 * reach
+    t_min, t_max = _span(reach, half_chord, v_mps)
     t_s = _real_or_nan(t_s)
     if not math.isfinite(t_s) or t_s <= t_min or t_s >= t_max:
         return 0.0
     radicand = (2.0 * v_mps * t_s) ** 2 - span ** 2
     if not radicand > 0.0:
         return 0.0
-    den = dg.chord_half_angle_rad * t_s * math.sqrt(radicand)
+    den = half_angle * t_s * math.sqrt(radicand)
     if not _NORMAL_MIN <= den < math.inf:
         # t_s*sqrt(radicand) scales as radius^2/speed, which leaves the
         # normal range at extreme radii and speeds; divide in two steps
-        return span / math.sqrt(radicand) / (dg.chord_half_angle_rad * t_s)
+        return span / math.sqrt(radicand) / (half_angle * t_s)
     return span / den
 
 
@@ -172,17 +169,21 @@ def _cdf(reach: float, half_chord: float, v: float, tau: float) -> float:
     """crossing_time_cdf from the frame's two lengths, without input checks,
     so the overlap solver's steps need no DerivedGeometry.
 
-    The chord half-angle is atan2(half_chord, reach), as _derive computes
-    it, and only the interior branch needs it.
+    Only the interior branch needs the chord half-angle, and only above
+    t_min is t_max, _span's grazing end, needed.
     """
-    t_min, t_max = _span(reach, half_chord, v)
-    if tau <= t_min:
+    if tau <= reach / v:  # t_min, _span's first end
         return 0.0
-    if tau >= t_max:
+    if tau >= _span(reach, half_chord, v)[1]:
         return 1.0
-    value = math.acos(reach / (v * tau)) / math.atan2(half_chord, reach)
     # clamp only after the branch logic; roundoff can nudge past the ends
-    return min(1.0, max(0.0, value))
+    return _unit(math.acos(reach / (v * tau)) / _chord_half_angle(reach, half_chord))
+
+
+def _unit(value: float) -> float:
+    """value clamped to [0, 1], NaN to 0: min(1.0, max(0.0, value)) for
+    every double, by comparisons, which cost a fifth of those two calls."""
+    return value if 0.0 < value < 1.0 else 0.0 if not value > 0.0 else 1.0
 
 
 def _cdf_fast(dg: DerivedGeometry, v: float, times: "np.ndarray") -> "np.ndarray":
@@ -215,8 +216,8 @@ def crossing_time_cdf(geom: CellGeometry, v_mps: float, tau_s: float) -> float:
     across the support, 1 from t_max on.  The branches meet continuously
     at both ends.
     """
-    dg = derive_geometry(geom)
-    return _cdf(dg.trigger_to_chord_m, dg.half_chord_m, _check_speed(v_mps), _check_tau(tau_s))
+    _, reach, half_chord, _ = derive_geometry(geom)
+    return _cdf(reach, half_chord, _check_speed(v_mps), _check_tau(tau_s))
 
 
 def handoff_failure_probability(geom: CellGeometry, v_mps: float, tau_s: float) -> float:
@@ -266,19 +267,18 @@ def expected_failure_over_speed(geom: CellGeometry, model: SpeedModel, tau_s: fl
     tau_s = _check_tau(tau_s)
     if tau_s == 0.0:
         return 0.0
-    dg = derive_geometry(geom)
-    v_all_slow, v_all_fast = _support(dg, tau_s)  # below: never fails; above: always fails
+    _, reach, half_chord, half_angle = derive_geometry(geom)
+    v_all_slow, v_all_fast = _span(reach, half_chord, tau_s)  # below: never fails; above: always fails
     vmin, vmax = model.vmin_mps, model.vmax_mps
 
     total = 0.0
     mid_lo = min(max(vmin, v_all_slow), vmax)
     mid_hi = max(min(vmax, v_all_fast), vmin)
     if mid_hi > mid_lo:
-        total += _arccos_integral(v_all_slow, mid_lo, mid_hi) / dg.chord_half_angle_rad
+        total += _arccos_integral(v_all_slow, mid_lo, mid_hi) / half_angle
     if vmax > v_all_fast:
         total += vmax - max(vmin, v_all_fast)
-    value = total / (vmax - vmin)
-    return min(1.0, max(0.0, value))
+    return _unit(total / (vmax - vmin))
 
 
 @dataclass(frozen=True)
@@ -370,16 +370,16 @@ def adapt_overlap(
         raise NotBracketedError(f"target_pf must be a positive number, got {given!r}")
 
     # Every bisection point lies in [0, hi] with hi below the overlap bound,
-    # so the radius is checked once and neither a step nor the solution
-    # builds a CellGeometry: each works from the frame's two lengths.
-    a = CellGeometry(cell_radius_m).cell_radius_m
+    # so the radius is checked once, as CellGeometry checks it, and no
+    # CellGeometry is built: each step works from the frame's two lengths.
+    a = _check_radius(_coerce(cell_radius_m, "cell_radius_m", float, False))
 
     def pf(overlap: float) -> float:
         reach, half_chord = _lengths(a, overlap)
         return _cdf(reach, half_chord, v_mps, tau_s)
 
     def solution(overlap: float, value: float) -> OverlapSolution:
-        return OverlapSolution(overlap, value, _false_handoff(_derive(a, overlap)))
+        return OverlapSolution(overlap, value, _false_handoff(_chord_half_angle(*_lengths(a, overlap))))
 
     lo, hi = 0.0, SQRT3 / 2.0 * a - 1e-9 * a
     pf_lo, pf_hi = pf(lo), pf(hi)
@@ -404,7 +404,7 @@ def adapt_overlap(
 
     def smooth(overlap: float) -> float:
         reach, half_chord = _lengths(a, overlap)
-        return reach - vt * math.cos(target_pf * math.atan2(half_chord, reach))
+        return reach - vt * math.cos(target_pf * _chord_half_angle(reach, half_chord))
 
     x0, x1 = lo, hi
     r0, r1 = smooth(x0), smooth(x1)
@@ -433,15 +433,21 @@ def adapt_overlap(
 
     for _ in range(_ADAPT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        # a mid at or past a certified point takes that point's side unevaluated
-        value = math.inf if mid <= left else -math.inf if mid >= right else pf(mid)
-        resid = value - target_pf
-        if abs(resid) <= _ADAPT_TOL and hi - lo <= 1e-7 * a:
-            break
         if not lo < mid < hi:
             break  # a fixed point: every further step would repeat this mid
-        if resid > 0.0:
+        # a mid at or past a certified point takes that point's side
+        # unevaluated, and its residual of -+inf never meets the stop test
+        if mid <= left:
             lo = mid
-        else:
+        elif mid >= right:
             hi = mid
-    return solution(mid, value if math.isfinite(value) else pf(mid))
+        else:
+            value = pf(mid)
+            resid = value - target_pf
+            if abs(resid) <= _ADAPT_TOL and hi - lo <= 1e-7 * a:
+                return solution(mid, value)
+            if resid > 0.0:
+                lo = mid
+            else:
+                hi = mid
+    return solution(mid, pf(mid))

@@ -60,35 +60,43 @@ def coerce_numbers(
     included; bools, integers beyond float range and everything else raise
     InvalidParameterError, and so do infinities and NaN with finite=True.
     With each=True every field is a sequence, stored as a tuple of such
-    numbers.  A value whose type is exactly float (exactly int with
-    integer=True) is already stored as it would be, so it skips the ABC
-    check and the conversion.
+    numbers.
+
+    A value whose type is exactly float (exactly int with integer=True) is
+    already stored as it would be, so it skips the ABC check and the
+    conversion; a single field of that type that needs no finite check (an
+    int, or finite=False) is left as it is, with no second store.  The test
+    is on the exact type: np.float64 and other float subclasses take the
+    full path, so every stored field has type exactly float (int).
     """
     plain = int if integer else float
-    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
-
-    def coerce(value, name):
-        if type(value) is not plain:
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise InvalidParameterError(f"must be {what}, got {value!r}", name)
-            try:
-                value = int(value) if integer else float(value)
-            except OverflowError:
-                # no repr: a long enough integer refuses conversion to a string
-                raise InvalidParameterError(f"must be {what} within float range", name) from None
-        if finite and not integer and not math.isfinite(value):  # an int is always finite
-            raise InvalidParameterError(f"must be finite, got {value!r}", name)
-        return value
-
+    check_finite = finite and not integer  # an int is always finite
     for name in names:
         value = getattr(obj, name)
         if each:
             if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
                 raise InvalidParameterError(f"must be a sequence of numbers, got {value!r}", name)
-            value = tuple(coerce(x, f"{name}[{i}]") for i, x in enumerate(value))
-        else:
-            value = coerce(value, name)
-        object.__setattr__(obj, name, value)
+            value = tuple(_coerce(x, f"{name}[{i}]", plain, check_finite) for i, x in enumerate(value))
+        elif type(value) is plain and not check_finite:
+            continue  # stored as it would be
+        object.__setattr__(obj, name, value if each else _coerce(value, name, plain, check_finite))
+
+
+def _coerce(value, name: str, plain: type, check_finite: bool):
+    """One value for coerce_numbers: value as a plain float or int, or an
+    InvalidParameterError keyed by name."""
+    if type(value) is not plain:
+        kind, what = (numbers.Integral, "an integer") if plain is int else (numbers.Real, "a real number")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise InvalidParameterError(f"must be {what}, got {value!r}", name)
+        try:
+            value = plain(value)
+        except OverflowError:
+            # no repr: a long enough integer refuses conversion to a string
+            raise InvalidParameterError(f"must be {what} within float range", name) from None
+    if check_finite and not math.isfinite(value):
+        raise InvalidParameterError(f"must be finite, got {value!r}", name)
+    return value
 
 
 def _shape(doc, keys, required=(), path: str = "") -> dict:

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .analytic import SpeedModel, _cdf, _false_handoff
 from .errors import InvalidParameterError, coerce_numbers
-from .geometry import CellGeometry, _derive, _lengths
+from .geometry import CellGeometry, _chord_half_angle, _lengths
 from .montecarlo import SimControls, derive_seed, estimate_failure, estimate_false_handoff
 
 # kind: (series field, swept quantity, fixed value it needs, value column)
@@ -158,19 +158,19 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     failure series and per sampled point.
     """
     series, swept, _, value = _KINDS[spec.kind]
-    by_radius = series == "cell_radius_m"
-    columns = [series, swept, value] + (["estimate", "std_err"] if spec.mc is not None else [])
+    by_radius, by_speed, mc = series == "cell_radius_m", swept == "speed_mps", spec.mc
+    columns = [series, swept, value] + (["estimate", "std_err"] if mc is not None else [])
     a = spec.cell_radius_m[0]
     axis_values = spec.axis.points().tolist()
     rows = []
     for s in getattr(spec, series):
         if not by_radius:
-            geom, lengths = CellGeometry(a, s), _lengths(a, s)
+            geom, (reach, w) = CellGeometry(a, s), _lengths(a, s)
         for x in axis_values:
-            v, tau = (x, spec.delay_s) if swept == "speed_mps" else (spec.speed_mps, x)
-            row = (s, x, _false_handoff(_derive(s, x)) if by_radius else _cdf(*lengths, v, tau))
-            if spec.mc is not None:
-                ctl = SimControls(spec.mc.samples, derive_seed(spec.mc.seed, len(rows)), spec.mc.batches)
+            v, tau = (x, spec.delay_s) if by_speed else (spec.speed_mps, x)
+            row = (s, x, _false_handoff(_chord_half_angle(*_lengths(s, x))) if by_radius else _cdf(reach, w, v, tau))
+            if mc is not None:
+                ctl = SimControls(mc.samples, derive_seed(mc.seed, len(rows)), mc.batches)
                 est = (estimate_false_handoff(CellGeometry(s, x), ctl) if by_radius
                        else estimate_failure(geom, v, tau, ctl))
                 row += (est.p_hat, est.std_err)

@@ -59,11 +59,7 @@ class CellGeometry:
 
     def __post_init__(self):
         coerce_numbers(self, "cell_radius_m", "overlap_m")
-        a = self.cell_radius_m
-        # within these radii every length and product of the ray/chord step
-        # stays normal and finite; 5e-324 gives reach 0, 1e200 an infinite t
-        if not 1e-150 <= a <= 1e150:
-            raise InvalidParameterError(f"must lie in [1e-150, 1e150], got {a!r}", "cell_radius_m")
+        a = _check_radius(self.cell_radius_m)
         bound = SQRT3 / 2.0 * a
         ov = self.overlap_m
         if not (math.isfinite(ov) and 0.0 <= ov < bound):
@@ -73,12 +69,21 @@ class CellGeometry:
         object.__setattr__(self, "_derived", _derive(a, ov))
 
 
+def _check_radius(a: float) -> float:
+    """a, a float already coerced, if it lies in [1e-150, 1e150]: within
+    these radii every length and product of the ray/chord step stays
+    normal and finite; 5e-324 gives reach 0, 1e200 an infinite t."""
+    if not 1e-150 <= a <= 1e150:
+        raise InvalidParameterError(f"must lie in [1e-150, 1e150], got {a!r}", "cell_radius_m")
+    return a
+
+
 class DerivedGeometry(NamedTuple):
     """Lengths and the half-angle derived from a CellGeometry.
 
     A NamedTuple rather than a frozen dataclass: it is just as immutable and
     hashable, and each CellGeometry builds one, which a tuple does in a third
-    of the time.  The overlap solver's bisection steps build none; they work
+    of the time.  The overlap solver and the sweeps build none; they work
     from _lengths alone.
     """
 
@@ -106,10 +111,17 @@ def _lengths(a: float, overlap: float) -> Tuple[float, float]:
 
 def _derive(a: float, overlap: float) -> DerivedGeometry:
     """derive_geometry without the CellGeometry checks, for callers that
-    already know 0 <= overlap < sqrt(3)/2 * a (a checked sweep axis)."""
+    already know 0 <= overlap < sqrt(3)/2 * a: CellGeometry itself, once
+    its checks pass."""
     reach, half_chord = _lengths(a, overlap)
     # positional: side_to_trigger, trigger_to_chord, half_chord, chord_half_angle
-    return DerivedGeometry(_STANDOFF * a, reach, half_chord, math.atan2(half_chord, reach))
+    return DerivedGeometry(_STANDOFF * a, reach, half_chord, _chord_half_angle(reach, half_chord))
+
+
+def _chord_half_angle(reach: float, half_chord: float) -> float:
+    """The half-angle the chord subtends at the trigger point, from the
+    frame's two lengths."""
+    return math.atan2(half_chord, reach)
 
 
 def local_frame(geom: CellGeometry) -> Tuple[float, float]:

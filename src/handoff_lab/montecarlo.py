@@ -50,10 +50,13 @@ count is the exact step's on every sample, whatever the solves return:
 - A decided screen draws nothing.  Where _screen keeps no band (x0 = x1,
   x2 = x3) and its counted interval [x1, x2) holds none of [0, 1) or all
   of it, every grid value gets the same decision, so _sample returns 0 or
-  every sample before it allocates, sets a Philox state or starts a
-  thread.  At a fixed speed these are a tau below the fastest crossing
-  and one above the slowest, each by the margin; with no speed the miss
-  step's edges always leave a band.
+  every sample before it imports numpy, allocates, sets a Philox state or
+  starts a thread.  At a fixed speed these are a tau below the fastest
+  crossing and one above the slowest, each by the margin; with no speed
+  the miss step's edges always leave a band.  The first of them, where
+  both solved edges are 0, is checked in scalar: every threshold is then
+  1/2, heading 0, whose time _fastest_time gives bit for bit, so the
+  check is the one the array step would make.
 
 So counts and output bytes are the exact step's, and no closed form is
 read.  crossing_time_ecdf needs a time per sample; like the failure
@@ -187,15 +190,14 @@ def _sample(
     alike gives its share, 0 or 1, in place of a count function, and then
     every sample or none counts without a draw, a buffer or a thread.
     """
-    import numpy as np
-
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise InvalidParameterError(f"must be an integer >= 1, got {workers!r}", "workers")
     drawn = speed is not None and speed.kind == "uniform"
-    screen = _staircase if drawn else _screen
-    count = None if out is not None else screen(dg, speed, tau)[1]
+    count = None if out is not None else (_staircase if drawn else _screen)(dg, speed, tau)[1]
     if isinstance(count, int):  # the screen decided every grid value alike
         return count * ctl.samples
+    import numpy as np
+
     base, rem = divmod(ctl.samples, ctl.batches)  # the first rem batches hold one more sample
     per_big, per = -(-(base + 1) // _CHUNK), -(-base // _CHUNK)  # chunks per batch of base + 1, of base
     n_big = rem * per_big
@@ -286,11 +288,22 @@ def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[floa
     _hits counts: those in [x1, x2), and by _hits those in [x0, x1) or [x2, x3).
     Where the kept thresholds leave no band and [x1, x2) is empty or all of
     [0, 1), count would give 0 or len(values) for any values, so the share,
-    the int 0 or 1, stands in its place."""
+    the int 0 or 1, stands in its place.
+
+    The edges are scaled and held in [0, 1/2] in scalar, as np.clip would
+    hold them (NaN stays NaN).  At a fixed speed with both edges 0, every x
+    is 1/2 and every check reads the one time _fastest_time gives in
+    scalar; when it exceeds tau*(1 + eta), the checks keep x0 = x3 = 1/2
+    and drop x1 = x2 to their fallback 1/2, so the share 0 is returned
+    there, the decision the array checks make, with no numpy call.  Every
+    other case goes on to those checks."""
+    half = math.pi if speed is None else dg.chord_half_angle_rad
+    inner, outer = (edge / (2.0 * half) for edge in _solve_edges(dg, speed, tau))
+    inner, outer = [0.0 if q < 0.0 else 0.5 if q > 0.5 else q for q in (inner, outer)]
+    if speed is not None and inner == outer == 0.0 and _fastest_time(dg, speed.v_mps) > tau * (1.0 + _ETA):
+        return [0.5] * 4, 0
     import numpy as np
 
-    half = math.pi if speed is None else dg.chord_half_angle_rad
-    inner, outer = np.clip(np.divide(_solve_edges(dg, speed, tau), 2.0 * half), 0.0, 0.5).tolist()
     x = [0.5 - outer, 0.5 - inner, 0.5 + inner, 0.5 + outer]
     if speed is None:
         s = _scale(np.array(x), -half, half)
@@ -320,6 +333,13 @@ def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[floa
         return hits
 
     return x, count
+
+
+def _fastest_time(dg: DerivedGeometry, v: float) -> float:
+    """_times at the grid value 1/2, the fastest crossing, in scalar and bit
+    for bit: _scale maps 1/2 onto [-H, H) as H + -H = 0 exactly, and cos 0 =
+    1, so the hits step's distance is reach*ey/ey with ey = -2w."""
+    return dg.trigger_to_chord_m * (-2.0 * dg.half_chord_m) / (-2.0 * dg.half_chord_m) / v
 
 
 def _staircase(dg: DerivedGeometry, speed: SpeedModel, tau: float):
@@ -406,7 +426,7 @@ def _solve_edges(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional
 
 def _binomial(hits: int, ctl: SimControls) -> Estimate:
     p = hits / ctl.samples
-    return Estimate(p_hat=p, std_err=math.sqrt(p * (1.0 - p) / ctl.samples), n=ctl.samples, seed=ctl.seed)
+    return Estimate(p, math.sqrt(p * (1.0 - p) / ctl.samples), ctl.samples, ctl.seed)
 
 
 def estimate_false_handoff(geom: CellGeometry, ctl: SimControls, *, workers: int = 1) -> Estimate:
@@ -457,14 +477,25 @@ def crossing_time_ecdf(
     crossing_time_cdf gives, bit for bit, found by a screen.  The model
     distribution is first evaluated over the whole sample with numpy's
     arccos (analytic._cdf_fast), which is within about 1e-15 of the exact
-    value because the chord half-angle exceeds pi/4.  Every sample whose
-    KS difference, D+ = i/n - F or D- = F - (i-1)/n, lies within
-    _KS_SCREEN = 1e-9 of that difference's maximum is a candidate.  At the
-    exact argmax the approximate difference lies within twice the
-    approximation error of the approximate maximum, far below 1e-9, so the
-    exact argmax is always a candidate.  Only the candidates, usually one
-    per difference, are then evaluated by the scalar analytic._cdf, and the
-    statistic is the largest exact difference among them.
+    value because the chord half-angle exceeds pi/4.  Sample i (from 1)
+    has the KS differences D+ = i/n - F and D- = F - (i-1)/n, on the
+    levels i/n and (i-1)/n as the loop rounds them, and one array of the
+    approximate D+ screens both:
+
+    - D+: every sample whose D+ lies within _KS_SCREEN = 1e-9 of the
+      array's maximum is a candidate.  At the exact argmax the approximate
+      D+ lies within twice the approximation error of the approximate
+      maximum, far below 1e-9.
+    - D-: D+ + D- is the difference of the two rounded levels, 1/n within
+      an ulp of 1 (2.3e-16) whatever F is, so the exact argmax of D- has
+      an exact D+ within a few ulps of the least exact D+, and an
+      approximate one within about 3e-15 of the array's minimum.  Every
+      sample whose D+ lies within 1e-9 of that minimum is a candidate.
+
+    So both exact argmaxes are always candidates.  Only the candidates,
+    usually one per difference, are then evaluated by the scalar
+    analytic._cdf, and the statistic is the largest exact difference among
+    them, each level computed as the loop computes it.
     """
     import numpy as np
 
@@ -477,17 +508,15 @@ def crossing_time_ecdf(
     # NaN; a NaN, were one to appear, would sort last and be refused here as
     # the scalar CDF refuses it
     _check_tau(float(times[-1]))
-    fast = _cdf_fast(dg, speed.v_mps, times)
-    # the ECDF is levels[i] just below sample i and levels[i + 1] at it; one
-    # difference array serves D+ and then D-, so the step's peak memory
-    # stays below that of the CDF call above
-    levels = np.arange(ctl.samples + 1) / ctl.samples
-    diff = levels[1:] - fast
-    near = diff >= diff.max() - _KS_SCREEN
-    np.subtract(fast, levels[:-1], out=diff)
-    near |= diff >= diff.max() - _KS_SCREEN
+    n = ctl.samples
+    # D+ of each sample, in place in the one float array the step makes
+    # beside the CDF's; the levels i/n are those of np.arange(n + 1) / n
+    plus = np.arange(1, n + 1, dtype=float) / n
+    np.subtract(plus, _cdf_fast(dg, speed.v_mps, times), out=plus)
+    near = plus >= plus.max() - _KS_SCREEN
+    near |= plus <= plus.min() + _KS_SCREEN
     near = np.flatnonzero(near)
     model = np.array([_cdf(dg.trigger_to_chord_m, dg.half_chord_m, speed.v_mps, t) for t in times[near].tolist()])
-    ks = max(float((levels[near + 1] - model).max()), float((model - levels[near]).max()))
+    ks = max(float(((near + 1) / n - model).max()), float((model - near / n).max()))
     times.setflags(write=False)
     return EcdfReport(times_s=times, ks_stat=ks, n=ctl.samples)

@@ -12,6 +12,8 @@ from scipy.integrate import quad
 from handoff_lab.analytic import (
     SpeedModel,
     _cdf_fast,
+    _check_speed,
+    _check_tau,
     adapt_overlap,
     crossing_time_cdf,
     crossing_time_pdf,
@@ -384,6 +386,39 @@ def test_numeric_arguments(name, value):
     else:
         with pytest.raises(nonfinite):
             call(value)
+
+
+class _Float(float):
+    """A float subclass: isinstance says float, its exact type does not."""
+
+
+@pytest.mark.parametrize("check", [_check_speed, _check_tau])
+def test_speed_and_tau_checks_return_exact_floats(check):
+    # a plain float passes as it is; every other real number, numpy scalars
+    # and float subclasses included, comes back as exactly a float, so the
+    # closed forms return floats too; a bool is refused as a non-number is
+    for value in (2.5, np.float32(2.5), np.float64(2.5), _Float(2.5), 3, np.int64(3)):
+        checked = check(value)
+        assert type(checked) is float and checked == float(value)
+        assert type(crossing_time_cdf(KM_CELL, value, 3.0) if check is _check_speed
+                    else crossing_time_cdf(KM_CELL, 50.0, value)) is float
+    for value in (True, False, np.bool_(True)):
+        with pytest.raises(OutOfDomainError):
+            check(value)
+    if check is _check_tau:
+        assert repr(check(-0.0)) == "-0.0"
+        assert repr(check(np.float32(-0.0))) == "-0.0"
+
+
+def test_cdf_clamp_equals_min_max_for_every_kind_of_double():
+    # _cdf clamps by comparisons; on every kind of double, NaN and the
+    # signed zeros included, they give the bits min(1, max(0, x)) gives
+    from handoff_lab.analytic import _unit
+
+    tiny, below_one = 5e-324, math.nextafter(1.0, 0.0)
+    for x in (-math.inf, -1.0, -tiny, -0.0, 0.0, tiny, 0.5, below_one, 1.0, math.nextafter(1.0, 2.0), math.inf,
+              math.nan):
+        assert repr(_unit(x)) == repr(min(1.0, max(0.0, x)))
 
 
 def test_failure_probability_is_the_cdf():

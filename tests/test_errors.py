@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from handoff_lab.analytic import SpeedModel
 from handoff_lab.errors import InvalidParameterError, coerce_numbers
+from handoff_lab.geometry import CellGeometry
+
+
+class _Float(float):
+    """A float subclass: isinstance says float, its exact type does not."""
+
 
 VALUES = {
     "float": 1.5, "int": 3, "bool": True, "np.float64": np.float64(2.5), "np.int64": np.int64(4),
     "np.bool_": np.bool_(True), "inf": math.inf, "-inf": -math.inf, "nan": math.nan, "-0.0": -0.0,
-    "10**400": 10**400,
+    "10**400": 10**400, "float subclass": _Float(1.25), "np.float32": np.float32(0.75),
 }
 
 # (value, integer, finite) -> the stored value, or the message's reason; the
@@ -40,6 +47,13 @@ COERCED = [
     ("10**400", False, False, "must be a real number within float range"),
     ("10**400", False, True, "must be a real number within float range"),
     ("10**400", True, False, 10**400), ("10**400", True, True, 10**400),
+    # the plain-float path tests the exact type, so neither of these takes it
+    ("float subclass", False, False, 1.25), ("float subclass", False, True, 1.25),
+    ("float subclass", True, False, "must be an integer, got 1.25"),
+    ("float subclass", True, True, "must be an integer, got 1.25"),
+    ("np.float32", False, False, 0.75), ("np.float32", False, True, 0.75),
+    ("np.float32", True, False, "must be an integer, got np.float32(0.75)"),
+    ("np.float32", True, True, "must be an integer, got np.float32(0.75)"),
 ]
 
 
@@ -81,3 +95,20 @@ def test_coerce_numbers_fast_path_still_refuses_non_finite_floats():
             with pytest.raises(InvalidParameterError, match="must be finite") as err:
                 coerce_numbers(obj, "x", finite=True, each=each)
             assert err.value.key == ("x[1]" if each else "x")
+
+
+@pytest.mark.parametrize("value", [np.float64(2.5), _Float(2.5), np.float32(2.5), -0.0, 2.5, 5],
+                         ids=["np.float64", "float subclass", "np.float32", "-0.0", "float", "int"])
+def test_frozen_dataclasses_store_exact_floats(value):
+    # whether a field takes the plain-float path (no second store) or the
+    # full one, each stored field of a frozen dataclass is exactly a float
+    # with the value's sign, -0.0 included, and NaN is refused with finite
+    geom, model = CellGeometry(type(value)(1000), value), SpeedModel("fixed", 1.0, value, value)
+    for stored, given in ((geom.cell_radius_m, 1000), (geom.overlap_m, value), (model.vmin_mps, value),
+                          (model.vmax_mps, value)):
+        assert type(stored) is float and repr(stored) == repr(float(given))
+    obj = _Fields()
+    obj.x = type(value)(math.nan) if isinstance(value, float) else math.nan
+    with pytest.raises(InvalidParameterError, match="must be finite, got nan") as err:
+        coerce_numbers(obj, "x", finite=True)
+    assert err.value.key == "x"

@@ -14,7 +14,7 @@ from handoff_lab import montecarlo
 from handoff_lab.analytic import (
     SpeedModel,
     _cdf_fast,
-    _support,
+    _span,
     crossing_time_cdf,
     crossing_time_support,
     expected_failure_over_speed,
@@ -56,6 +56,11 @@ def _bare_lengths(reach, half):
 def _frame(dg):
     """local_frame's pair for dg's two lengths."""
     return dg.trigger_to_chord_m, dg.half_chord_m
+
+
+def _support(dg, v):
+    """The crossing-time support (t_min, t_max) at speed v, on derived geometry."""
+    return _span(*_frame(dg), v)
 
 
 @st.composite
@@ -766,6 +771,70 @@ def test_failure_estimate_exact_branches(monkeypatch):
         assert always.p_hat == 1.0 and always.std_err == 0.0
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(source=st.builds(lambda a, frac: CellGeometry(a, frac * math.sqrt(3.0) / 2.0 * a),
+                        st.builds(lambda e, m: min(1e150, max(1e-150, m * 10.0**e)),
+                                  st.integers(-150, 149), st.floats(1.0, 10.0)),
+                        st.floats(0.0, 0.999)),
+       v=st.builds(lambda e, m: min(1e150, max(1e-150, m * 10.0**e)), st.integers(-150, 149), st.floats(1.0, 10.0)))
+@example(source=CellGeometry(1e-150), v=1e-150)
+@example(source=CellGeometry(1e-150), v=1e150)
+@example(source=CellGeometry(1e150, 0.999 * math.sqrt(3.0) / 2.0 * 1e150), v=1e-150)
+@example(source=CellGeometry(1e150, 0.999 * math.sqrt(3.0) / 2.0 * 1e150), v=1e150)
+def test_fastest_time_is_the_exact_step_at_heading_0(source, v):
+    # the edge screen's scalar time at the grid value 1/2 is the one _times
+    # computes there, bit for bit, over the whole range of radii and speeds
+    dg = derive_geometry(source)
+    exact = float(montecarlo._times(dg, SpeedModel.fixed(v), np.array([0.5]))[0])
+    assert montecarlo._fastest_time(dg, v).hex() == exact.hex()
+
+
+def test_heading_0_check_decides_one_ulp_below_its_margin(monkeypatch):
+    # with both solved edges 0 every threshold sits at 1/2, and the check at
+    # heading 0 alone decides: a tau whose tau*(1 + eta) rounds to the
+    # fastest time t0 keeps no threshold and the call draws; one ulp below
+    # it keeps x0 and x3, and the call draws nothing.  NaN edges keep no
+    # threshold, so that call draws.  With the edges the solve returns
+    # there, the outer one is about sqrt(2*eta), so both taus leave a band
+    # and draw, and only a tau below t0/(1 + 2*eta) by the margin is
+    # decided.  Every call counts what the exact step counts, 0; each
+    # decision is the one the screen made before its scalar check
+    draws = []
+    made, solve = montecarlo._thread_generator, montecarlo._solve_edges
+    monkeypatch.setattr(montecarlo, "_thread_generator", lambda: draws.append(1) or made())
+    ctl = SimControls(3000, 5)
+    checked = 0
+    for geom, v in [(KM_CELL, 50.0), (CellGeometry(500.0, 120.0), 15.0), (CellGeometry(2500.0, 900.0), 33.3),
+                    (CellGeometry(1e-150), 1e150), (CellGeometry(1e150), 1e-150)]:
+        dg = derive_geometry(geom)
+        t0 = float(montecarlo._times(dg, SpeedModel.fixed(v), np.array([0.5]))[0])
+        at = [tau for tau in _ulps_around(t0 / (1.0 + montecarlo._ETA), 8) if tau * (1.0 + montecarlo._ETA) == t0]
+        if not at:
+            continue
+        checked += 1
+        below = math.nextafter(at[0], 0.0)
+        for edges, tau, decided in ((0.0, at[0], False), (0.0, below, True), (math.nan, below, False),
+                                    (None, at[0], False), (None, below, False),
+                                    (None, t0 / (1.0 + 3.0 * montecarlo._ETA), True)):
+            # edges 0 or NaN for both, or None for the solve's own
+            monkeypatch.setattr(montecarlo, "_solve_edges", solve if edges is None else lambda *args: [edges] * 2)
+            draws.clear()
+            assert estimate_failure(geom, v, tau, ctl).p_hat == 0.0
+            assert bool(draws) is not decided, (geom, v, edges, tau)
+    assert checked >= 3
+
+
+def _ulps_around(x: float, k: int) -> list:
+    """The doubles from k ulps below x to k ulps above it, in order."""
+    lo = x
+    for _ in range(k):
+        lo = math.nextafter(lo, 0.0)
+    out = [lo]
+    for _ in range(2 * k):
+        out.append(math.nextafter(out[-1], math.inf))
+    return out
+
+
 def test_failure_estimate_uniform_speed():
     model = SpeedModel.uniform(40.0, 60.0)
     expected = expected_failure_over_speed(KM_CELL, model, 3.0)
@@ -866,9 +935,14 @@ def _loop_ks(geom, v, times) -> float:
     seed=st.integers(0, 2**64 - 1),
 )
 # the 40 derandomized draws reach a only up to 4709, overlap_frac up to
-# 0.983 and samples up to 19999; these pin the upper ends of those ranges
+# 0.983 and samples up to 19999; these pin the upper ends of those ranges,
+# and the lower ends of samples and overlap_frac: at one sample the D+ and
+# D- screens pick the same element, at two each may pick either
 @example(a=5000.0, overlap_frac=0.999, v=60.0, samples=20_000, batches=8, seed=2**64 - 1)
 @example(a=100.0, overlap_frac=0.999, v=1.0, samples=20_000, batches=1, seed=0)
+@example(a=1000.0, overlap_frac=0.0, v=50.0, samples=1, batches=1, seed=7)
+@example(a=100.0, overlap_frac=0.0, v=1.0, samples=2, batches=2, seed=2**64 - 1)
+@example(a=5000.0, overlap_frac=0.0, v=60.0, samples=2, batches=1, seed=11)
 def test_ecdf_ks_screen_equals_scalar_cdf_loop(a, overlap_frac, v, samples, batches, seed):
     # the screened KS step gives exactly what a per-sample loop over the
     # scalar closed form gives, over the whole parameter space
@@ -896,6 +970,34 @@ def test_ecdf_ks_screen_keeps_an_argmax_the_fast_cdf_ranks_second(monkeypatch):
     def cdf_fast(dg, v, times):
         values = _cdf_fast(dg, v, times)
         values[0] += 1e-12
+        return values
+
+    monkeypatch.setattr(montecarlo, "_sample", sample)
+    monkeypatch.setattr(montecarlo, "_cdf_fast", cdf_fast)
+    report = crossing_time_ecdf(KM_CELL, 50.0, SimControls(4, 0))
+    assert report.ks_stat == _loop_ks(KM_CELL, 50.0, times)
+
+
+def test_ecdf_ks_screen_keeps_a_d_minus_argmax_the_fast_cdf_ranks_second(monkeypatch):
+    # the D- twin of the test above: four times whose D- at samples 1 and
+    # 3 differ by about 1e-13, D- above every D+, and a fast CDF 1e-12 too
+    # low at the exact D- argmax (sample 1), so the fast D- ranks sample 3
+    # first and the fast D+ is least at sample 3: only the screen's margin
+    # around the least D+ keeps sample 1 a candidate and the statistic exact
+    dg = derive_geometry(KM_CELL)
+    t_min, h = dg.trigger_to_chord_m / 50.0, dg.chord_half_angle_rad
+    times = np.array([t_min / math.cos(u * h) for u in (0.3, 0.45, 0.8 - 1e-13, 0.9)])
+    model = np.array([crossing_time_cdf(KM_CELL, 50.0, float(t)) for t in times])
+    minus, plus = model - np.arange(4) / 4, np.arange(1, 5) / 4 - model
+    assert _loop_ks(KM_CELL, 50.0, times) == minus[0] > plus.max() and 0 < minus[0] - minus[2] < 1e-12
+
+    def sample(dg, ctl, workers, *, speed=None, tau=None, out=None):
+        out[:] = times
+        return 0
+
+    def cdf_fast(dg, v, times):
+        values = _cdf_fast(dg, v, times)
+        values[0] -= 1e-12
         return values
 
     monkeypatch.setattr(montecarlo, "_sample", sample)
