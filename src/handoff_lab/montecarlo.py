@@ -486,10 +486,10 @@ def crossing_time_ecdf(
       array's maximum is a candidate.  At the exact argmax the approximate
       D+ lies within twice the approximation error of the approximate
       maximum, far below 1e-9.
-    - D-: D+ + D- is the difference of the two rounded levels, 1/n within
-      an ulp of 1 (2.3e-16) whatever F is, so the exact argmax of D- has
-      an exact D+ within a few ulps of the least exact D+, and an
-      approximate one within about 3e-15 of the array's minimum.  Every
+    - D-: D+ + D- is the difference of the two rounded levels, which lies
+      within an ulp of 1 (2.3e-16) of 1/n whatever F is, so the exact
+      argmax of D- has an exact D+ within a few ulps of the least exact
+      D+, and an approximate one within about 3e-15 of the array's minimum.  Every
       sample whose D+ lies within 1e-9 of that minimum is a candidate.
 
     So both exact argmaxes are always candidates.  Only the candidates,

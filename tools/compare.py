@@ -30,6 +30,7 @@ import json
 import math
 import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -115,7 +116,8 @@ def export(ref, dest: Path) -> str:
     dest.mkdir(parents=True)
     if ref is not None:
         with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", ref))) as tar:
-            tar.extractall(dest, filter="data")
+            # the "data" filter refuses links and paths that leave dest, where tarfile has it
+            tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
         return git("rev-parse", ref).decode().strip()
     for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode().split("\0"):
         src = ROOT / name
@@ -205,7 +207,7 @@ def main(argv=None) -> int:
                                        abs(s["change"]["median"] - s["parent"]["median"]) > s["parent_iqr"]})
     bench = {
         "what": args.what,
-        "command": " ".join(["python3 tools/compare.py", *(argv if argv is not None else sys.argv[1:])]),
+        "command": shlex.join(["python3", "tools/compare.py", *(argv if argv is not None else sys.argv[1:])]),
         "protocol": PROTOCOL,
         "run_command": f"python3 benchmarks/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
