@@ -4,10 +4,11 @@ Closed-form false-handoff and handoff-failure probabilities, Monte Carlo
 cross-checks, an agent-hierarchy classifier for handoff delays, parameter
 sweeps, and a small CLI.
 
-The Monte Carlo and sweep names load their modules on first access.  The
-sweep module loads numpy with it; the Monte Carlo module loads numpy only
-when it samples.  So the closed forms, SimControls and the CLI's
-closed-form commands start without numpy.
+The Monte Carlo and sweep names load their modules on first access.
+Neither loads numpy with it: the Monte Carlo module loads numpy only when
+it samples, and a sweep only when one of its points does.  So the closed
+forms, SimControls, analytic sweeps and the CLI's closed-form commands
+start without numpy.
 """
 
 import importlib

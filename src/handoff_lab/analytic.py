@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
-from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, _coerce, _real_or_nan, coerce_numbers
+from .errors import InvalidParameterError, NotBracketedError, OutOfDomainError, _coerce, _real_or_nan
 from .geometry import SQRT3, CellGeometry, DerivedGeometry, _check_radius, _chord_half_angle, _lengths, derive_geometry
 
 # numpy is imported by _cdf_fast alone, so the scalar closed forms run
@@ -38,55 +38,72 @@ _NORMAL_MIN = sys.float_info.min
 _U = 2.0**-53  # unit roundoff, the unit of _cdf_error_bound
 
 
-@dataclass(frozen=True)
+# The speed range in m/s: with CellGeometry's radii, every crossing time at a
+# speed in [_V_MIN, _V_MAX] is a normal, finite double.
+_V_MIN, _V_MAX = 1e-150, 1e150
+
+# The closed forms' records (CrossingTimeSupport, OverlapSolution) set their
+# fields as a frozen dataclass's generated __init__ does, with
+# object.__setattr__, but bound here once rather than looked up per field.
+# Writing self.__dict__ instead gives each instance a dict of its own, 64
+# bytes more and three times slower to read, and a sweep keeps these by the
+# thousand.  SpeedModel, SimControls, Estimate and EcdfReport, built one per
+# call, update their __dict__ in one step, cheaper for three or four fields.
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class SpeedModel:
-    """Mobile speed: either a fixed value or uniform on [vmin, vmax] m/s."""
+    """Mobile speed: either a fixed value or uniform on [vmin, vmax] m/s.
+
+    Each speed field is stored as coerce_numbers would store it: a plain
+    float as it is, after one type test, and any other value through
+    _coerce, which refuses it or converts it under the field's key.
+    """
 
     kind: str
     v_mps: float = 0.0
     vmin_mps: float = 0.0
     vmax_mps: float = 0.0
 
-    def __post_init__(self):
-        coerce_numbers(self, "v_mps", "vmin_mps", "vmax_mps")
-        if self.kind == "fixed":
-            if not _in_speed_range(self.v_mps):
-                raise InvalidParameterError(f"must lie in [1e-150, 1e150], got {self.v_mps!r}", "v_mps")
-        elif self.kind == "uniform":
-            vmin, vmax = self.vmin_mps, self.vmax_mps
-            if not (vmin < vmax and _in_speed_range(vmin) and _in_speed_range(vmax)):
-                raise InvalidParameterError(f"uniform speed needs vmin < vmax in [1e-150, 1e150], got [{vmin}, {vmax}]")
-        else:
-            raise InvalidParameterError(f"unknown speed model kind {self.kind!r}")
+    def __init__(self, kind: str, v_mps: float = 0.0, vmin_mps: float = 0.0, vmax_mps: float = 0.0):
+        v = v_mps if type(v_mps) is float else _coerce(v_mps, "v_mps", float, False)
+        vmin = vmin_mps if type(vmin_mps) is float else _coerce(vmin_mps, "vmin_mps", float, False)
+        vmax = vmax_mps if type(vmax_mps) is float else _coerce(vmax_mps, "vmax_mps", float, False)
+        self.__dict__.update(kind=kind, v_mps=v, vmin_mps=vmin, vmax_mps=vmax)  # frozen: see _setattr
+        if kind == "fixed" and not _V_MIN <= v <= _V_MAX:
+            raise InvalidParameterError(f"must lie in [1e-150, 1e150], got {v!r}", "v_mps")
+        if kind == "uniform" and not _V_MIN <= vmin < vmax <= _V_MAX:
+            raise InvalidParameterError(f"uniform speed needs vmin < vmax in [1e-150, 1e150], got [{vmin}, {vmax}]")
+        if kind not in ("fixed", "uniform"):
+            raise InvalidParameterError(f"unknown speed model kind {kind!r}")
 
     @classmethod
     def fixed(cls, v_mps: float) -> "SpeedModel":
-        return cls(kind="fixed", v_mps=v_mps)
+        return cls("fixed", v_mps)
 
     @classmethod
     def uniform(cls, vmin_mps: float, vmax_mps: float) -> "SpeedModel":
-        return cls(kind="uniform", vmin_mps=vmin_mps, vmax_mps=vmax_mps)
+        return cls("uniform", 0.0, vmin_mps, vmax_mps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CrossingTimeSupport:
     """Support of the chord-crossing time at one speed; 0 < t_min_s < t_max_s."""
 
     t_min_s: float
     t_max_s: float
 
-
-def _in_speed_range(v: float) -> bool:
-    """Whether speed v lies in [1e-150, 1e150] m/s.  With CellGeometry's
-    radii, every crossing time is then a normal, finite double."""
-    return 1e-150 <= v <= 1e150
+    def __init__(self, t_min_s: float, t_max_s: float):
+        _setattr(self, "t_min_s", t_min_s)
+        _setattr(self, "t_max_s", t_max_s)
 
 
 # Each check reads a plain float as it is, the common case, and leaves any
 # other value (np.float64 and other float subclasses too) to _real_or_nan.
 def _check_speed(v_mps: float) -> float:
     v = v_mps if type(v_mps) is float else _real_or_nan(v_mps)
-    if not _in_speed_range(v):
+    if not _V_MIN <= v <= _V_MAX:
         raise OutOfDomainError(f"speed must lie in [1e-150, 1e150] m/s, got {v_mps!r}")
     return v
 
@@ -116,8 +133,9 @@ def crossing_time_support(geom: CellGeometry, v_mps: float) -> CrossingTimeSuppo
     latest grazes a chord endpoint, longer by the secant of the chord
     half-angle.
     """
-    _, reach, half_chord, _ = derive_geometry(geom)
-    return CrossingTimeSupport(*_span(reach, half_chord, _check_speed(v_mps)))
+    _, reach, half_chord, _ = geom._derived  # derive_geometry(geom), read in place
+    t_min, t_max = _span(reach, half_chord, _check_speed(v_mps))
+    return CrossingTimeSupport(t_min, t_max)
 
 
 def false_handoff_probability(geom: CellGeometry) -> float:
@@ -128,7 +146,7 @@ def false_handoff_probability(geom: CellGeometry) -> float:
     1 - half_angle/pi.  Scale-free: it depends on overlap only through
     that angle.
     """
-    return _false_handoff(derive_geometry(geom).chord_half_angle_rad)
+    return _false_handoff(geom._derived.chord_half_angle_rad)  # derive_geometry(geom), read in place
 
 
 def _false_handoff(half_angle: float) -> float:
@@ -216,7 +234,7 @@ def crossing_time_cdf(geom: CellGeometry, v_mps: float, tau_s: float) -> float:
     across the support, 1 from t_max on.  The branches meet continuously
     at both ends.
     """
-    _, reach, half_chord, _ = derive_geometry(geom)
+    _, reach, half_chord, _ = geom._derived  # derive_geometry(geom), read in place
     return _cdf(reach, half_chord, _check_speed(v_mps), _check_tau(tau_s))
 
 
@@ -225,9 +243,10 @@ def handoff_failure_probability(geom: CellGeometry, v_mps: float, tau_s: float) 
 
     The handoff fails exactly when the mobile crosses into the new cell
     before signaling completes, so this is the crossing-time distribution
-    evaluated at tau_s.
+    evaluated at tau_s; crossing_time_cdf's body, without its call.
     """
-    return crossing_time_cdf(geom, v_mps, tau_s)
+    _, reach, half_chord, _ = geom._derived
+    return _cdf(reach, half_chord, _check_speed(v_mps), _check_tau(tau_s))
 
 
 def _arccos_integral(c: float, lo: float, hi: float) -> float:
@@ -281,13 +300,18 @@ def expected_failure_over_speed(geom: CellGeometry, model: SpeedModel, tau_s: fl
     return _unit(total / (vmax - vmin))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OverlapSolution:
     """Overlap returned by adapt_overlap plus the probabilities it yields."""
 
     overlap_m: float
     failure_probability: float
     false_handoff_probability: float
+
+    def __init__(self, overlap_m: float, failure_probability: float, false_handoff_probability: float):
+        _setattr(self, "overlap_m", overlap_m)
+        _setattr(self, "failure_probability", failure_probability)
+        _setattr(self, "false_handoff_probability", false_handoff_probability)
 
 
 def _cdf_error_bound(reach: float, v: float, tau: float) -> float:
@@ -337,9 +361,19 @@ def adapt_overlap(
     later step would repeat its mid.  Steps whose sign is certified skip the
     evaluation: a mid at or below a point L takes lo = mid, one at or above
     a point R takes hi = mid.  L and R lie a little either side of a root
-    guessed by secant steps on a smooth residual; a side with no certified
+    guessed by Newton steps on a smooth residual; a side with no certified
     point keeps its bracket end, whose sign the checks already know, so a
     bad guess costs evaluations, never bits.
+
+    The guess: at most 6 Newton steps from the bracket's middle on
+    reach - v*tau*cos(target*H), zero where F = target, with no acos and no
+    clamp; its slope is 1 + v*tau*sin(target*H)*target*H', H' as below.  A
+    step under 1e-10*a ends it.  A step out of (lo, hi) ends it at the
+    bracket end it passed, and a slope of 0 or NaN at hi; none raises.
+    Steps leave the bracket where the target lies near 1, tau just short of
+    the grazing time, with the root near hi.  Any guess serves, by the
+    argument below; a good one certifies points close enough to the root
+    that the bisection evaluates few mids.
 
     Why the skipped steps decide as the evaluated ones would: let g(x) be
     the CDF in exact arithmetic on the step's lengths, and E(x) the bound on
@@ -372,7 +406,7 @@ def adapt_overlap(
     # Every bisection point lies in [0, hi] with hi below the overlap bound,
     # so the radius is checked once, as CellGeometry checks it, and no
     # CellGeometry is built: each step works from the frame's two lengths.
-    a = _check_radius(_coerce(cell_radius_m, "cell_radius_m", float, False))
+    a = _check_radius(cell_radius_m)
 
     def pf(overlap: float) -> float:
         reach, half_chord = _lengths(a, overlap)
@@ -398,23 +432,19 @@ def adapt_overlap(
     if abs(pf_hi - target_pf) <= _ADAPT_TOL:
         return solution(hi, pf_hi)
 
-    # A guess at the root: secant steps on reach - v*tau*cos(target*H),
-    # which is zero where F = target and needs no acos and no clamp.
-    vt = v_mps * tau_s
-
-    def smooth(overlap: float) -> float:
-        reach, half_chord = _lengths(a, overlap)
-        return reach - vt * math.cos(target_pf * _chord_half_angle(reach, half_chord))
-
-    x0, x1 = lo, hi
-    r0, r1 = smooth(x0), smooth(x1)
+    # The guess (docstring): Newton steps on reach - v*tau*cos(target*H),
+    # with H' = (reach/SQRT3 - h)/(reach**2 + h**2) in the slope.
+    vt, x1 = v_mps * tau_s, 0.5 * (lo + hi)
     for _ in range(6):
-        if r1 == r0:
+        reach, h = _lengths(a, x1)
+        angle = target_pf * _chord_half_angle(reach, h)
+        slope = 1.0 + vt * math.sin(angle) * target_pf * (reach / SQRT3 - h) / (reach * reach + h * h)
+        x0, x1 = x1, x1 - (reach - vt * math.cos(angle)) / slope if slope else math.nan
+        if not lo < x1 < hi:
+            x1 = lo if x1 <= lo else hi
             break
-        x0, x1, r0 = x1, x1 - r1 * (x1 - x0) / (r1 - r0), r1
-        if not lo < x1 < hi or abs(x1 - x0) < 1e-10 * a:
+        if abs(x1 - x0) < 1e-10 * a:
             break
-        r1 = smooth(x1)
     # Points beside the guess whose sign the margin certifies; a side that
     # certifies none keeps its bracket end, whose sign the checks above know.
     left, right = lo, hi

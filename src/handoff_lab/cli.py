@@ -5,8 +5,9 @@ key), results leave as CSV with 9 significant digits or, for sweeps, as a
 minimal SVG line chart.  Exit status is 0 on success, 2 when the input
 failed to parse or validate, 1 when a computation could not finish.
 
-numpy is imported only where a command samples or sweeps, so analytic,
-adapt and classify start without it, even for a scenario with an mc block.
+numpy is imported only where a command samples, so analytic, adapt and
+classify start without it, even for a scenario with an mc block, and so
+does a sweep whose sampled points the edge screen all decides.
 PyYAML is imported only where a command reads a file.
 """
 

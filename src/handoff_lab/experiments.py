@@ -15,12 +15,14 @@ handoff_failure_probability bit for bit.
 When Monte Carlo controls are attached, each point gets an estimate and
 standard error from its own derived substream, so the whole table is a pure
 function of the sweep spec.
+
+numpy is not imported here: run_sweep takes its axis from Axis.values, in
+plain floats, so a sweep loads numpy only when a point draws samples (see
+montecarlo), or when Axis.points is asked for an array.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .analytic import SpeedModel, _cdf, _false_handoff
@@ -56,8 +58,20 @@ class Axis:
         if not self.stop > self.start:
             raise InvalidParameterError(f"must exceed start, got [{self.start!r}, {self.stop!r}]", "stop")
 
-    def points(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
+    def values(self) -> List[float]:
+        """np.linspace(start, stop, steps).tolist(), bit for bit, in plain
+        Python: point i is i*step + start with step = (stop - start)/(steps - 1),
+        or (i/(steps - 1))*(stop - start) + start where step rounds to 0
+        (numpy's branch for subnormal steps), and the last point is stop."""
+        div, delta = self.steps - 1, self.stop - self.start
+        step = delta / div
+        return [(i * step if step else i / div * delta) + self.start for i in range(div)] + [self.stop]
+
+    def points(self):
+        """The axis as an ndarray, built from values()."""
+        import numpy as np
+
+        return np.array(self.values())
 
 
 @dataclass(frozen=True)
@@ -161,7 +175,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     by_radius, by_speed, mc = series == "cell_radius_m", swept == "speed_mps", spec.mc
     columns = [series, swept, value] + (["estimate", "std_err"] if mc is not None else [])
     a = spec.cell_radius_m[0]
-    axis_values = spec.axis.points().tolist()
+    axis_values = spec.axis.values()
     rows = []
     for s in getattr(spec, series):
         if not by_radius:

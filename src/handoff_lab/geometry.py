@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Tuple
 
-from .errors import InvalidParameterError, coerce_numbers
+from .errors import InvalidParameterError, _coerce, coerce_numbers
 
 # numpy is imported inside the array functions, which only the sampler
 # uses, so the closed forms run without loading it.
@@ -70,9 +70,10 @@ class CellGeometry:
 
 
 def _check_radius(a: float) -> float:
-    """a, a float already coerced, if it lies in [1e-150, 1e150]: within
-    these radii every length and product of the ray/chord step stays
+    """a as coerce_numbers stores a radius, if it lies in [1e-150, 1e150]:
+    within these radii every length and product of the ray/chord step stays
     normal and finite; 5e-324 gives reach 0, 1e200 an infinite t."""
+    a = a if type(a) is float else _coerce(a, "cell_radius_m", float, False)
     if not 1e-150 <= a <= 1e150:
         raise InvalidParameterError(f"must lie in [1e-150, 1e150], got {a!r}", "cell_radius_m")
     return a

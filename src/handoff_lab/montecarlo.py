@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 from .analytic import SpeedModel, _cdf, _cdf_fast, _check_tau
-from .errors import InvalidParameterError, _real_or_nan, coerce_numbers
+from .errors import InvalidParameterError, _coerce, _real_or_nan
 from .geometry import _ENDPOINT_SLACK, CellGeometry, DerivedGeometry, derive_geometry
 from .geometry import _ray_chord_hits_into, _ray_chord_misses_into
 
@@ -100,25 +100,33 @@ _ETA = 1e-9  # the screens' margin in the exact step's output (module docstring)
 _generators = threading.local()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimControls:
-    """Sample count, 64-bit seed, and batch split for one estimator run."""
+    """Sample count, 64-bit seed, and batch split for one estimator run.
+
+    Each field is stored as coerce_numbers(..., integer=True) would store
+    it: a plain int as it is, after one type test, and any other value
+    through _coerce, which refuses it or converts it under the field's key.
+    """
 
     samples: int
     seed: int
     batches: int = 1
 
-    def __post_init__(self):
-        coerce_numbers(self, "samples", "seed", "batches", integer=True)
-        if not self.samples >= 1:
-            raise InvalidParameterError(f"must be an integer >= 1, got {self.samples!r}", "samples")
-        if not 0 <= self.seed <= _MASK64:
-            raise InvalidParameterError(f"must be an unsigned 64-bit integer, got {self.seed!r}", "seed")
-        if not 1 <= self.batches <= self.samples:
-            raise InvalidParameterError(f"must be an integer in [1, samples], got {self.batches!r}", "batches")
+    def __init__(self, samples: int, seed: int, batches: int = 1):
+        samples = samples if type(samples) is int else _coerce(samples, "samples", int, False)
+        seed = seed if type(seed) is int else _coerce(seed, "seed", int, False)
+        batches = batches if type(batches) is int else _coerce(batches, "batches", int, False)
+        self.__dict__.update(samples=samples, seed=seed, batches=batches)  # frozen: see analytic._setattr
+        if not samples >= 1:
+            raise InvalidParameterError(f"must be an integer >= 1, got {samples!r}", "samples")
+        if not 0 <= seed <= _MASK64:
+            raise InvalidParameterError(f"must be an unsigned 64-bit integer, got {seed!r}", "seed")
+        if not 1 <= batches <= samples:
+            raise InvalidParameterError(f"must be an integer in [1, samples], got {batches!r}", "batches")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Estimate:
     """Binomial point estimate with its standard error and provenance."""
 
@@ -127,14 +135,20 @@ class Estimate:
     n: int
     seed: int
 
+    def __init__(self, p_hat: float, std_err: float, n: int, seed: int):
+        self.__dict__.update(p_hat=p_hat, std_err=std_err, n=n, seed=seed)  # frozen: see analytic._setattr
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class EcdfReport:
     """Sorted crossing-time sample plus its KS distance to the model law."""
 
     times_s: np.ndarray
     ks_stat: float
     n: int
+
+    def __init__(self, times_s: np.ndarray, ks_stat: float, n: int):
+        self.__dict__.update(times_s=times_s, ks_stat=ks_stat, n=n)  # frozen: see analytic._setattr
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -190,7 +204,8 @@ def _sample(
     alike gives its share, 0 or 1, in place of a count function, and then
     every sample or none counts without a draw, a buffer or a thread.
     """
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+    # a plain int skips the ABC check, which costs as much as a decided screen's arithmetic
+    if not (type(workers) is int or not isinstance(workers, bool) and isinstance(workers, numbers.Integral)) or workers < 1:
         raise InvalidParameterError(f"must be an integer >= 1, got {workers!r}", "workers")
     drawn = speed is not None and speed.kind == "uniform"
     count = None if out is not None else (_staircase if drawn else _screen)(dg, speed, tau)[1]
@@ -298,8 +313,8 @@ def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[floa
     there, the decision the array checks make, with no numpy call.  Every
     other case goes on to those checks."""
     half = math.pi if speed is None else dg.chord_half_angle_rad
-    inner, outer = (edge / (2.0 * half) for edge in _solve_edges(dg, speed, tau))
-    inner, outer = [0.0 if q < 0.0 else 0.5 if q > 0.5 else q for q in (inner, outer)]
+    inner, outer = _solve_edges(dg, speed, tau)
+    inner, outer = [0.0 if q < 0.0 else 0.5 if q > 0.5 else q for q in (inner / (2.0 * half), outer / (2.0 * half))]
     if speed is not None and inner == outer == 0.0 and _fastest_time(dg, speed.v_mps) > tau * (1.0 + _ETA):
         return [0.5] * 4, 0
     import numpy as np
@@ -420,8 +435,8 @@ def _solve_edges(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional
     reach, w = dg.trigger_to_chord_m, dg.half_chord_m
     if speed is None:
         return [math.atan(k * w / reach) for k in (1.0 - 4.0 * _ETA, 1.0 + 2.0 * (_ENDPOINT_SLACK + 2.0 * _ETA))]
-    return [math.acos(reach / x) if x > reach else 0.0
-            for x in (speed.v_mps * tau * (1.0 - 2.0 * _ETA), speed.v_mps * tau * (1.0 + 2.0 * _ETA))]
+    lo, hi = speed.v_mps * tau * (1.0 - 2.0 * _ETA), speed.v_mps * tau * (1.0 + 2.0 * _ETA)
+    return [math.acos(reach / lo) if lo > reach else 0.0, math.acos(reach / hi) if hi > reach else 0.0]
 
 
 def _binomial(hits: int, ctl: SimControls) -> Estimate:

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,52 @@ def test_recorded_claims_rebuild_from_their_runs(bench):
         assert math.isclose(summary["change"]["median"], claim["change_median"], rel_tol=1e-12)
         assert compare.met(summary) == claim["met"]
         assert not compare.met(compare.compare(by_side["parent"], by_side["parent"]))
+
+
+def test_tier1_counts_read_the_last_summary_line():
+    assert compare.tier1_counts("....x.. [ 10%]\n....... [100%]\n684 passed, 1 xfailed in 12.03s\n") == \
+        {"passed": 684, "xfailed": 1}
+    assert compare.tier1_counts("=== 1 failed, 683 passed, 1 xfailed, 2 warnings in 9.80s ===") == \
+        {"failed": 1, "passed": 683, "xfailed": 1, "warnings": 2}
+    assert compare.tier1_counts("2 passed in 0.1s\n1 error in 0.5s\n") == {"errors": 1}
+    assert compare.tier1_counts("no tests ran in 0.01s") == compare.tier1_counts("") == {}
+
+
+def test_run_tier1_times_the_command_in_the_tree(tmp_path, monkeypatch):
+    # the command runs from the tree's root with that tree's src on the path
+    script = "import os; print(os.getcwd()); print(os.environ['PYTHONPATH']); print('3 passed, 1 xfailed in 0.01s')"
+    monkeypatch.setattr(compare, "TIER1", [sys.executable, "-c", script])
+    run = compare.run_tier1(tmp_path)
+    assert run["rc"] == 0 and run["counts"] == {"passed": 3, "xfailed": 1}
+    assert run["metrics"]["wall_s"] > 0.0
+    monkeypatch.setattr(compare, "TIER1", [sys.executable, "-c", script + "; raise SystemExit(1)"])
+    assert compare.run_tier1(tmp_path)["rc"] == 1
+
+
+def _tier1_run(wall, counts, rc=0):
+    return {"rc": rc, "counts": counts, "metrics": {"wall_s": wall}}
+
+
+def test_tier1_entry_is_reported_and_not_gated():
+    same = {"passed": 684, "xfailed": 1}
+    by_side = {"parent": [_tier1_run(w, same) for w in (12.0, 12.4, 11.8, 12.2)],
+               "change": [_tier1_run(w, dict(same, passed=700)) for w in (12.5, 12.3, 12.9, 12.6)]}
+    entry = compare.tier1_entry(by_side, 4)
+    assert (entry["workload"], entry["seed"], entry["pairs"], entry["gated"]) == ("tier1", None, 4, False)
+    assert entry["counts_by_side"] == {"parent": [same], "change": [dict(same, passed=700)]}
+    assert entry["counts_agree_within_each_side"] and entry["all_runs_ok"]
+    wall = entry["metrics"]["wall_s"]
+    assert wall == compare.compare([12.0, 12.4, 11.8, 12.2], [12.5, 12.3, 12.9, 12.6])
+    assert (wall["change_better_pairs"], wall["change_worse_pairs"]) == (1, 3)
+    # a run that failed, or one whose counts differ from its side's others, shows
+    by_side["change"][2] = _tier1_run(12.9, dict(same, failed=1), rc=1)
+    entry = compare.tier1_entry(by_side, 4)
+    assert not entry["all_runs_ok"] and not entry["counts_agree_within_each_side"]
+
+
+def test_no_claim_may_name_tier1(monkeypatch):
+    # refused before any tree is exported or any run made
+    monkeypatch.setattr(compare, "export", lambda *args: pytest.fail("exported a tree"))
+    with pytest.raises(SystemExit) as exc:
+        compare.main(["--parent", "HEAD", "--workload", "tier1", "--claim", "tier1:wall_s"])
+    assert exc.value.code == 2

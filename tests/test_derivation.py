@@ -11,6 +11,7 @@ import pickle
 import random
 import statistics
 import struct
+import types
 
 import mpmath
 
@@ -153,6 +154,10 @@ def _reference_adapt(cell_radius_m, v, tau, target_pf, cdf=_reference_cdf):
     return solution(mid)
 
 
+# tau*v/a at t_min of zero overlap: the standoff over the radius
+K_MIN = (2.0 - SQRT3) / 2.0
+
+
 def _outcome(solve, *args):
     try:
         sol = solve(*args)
@@ -166,6 +171,13 @@ def _outcome(solve, *args):
 @example(a=1e-150, v=1e150, k=0.1, share=0.0)
 @example(a=1e150, v=1e-150, k=1.6, share=1.0)
 @example(a=1000.0, v=50.0, k=0.15, share=0.5)
+# where the overlap solver's Newton guess leaves the bracket (tau just below
+# t_max at the deepest overlap, targets near 1), with a share within 1e-12
+# of either edge; and tau within 1e-12 of t_min at zero overlap
+@example(a=1e-150, v=1e150, k=1.4141999992, share=1e-12)
+@example(a=1e150, v=1e-150, k=1.4141999992, share=1.0 - 1e-12)
+@example(a=1e-150, v=1e-150, k=K_MIN * (1.0 + 1e-12), share=1e-12)
+@example(a=1e150, v=1e150, k=K_MIN * (1.0 + 1e-12), share=1.0 - 1e-12)
 def test_adapt_overlap_equals_the_solver_that_derived_each_step(a, v, k, share):
     # tau = k*a/v sweeps from below the zero-overlap support to beyond the
     # deepest one; targets sit on, just inside and just outside both
@@ -197,6 +209,12 @@ def _near_an_end(a, frac, v, near_max, offset):
 @example(a=1e-150, v=1e-150, frac=0.8, near_max=False, offset=-3.0, exponent=-6.0)
 @example(a=1e150, v=1e150, frac=0.5, near_max=True, offset=-3.0, exponent=-1.0)
 @example(a=1000.0, v=50.0, frac=0.8, near_max=False, offset=-10.0, exponent=-8.0)
+# the Newton guess leaves the bracket: tau 1e-12 inside t_max near the
+# deepest overlap, where both edges lie near 1 and 10**exponent lies within
+# 1e-12 of the zero-overlap edge, 1; and tau within 1e-12 of t_min
+@example(a=1e-150, v=1e150, frac=0.999, near_max=True, offset=-12.0, exponent=-4e-13)
+@example(a=1e150, v=1e-150, frac=0.999, near_max=True, offset=-12.0, exponent=-4e-13)
+@example(a=1e150, v=1e150, frac=0.999, near_max=False, offset=-12.0, exponent=-4e-13)
 def test_adapt_overlap_equals_the_plain_bisection_near_the_support_ends(a, v, frac, near_max, offset, exponent):
     # tau sits 1e-12 to 1e-3 inside t_max or outside t_min of a drawn
     # geometry, where the CDF's rounding error is largest; targets run from
@@ -297,6 +315,19 @@ def test_adapt_overlap_evaluates_the_cdf_a_few_times(monkeypatch):
         assert _outcome(adapt_overlap, *args) == _outcome(_reference_adapt, *args)
         counts.append(len(calls))
     assert statistics.median(counts) <= 10
+
+
+@pytest.mark.parametrize("sin", [lambda x: math.nan, lambda x: math.inf, lambda x: -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_spoiled_newton_guess_costs_evaluations_never_bits(monkeypatch, sin):
+    # a sine of NaN makes the guess's slope NaN, so the guess ends at a
+    # bracket end; one of +-inf makes every Newton step 0, so it stays at
+    # the bracket's middle; neither raises, and the certification and the
+    # bisection still return the plain bisection's bits
+    fake = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math) if not name.startswith("_")})
+    fake.sin = sin
+    monkeypatch.setattr(analytic, "math", fake)
+    for args in _reachable_draws(7, 50):
+        assert _outcome(adapt_overlap, *args) == _outcome(_reference_adapt, *args)
 
 
 # how far the wiggled step CDF moves from the true one, either way: more than

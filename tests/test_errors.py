@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from handoff_lab.analytic import SpeedModel
 from handoff_lab.errors import InvalidParameterError, coerce_numbers
 from handoff_lab.geometry import CellGeometry
+from handoff_lab.montecarlo import SimControls, estimate_failure
 
 
 class _Float(float):
@@ -112,3 +115,129 @@ def test_frozen_dataclasses_store_exact_floats(value):
     with pytest.raises(InvalidParameterError, match="must be finite, got nan") as err:
         coerce_numbers(obj, "x", finite=True)
     assert err.value.key == "x"
+
+
+SPEEDS = dict(VALUES, **{"int": 30, "np.int64": np.int64(30), "float": 30.0, "np.float64": np.float64(30.0),
+                         "float subclass": _Float(30.0), "0.0": 0.0, "str": "30", "1e151": np.float64(1e151)})
+COUNTS = {"int": 200, "np.int64": np.int64(200), "bool": True, "np.bool_": np.bool_(True), "float": 200.0,
+          "2**64": 2**64, "-1": -1, "0": 0, "str": "200"}
+# how each field is built from one value (the others valid), and what is read back
+MAKERS = {
+    "fixed": (lambda x: SpeedModel.fixed(x), attrgetter("v_mps")),
+    "vmin": (lambda x: SpeedModel("fixed", 30.0, x, 5.0), attrgetter("vmin_mps")),
+    "uniform": (lambda x: SpeedModel.uniform(1.0, x), attrgetter("vmax_mps")),
+    # a float speed is wrapped in SpeedModel.fixed; tau 0.01 s is decided, so nothing is drawn
+    "estimate": (lambda x: estimate_failure(CellGeometry(1000.0, 150.0), x, 0.01, SimControls(100, 1)),
+                 attrgetter("p_hat", "n")),
+    "samples": (lambda x: SimControls(x, 7, 2), attrgetter("samples")),
+    "seed": (lambda x: SimControls(200, x, 2), attrgetter("seed")),
+    "batches": (lambda x: SimControls(200, 7, x), attrgetter("batches")),
+}
+# (maker, value) -> (stored type, repr) or (key, reason), recorded from the
+# SpeedModel and SimControls whose generated __init__ ran coerce_numbers on
+# every field; the handwritten ones must store and refuse the same
+MODEL_ROWS = [
+    ('fixed', 'float', ('float', '30.0')),
+    ('fixed', 'int', ('float', '30.0')),
+    ('fixed', 'bool', ('v_mps', 'must be a real number, got True')),
+    ('fixed', 'np.float64', ('float', '30.0')),
+    ('fixed', 'np.int64', ('float', '30.0')),
+    ('fixed', 'np.bool_', ('v_mps', 'must be a real number, got np.True_')),
+    ('fixed', 'nan', ('v_mps', 'must lie in [1e-150, 1e150], got nan')),
+    ('fixed', 'inf', ('v_mps', 'must lie in [1e-150, 1e150], got inf')),
+    ('fixed', '0.0', ('v_mps', 'must lie in [1e-150, 1e150], got 0.0')),
+    ('fixed', '10**400', ('v_mps', 'must be a real number within float range')),
+    ('fixed', 'float subclass', ('float', '30.0')),
+    ('fixed', 'np.float32', ('float', '0.75')),
+    ('fixed', 'str', ('v_mps', "must be a real number, got '30'")),
+    ('fixed', '1e151', ('v_mps', 'must lie in [1e-150, 1e150], got 1e+151')),
+    ('vmin', 'float', ('float', '30.0')),
+    ('vmin', 'int', ('float', '30.0')),
+    ('vmin', 'bool', ('vmin_mps', 'must be a real number, got True')),
+    ('vmin', 'np.float64', ('float', '30.0')),
+    ('vmin', 'np.int64', ('float', '30.0')),
+    ('vmin', 'np.bool_', ('vmin_mps', 'must be a real number, got np.True_')),
+    ('vmin', 'nan', ('float', 'nan')),
+    ('vmin', 'inf', ('float', 'inf')),
+    ('vmin', '0.0', ('float', '0.0')),
+    ('vmin', '10**400', ('vmin_mps', 'must be a real number within float range')),
+    ('vmin', 'float subclass', ('float', '30.0')),
+    ('vmin', 'np.float32', ('float', '0.75')),
+    ('vmin', 'str', ('vmin_mps', "must be a real number, got '30'")),
+    ('vmin', '1e151', ('float', '1e+151')),
+    ('uniform', 'float', ('float', '30.0')),
+    ('uniform', 'int', ('float', '30.0')),
+    ('uniform', 'bool', ('vmax_mps', 'must be a real number, got True')),
+    ('uniform', 'np.float64', ('float', '30.0')),
+    ('uniform', 'np.int64', ('float', '30.0')),
+    ('uniform', 'np.bool_', ('vmax_mps', 'must be a real number, got np.True_')),
+    ('uniform', 'nan', (None, 'uniform speed needs vmin < vmax in [1e-150, 1e150], got [1.0, nan]')),
+    ('uniform', 'inf', (None, 'uniform speed needs vmin < vmax in [1e-150, 1e150], got [1.0, inf]')),
+    ('uniform', '0.0', (None, 'uniform speed needs vmin < vmax in [1e-150, 1e150], got [1.0, 0.0]')),
+    ('uniform', '10**400', ('vmax_mps', 'must be a real number within float range')),
+    ('uniform', 'float subclass', ('float', '30.0')),
+    ('uniform', 'np.float32', (None, 'uniform speed needs vmin < vmax in [1e-150, 1e150], got [1.0, 0.75]')),
+    ('uniform', 'str', ('vmax_mps', "must be a real number, got '30'")),
+    ('uniform', '1e151', (None, 'uniform speed needs vmin < vmax in [1e-150, 1e150], got [1.0, 1e+151]')),
+    ('estimate', 'float', ('tuple', '(0.0, 100)')),
+    ('estimate', 'int', ('tuple', '(0.0, 100)')),
+    ('estimate', 'bool', ('v_mps', 'must be a real number, got True')),
+    ('estimate', 'np.float64', ('tuple', '(0.0, 100)')),
+    ('estimate', 'np.int64', ('tuple', '(0.0, 100)')),
+    ('estimate', 'np.bool_', ('v_mps', 'must be a real number, got np.True_')),
+    ('estimate', 'nan', ('v_mps', 'must lie in [1e-150, 1e150], got nan')),
+    ('estimate', 'inf', ('v_mps', 'must lie in [1e-150, 1e150], got inf')),
+    ('estimate', '0.0', ('v_mps', 'must lie in [1e-150, 1e150], got 0.0')),
+    ('estimate', '10**400', ('v_mps', 'must be a real number within float range')),
+    ('estimate', 'float subclass', ('tuple', '(0.0, 100)')),
+    ('estimate', 'np.float32', ('tuple', '(0.0, 100)')),
+    ('estimate', 'str', ('v_mps', "must be a real number, got '30'")),
+    ('estimate', '1e151', ('v_mps', 'must lie in [1e-150, 1e150], got 1e+151')),
+    ('samples', 'int', ('int', '200')),
+    ('samples', 'np.int64', ('int', '200')),
+    ('samples', 'bool', ('samples', 'must be an integer, got True')),
+    ('samples', 'np.bool_', ('samples', 'must be an integer, got np.True_')),
+    ('samples', 'float', ('samples', 'must be an integer, got 200.0')),
+    ('samples', '2**64', ('int', '18446744073709551616')),
+    ('samples', '-1', ('samples', 'must be an integer >= 1, got -1')),
+    ('samples', '0', ('samples', 'must be an integer >= 1, got 0')),
+    ('samples', 'str', ('samples', "must be an integer, got '200'")),
+    ('seed', 'int', ('int', '200')),
+    ('seed', 'np.int64', ('int', '200')),
+    ('seed', 'bool', ('seed', 'must be an integer, got True')),
+    ('seed', 'np.bool_', ('seed', 'must be an integer, got np.True_')),
+    ('seed', 'float', ('seed', 'must be an integer, got 200.0')),
+    ('seed', '2**64', ('seed', 'must be an unsigned 64-bit integer, got 18446744073709551616')),
+    ('seed', '-1', ('seed', 'must be an unsigned 64-bit integer, got -1')),
+    ('seed', '0', ('int', '0')),
+    ('seed', 'str', ('seed', "must be an integer, got '200'")),
+    ('batches', 'int', ('int', '200')),
+    ('batches', 'np.int64', ('int', '200')),
+    ('batches', 'bool', ('batches', 'must be an integer, got True')),
+    ('batches', 'np.bool_', ('batches', 'must be an integer, got np.True_')),
+    ('batches', 'float', ('batches', 'must be an integer, got 200.0')),
+    ('batches', '2**64', ('batches', 'must be an integer in [1, samples], got 18446744073709551616')),
+    ('batches', '-1', ('batches', 'must be an integer in [1, samples], got -1')),
+    ('batches', '0', ('batches', 'must be an integer in [1, samples], got 0')),
+    ('batches', 'str', ('batches', "must be an integer, got '200'")),
+]
+
+
+@pytest.mark.parametrize("maker,name,expected", MODEL_ROWS)
+def test_speed_models_and_controls_store_and_refuse_as_recorded(maker, name, expected):
+    # np.float64, float subclasses, bools and NaN on the fixed-model path (and
+    # in a speed field it does not use, a uniform model and the controls) are
+    # refused or coerced with the same key and message, and every stored
+    # field is exactly float or int
+    make, read = MAKERS[maker]
+    value = (COUNTS if maker in ("samples", "seed", "batches") else SPEEDS)[name]
+    try:
+        made = make(value)
+    except InvalidParameterError as exc:
+        assert (exc.key, exc.reason) == expected
+        return
+    stored = read(made)
+    assert (type(stored).__name__, repr(stored)) == expected
+    if isinstance(made, (SpeedModel, SimControls)):
+        plain = float if isinstance(made, SpeedModel) else int
+        assert all(type(getattr(made, f.name)) is plain for f in dataclasses.fields(made) if f.name != "kind")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from handoff_lab.analytic import false_handoff_probability, handoff_failure_probability
 from handoff_lab.errors import InvalidParameterError
@@ -247,6 +249,34 @@ def test_sweep_numeric_inputs(make, ok):
         assert made.points().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         return
     assert {type(x) for row in run_sweep(made).rows for x in row} == {float}
+
+
+def _axis_ends():
+    """Axis ends drawn three ways: any finite doubles (hypothesis leans on
+    the huge, tiny and subnormal ones), multiples of the least subnormal,
+    where the step can round to 0, and ordinary spans."""
+    finite, tiny = st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**20, 2**20).map(lambda k: k * 5e-324)
+    return st.one_of(st.tuples(finite, finite), st.tuples(tiny, tiny), st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ends=_axis_ends(), steps=st.integers(2, 3000))
+@example(ends=(0.0, 3 * 5e-324), steps=1000)  # a step that rounds to 0: numpy's divide-first branch
+@example(ends=(-1e308, 1e308), steps=5)  # stop - start overflows to inf
+@example(ends=(2.0, 60.0), steps=200)
+def test_axis_values_equal_numpy_linspace_bit_for_bit(ends, steps):
+    # run_sweep takes its axis from Axis.values in plain Python, so a sweep
+    # need not load numpy; each value must be np.linspace's, and points()
+    # its array
+    start, stop = sorted(ends)
+    assume(start < stop)
+    axis = Axis(start, stop, steps)
+    values = axis.values()
+    assert len(values) == steps and {type(x) for x in values} == {float}
+    with np.errstate(all="ignore"):  # an infinite span gives inf and 0*inf = nan, as here
+        expected = np.linspace(start, stop, steps)
+    assert np.array_equal(np.array(values).view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(axis.points().view(np.uint64), expected.view(np.uint64))
 
 
 def test_invalid_grid_point_is_named():

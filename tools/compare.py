@@ -7,6 +7,12 @@ every workload and seed, pair p runs `benchmarks/run.py --trace 0` once in
 each tree, the parent first in even pairs and the change first in odd ones,
 so a drift of the host's speed falls on both sides alike.
 
+The `tier1` pseudo-workload runs the Tier-1 command (TIER1) once per pair
+in each tree instead, seeds aside, and reports its wall time and its
+summary counts by side.  It is reported and never gated: no claim may name
+it, since a suite's wall time moves with the tests a change adds as much as
+with the code.
+
 Per metric it reports each side's median and quartiles, the pairs each side
 won, and a two-sided sign-test p-value over the pairs that did not tie.  It
 records whether every run of both sides gave one digest.  It claims nothing
@@ -16,7 +22,7 @@ better side (below q1 for a lower-is-better metric).  Each claim also says
 whether the two medians differ by more than the parent's interquartile
 range, the stricter reading of the same rule.
 
-Usage: python tools/compare.py --parent REF [--change REF] [--workload W ...]
+Usage: python tools/compare.py --parent REF [--change REF] [--workload W ... [tier1]]
            [--seed S ...] [--pairs N] [--seconds S] [--claim W:METRIC ...]
            [--what TEXT] [--out BENCH.json]
 
@@ -30,17 +36,21 @@ import json
 import math
 import os
 import platform
+import re
 import shlex
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work"
 WORKLOADS = ("mc_bulk", "sweep_grid", "cli_session")
+# the Tier-1 command, run from a tree's root; the tier1 pseudo-workload times it
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 PROTOCOL = ("alternating parent/change pairs (even pairs parent first, odd pairs change first), each side in "
             "its own directory under .bench_work/; statistics are medians and inclusive quartiles over runs; "
             "a pair is won by the side whose value is better; a claim is met when the change wins at least 9 "
@@ -143,6 +153,44 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()}}
 
 
+def tier1_counts(output: str) -> dict:
+    """The counts of pytest's last summary line ("684 passed, 1 xfailed in
+    10.2s"), e.g. {"passed": 684, "xfailed": 1}; {} when there is none."""
+    lines = [line for line in output.splitlines() if re.search(r"\d+ (passed|failed|errors?|skipped)\b", line)]
+    if not lines:
+        return {}
+    counts = {}
+    for number, what in re.findall(r"(\d+) ([a-z]+)", lines[-1]):
+        counts[{"error": "errors", "warning": "warnings"}.get(what, what)] = int(number)
+    return counts
+
+
+def run_tier1(tree: Path) -> dict:
+    """One run of the Tier-1 command in tree: its exit status, wall time and counts."""
+    env = dict(os.environ, PYTHONPATH="src")  # each tree imports its own src
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    wall = time.perf_counter() - start
+    return {"rc": proc.returncode, "counts": tier1_counts(proc.stdout), "metrics": {"wall_s": wall}}
+
+
+def tier1_entry(by_side: dict, pairs: int) -> dict:
+    """The end-to-end entry of the tier1 pseudo-workload from each side's runs
+    in pair order: wall time compared as any metric, and the summary counts
+    each side gave, which agree when every run of a side gave the same."""
+    counts = {side: [dict(c) for c in {tuple(sorted(r["counts"].items())) for r in rs}]
+              for side, rs in by_side.items()}
+    return {
+        "workload": "tier1", "seed": None, "pairs": pairs, "gated": False,
+        "command": shlex.join(["PYTHONPATH=src", "python", *TIER1[1:]]),
+        "counts_by_side": counts,
+        "counts_agree_within_each_side": all(len(c) == 1 for c in counts.values()),
+        "all_runs_ok": all(r["rc"] == 0 for rs in by_side.values() for r in rs),
+        "metrics": {"wall_s": compare([r["metrics"]["wall_s"] for r in by_side["parent"]],
+                                      [r["metrics"]["wall_s"] for r in by_side["change"]])},
+    }
+
+
 def directions() -> dict:
     """Metric name -> "lower" or "higher", from BENCHMARK.json's end-to-end list."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -153,7 +201,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git ref of the parent tree")
     p.add_argument("--change", help="git ref of the change tree (default: the working tree)")
-    p.add_argument("--workload", nargs="+", choices=WORKLOADS, default=["sweep_grid"])
+    p.add_argument("--workload", nargs="+", choices=WORKLOADS + ("tier1",), default=["sweep_grid"])
     p.add_argument("--seed", nargs="+", type=int, default=[7])
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=8.0)
@@ -163,23 +211,29 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    if any(claim.partition(":")[0] == "tier1" for claim in args.claim):
+        p.error("tier1 is reported, not gated: no claim may name it")
 
     sides = {"parent": WORK / "parent", "change": WORK / "change"}
     revs = {"parent": export(args.parent, sides["parent"]), "change": export(args.change, sides["change"])}
     better = directions()
     runs, end_to_end, claims = [], [], []
     for workload in args.workload:
-        for seed in args.seed:
+        for seed in [None] if workload == "tier1" else args.seed:
             by_side = {"parent": [], "change": []}
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for k, side in enumerate(order):
-                    run = run_once(sides[side], workload, seed, args.seconds)
+                    run = (run_tier1(sides[side]) if workload == "tier1"
+                           else run_once(sides[side], workload, seed, args.seconds))
                     run.update(workload=workload, seed=seed, pair=pair, order_in_pair=k, side=side)
                     runs.append(run)
                     by_side[side].append(run)
                     print(f"{workload} seed {seed} pair {pair} {side}: rc {run['rc']} {run['metrics']}",
                           file=sys.stderr, flush=True)
+            if workload == "tier1":
+                end_to_end.append(tier1_entry(by_side, args.pairs))
+                continue
             digests = {side: sorted({r["digest"] for r in rs}, key=str) for side, rs in by_side.items()}
             names = sorted(set.intersection(*(set(r["metrics"]) for rs in by_side.values() for r in rs)))
             metrics = {name: compare([r["metrics"][name] for r in by_side["parent"]],
