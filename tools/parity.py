@@ -6,7 +6,8 @@ fixed- and uniform-speed failure) and crossing_time_ecdf, at drawn
 geometries, speeds, sample counts, batches and worker counts, with delays
 below, at, inside, at the end of and beyond the crossing-time support; then
 sampled sweeps of every kind.  The draws depend only on --seed, so the same
-arguments give the same calls on any tree.
+arguments give the same calls on any tree.  digests() returns the two
+hashes; tests/test_parity.py pins them at 200 calls and 50 sweeps.
 
 Usage: PYTHONPATH=src python tools/parity.py [--seed N] [--calls N] [--sweeps N]
 """
@@ -72,18 +73,27 @@ def _sweep(rng):
     return run_sweep(spec).rows
 
 
+def digests(seed: int = 0, calls: int = 1500, sweeps: int = 350) -> dict:
+    """The sha256 hex digests of `calls` drawn calls, then of `sweeps` drawn
+    sweeps, all from one random.Random(seed): {"calls": ..., "sweeps": ...}."""
+    rng, out = random.Random(seed), {}
+    for what, count, run in (("calls", calls, _call), ("sweeps", sweeps, _sweep)):
+        digest = hashlib.sha256()
+        for _ in range(count):
+            digest.update(repr(run(rng)).encode())
+        out[what] = digest.hexdigest()
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--calls", type=int, default=1500)
     parser.add_argument("--sweeps", type=int, default=350)
     args = parser.parse_args()
-    rng = random.Random(args.seed)
-    for what, count, run in (("calls", args.calls, _call), ("sweeps", args.sweeps, _sweep)):
-        digest = hashlib.sha256()
-        for _ in range(count):
-            digest.update(repr(run(rng)).encode())
-        print(f"{what} {count}: {digest.hexdigest()}")
+    found = digests(args.seed, args.calls, args.sweeps)
+    for what, count in (("calls", args.calls), ("sweeps", args.sweeps)):
+        print(f"{what} {count}: {found[what]}")
 
 
 if __name__ == "__main__":
