@@ -9,19 +9,22 @@ Reproducibility contract: streams come from numpy's Philox4x64 counter-based
 generator keyed by (seed, batch_index), so every batch owns an independent
 substream.  In a batch of nb samples, drawn quantity k sits at draws
 [k*nb, (k+1)*nb) of that substream: k = 0 holds the headings, k = 1 the
-speeds of a uniform speed model.  Every estimator runs through one kernel
-that cuts each batch into chunks of 2**16 samples (the last one shorter)
-and draws a chunk straight from its offset in the substream, so memory is
-bounded by the chunk, not the batch, and every draw equals the one a
-whole-batch Generator.uniform call gives.  Chunk boundaries depend only on
-the batch sizes, never on the worker count; workers split the chunks, and
-counts (integers) and per-sample values do not depend on who computed
-them, so results are identical under any worker count.
+speeds of a uniform speed model.  Every estimator runs through one kernel,
+_sample, that cuts each batch into chunks of 2**16 samples (the last one
+shorter), draws a chunk straight from its offset in the substream, hands
+it to the step its estimator brings and sums what the steps return: the
+count of _screen or _staircase, or 0 from crossing_time_ecdf's step, which
+stores the chunk's times at its offset.  So memory is bounded by the
+chunk, not the batch, and every draw equals the one a whole-batch
+Generator.uniform call gives.  Chunk boundaries depend only on the batch
+sizes, never on the worker count; workers split the chunks, and counts
+(integers) and per-sample values do not depend on who computed them, so
+results are identical under any worker count.
 
 Each exact step is written once: _times gives the crossing times of grid
 pairs (heading, speed), and _hits counts the pairs the exact step says yes
 to, rays that hit the chord with no speed and crossings before tau with
-one.  The kernel's time path and the screens' bands and checks use them.
+one.  crossing_time_ecdf's step and the screens' bands and checks use them.
 
 The estimators that only count screen, as crossing_time_ecdf's KS step
 does.  False handoff and fixed-speed failure compare each heading's grid
@@ -49,11 +52,14 @@ count is the exact step's on every sample, whatever the solves return:
   bin's extreme headings the hits step and divide of _times.
 - A decided screen draws nothing.  Where _screen keeps no band (x0 = x1,
   x2 = x3) and its counted interval [x1, x2) holds none of [0, 1) or all
-  of it, every grid value gets the same decision, so _sample returns 0 or
-  every sample before it imports numpy, allocates, sets a Philox state or
-  starts a thread.  At a fixed speed these are a tau below the fastest
-  crossing and one above the slowest, each by the margin; with no speed
-  the miss step's edges always leave a band.  The first of them, where
+  of it, or where every VH of _staircase is at most 0 (every pair is sure)
+  or every VM at least 1 (no pair lies above VM), every grid value gets
+  the same decision.  The screen then gives its share, 0 or 1, in place of
+  its step, and _sample returns 0 or every sample before it imports numpy,
+  allocates, sets a Philox state or starts a thread.  These are a tau
+  below the fastest crossing and one beyond the slowest (at vmax and vmin
+  for a uniform speed), each by the margin; with no speed the miss step's
+  edges always leave a band.  At a fixed speed the first of them, where
   both solved edges are 0, is checked in scalar: every threshold is then
   1/2, heading 0, whose time _fastest_time gives bit for bit, so the
   check is the one the array step would make.
@@ -185,32 +191,22 @@ def _scale(x, lo, hi):
     return x
 
 
-def _sample(
-    dg: DerivedGeometry,
-    ctl: SimControls,
-    workers: int,
-    *,
-    speed: Optional[SpeedModel] = None,
-    tau: Optional[float] = None,
-    out: Optional[np.ndarray] = None,
-) -> int:
-    """The one Monte Carlo kernel: every sample of ctl, drawn and reduced in
-    chunks of _CHUNK samples, in buffers allocated once per worker (per
-    chunk only the band's samples and the staircase's two _BLOCK-sized
-    gather buffers).  With out given, each sample's time from _times goes
-    to out[sample]; without, it returns how many samples _hits counts, by
-    _screen (no speed or a fixed one) or _staircase (a uniform one) and
-    _hits on their bands only.  A screen that decides every grid value
-    alike gives its share, 0 or 1, in place of a count function, and then
-    every sample or none counts without a draw, a buffer or a thread.
+def _sample(ctl: SimControls, workers: int, step, drawn: bool = False) -> int:
+    """The one Monte Carlo kernel: every sample of ctl, drawn in chunks of
+    _CHUNK samples, and the sum of step(u_h, u_v, mask, at) over the chunks,
+    one call per chunk.  u_h holds the chunk's heading grid values, u_v its
+    speed grid values when drawn (else None), mask 2*len(u_h) or more spare
+    bools, and at the index of the chunk's first sample among all of ctl's;
+    the three arrays are buffers allocated once per worker, which step may
+    overwrite.  A step that is an int, the share 0 or 1 of a screen that
+    decides every grid value alike, gives share * samples without a draw, a
+    buffer or a thread.
     """
     # a plain int skips the ABC check, which costs as much as a decided screen's arithmetic
     if not (type(workers) is int or not isinstance(workers, bool) and isinstance(workers, numbers.Integral)) or workers < 1:
         raise InvalidParameterError(f"must be an integer >= 1, got {workers!r}", "workers")
-    drawn = speed is not None and speed.kind == "uniform"
-    count = None if out is not None else (_staircase if drawn else _screen)(dg, speed, tau)[1]
-    if isinstance(count, int):  # the screen decided every grid value alike
-        return count * ctl.samples
+    if isinstance(step, int):
+        return step * ctl.samples
     import numpy as np
 
     base, rem = divmod(ctl.samples, ctl.batches)  # the first rem batches hold one more sample
@@ -245,22 +241,19 @@ def _sample(
             return buf[skip:skip + m]
 
         h, v = np.empty((2, width + 3)) if drawn else (np.empty(width + 3), None)
-        mask = None if out is not None else np.empty(2 * width if drawn else width, dtype=bool)
-        hits = 0
+        mask = np.empty(2 * width, dtype=bool)
+        total = 0
         for batch, nb, start, m, at in jobs:
-            u = draw(h, batch, start, m)
+            u_h = draw(h, batch, start, m)
             # a batch's speeds follow its nb headings in its substream
             u_v = draw(v, batch, nb + start, m) if drawn else None
-            if count is not None:
-                hits += count(u, u_v, mask) if drawn else count(u, mask[:m])
-                continue
-            _times(dg, speed, u, u_v, out=out[at:at + m])
-        return hits
+            total += step(u_h, u_v, mask, at)
+        return total
 
     # chunks are dealt to workers in a fixed way, worker w taking chunks w,
-    # w + workers, ... lazily, so no schedule is held; counts are integers
-    # and every value lands in its own slot of out, so no result depends on
-    # the worker count
+    # w + workers, ... lazily, so no schedule is held; steps return integers
+    # and write only a chunk's own slots, so no result depends on the worker
+    # count
     workers = min(int(workers), n_chunks)
     jobs = [map(chunk, range(w, n_chunks, workers)) for w in range(workers)]
     if workers == 1:
@@ -297,13 +290,13 @@ def _hits(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float]
 
 
 def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[float]):
-    """_sample's grid thresholds [x0, x1, x2, x3] for no speed or a fixed
-    one, x = 1/2 -+ outer and 1/2 -+ inner from _solve_edges' headings over
-    2*H (H = pi with no speed), and count(values, mask), how many grid values
-    _hits counts: those in [x1, x2), and by _hits those in [x0, x1) or [x2, x3).
-    Where the kept thresholds leave no band and [x1, x2) is empty or all of
-    [0, 1), count would give 0 or len(values) for any values, so the share,
-    the int 0 or 1, stands in its place.
+    """Grid thresholds [x0, x1, x2, x3] for no speed or a fixed one, x = 1/2
+    -+ outer and 1/2 -+ inner from _solve_edges' headings over 2*H (H = pi
+    with no speed), and _sample's step count(u_h, u_v, mask, at), how many
+    heading grid values _hits counts: those in [x1, x2), and by _hits those
+    in [x0, x1) or [x2, x3).  Where the kept thresholds leave no band and
+    [x1, x2) is empty or all of [0, 1), count would give 0 or len(u_h) for
+    any values, so the share, the int 0 or 1, stands in its place.
 
     The edges are scaled and held in [0, 1/2] in scalar, as np.clip would
     hold them (NaN stays NaN).  At a fixed speed with both edges 0, every x
@@ -335,7 +328,8 @@ def _screen(dg: DerivedGeometry, speed: Optional[SpeedModel], tau: Optional[floa
     if x[0] == x[1] and x[2] == x[3] and (x[1] >= x[2] or x[1] <= 0.0 and x[2] >= 1.0):
         return x, int(x[1] < x[2])  # no band, and [x1, x2) holds no grid value or all of them
 
-    def count(values, mask) -> int:
+    def count(values, u_v, mask, at) -> int:
+        mask = mask[:len(values)]
         below = [int(np.count_nonzero(np.less(values, xk, out=mask))) for xk in x]
         hits = below[2] - below[1]
         if band := below[3] - below[0] - hits:
@@ -358,13 +352,16 @@ def _fastest_time(dg: DerivedGeometry, v: float) -> float:
 
 
 def _staircase(dg: DerivedGeometry, speed: SpeedModel, tau: float):
-    """_sample's speed thresholds [VH, VM] for a uniform speed, one pair per
-    heading bin i = floor(_BINS*u_h), and count(u_h, u_v, mask), how many
-    grid pairs _hits counts (mask holds 2*len(u_h) bools): those with u_v >=
-    VH[i], and by _hits those with VM[i] < u_v < VH[i].  The hits step runs
-    once on each bin's ends of largest and smallest |h| (_bin_ends), for
-    _solve_speeds and for the checks: VH needs t <= tau*(1 - eta) at the
-    largest, VM t > tau*(1 + eta) at the smallest, which also makes VH > VM."""
+    """Speed thresholds [VH, VM] for a uniform speed, one pair per heading
+    bin i = floor(_BINS*u_h), and _sample's step count(u_h, u_v, mask, at),
+    how many grid pairs _hits counts (mask holds 2*len(u_h) bools): those
+    with u_v >= VH[i], and by _hits those with VM[i] < u_v < VH[i].  The hits
+    step runs once on each bin's ends of largest and smallest |h|
+    (_bin_ends), for _solve_speeds and for the checks: VH needs t <=
+    tau*(1 - eta) at the largest, VM t > tau*(1 + eta) at the smallest,
+    which also makes VH > VM.  Where every VH is at most 0 every pair is
+    sure, and where every VM is at least 1 no pair lies above VM, so the
+    share 1 or 0 stands in place of count, as in _screen."""
     import numpy as np
 
     reach, w, half = dg.trigger_to_chord_m, dg.half_chord_m, dg.chord_half_angle_rad
@@ -375,8 +372,10 @@ def _staircase(dg: DerivedGeometry, speed: SpeedModel, tau: float):
     np.putmask(u[:_BINS], t[:_BINS] > tau * (1.0 - _ETA), math.inf)
     np.putmask(u[_BINS:], t[_BINS:] <= tau * (1.0 + _ETA), -math.inf)
     vh, vm = u[:_BINS], u[_BINS:]
+    if vh.max() <= 0.0 or vm.min() >= 1.0:  # u_v lies in [0, 1)
+        return [vh, vm], int(vh.max() <= 0.0)
 
-    def count(u_h, u_v, mask) -> int:
+    def count(u_h, u_v, mask, at) -> int:
         m = len(u_h)
         sure, band = mask[:m], mask[m:2 * m]
         # gathered in blocks, so the index and threshold buffers stay small
@@ -451,7 +450,7 @@ def estimate_false_handoff(geom: CellGeometry, ctl: SimControls, *, workers: int
     is pure segment intersection, so this estimate is a genuinely independent
     check of the closed-form false-handoff probability.
     """
-    return _binomial(ctl.samples - _sample(derive_geometry(geom), ctl, workers), ctl)
+    return _binomial(ctl.samples - _sample(ctl, workers, _screen(derive_geometry(geom), None, None)[1]), ctl)
 
 
 def estimate_failure(
@@ -474,7 +473,9 @@ def estimate_failure(
     if not (math.isfinite(tau) and tau >= 0):
         raise InvalidParameterError(f"must be finite and nonnegative, got {tau_s!r}", "tau_s")
     model = speed if isinstance(speed, SpeedModel) else SpeedModel.fixed(speed)
-    return _binomial(_sample(derive_geometry(geom), ctl, workers, speed=model, tau=tau), ctl)
+    drawn = model.kind == "uniform"
+    step = (_staircase if drawn else _screen)(derive_geometry(geom), model, tau)[1]
+    return _binomial(_sample(ctl, workers, step, drawn), ctl)
 
 
 def crossing_time_ecdf(
@@ -517,7 +518,12 @@ def crossing_time_ecdf(
     speed = SpeedModel.fixed(v_mps)
     dg = derive_geometry(geom)
     times = np.empty(ctl.samples)
-    _sample(dg, ctl, workers, speed=speed, out=times)
+
+    def store(u_h, u_v, mask, at) -> int:
+        _times(dg, speed, u_h, out=times[at:at + len(u_h)])
+        return 0
+
+    _sample(ctl, workers, store)
     times.sort()
     # every heading in [-h, h] hits the chord, edges included, so no time is
     # NaN; a NaN, were one to appear, would sort last and be refused here as

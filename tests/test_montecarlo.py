@@ -185,6 +185,38 @@ def test_worker_count_does_not_change_single_batch_results():
     assert one.ks_stat == three.ks_stat
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("batches", [2, 7])
+@pytest.mark.parametrize("drawn", [False, True])
+def test_kernel_sums_one_step_call_per_chunk(monkeypatch, drawn, batches, workers):
+    # the kernel's contract: one step call per chunk, whose at ranges tile
+    # the samples exactly once, with the chunk's whole-batch draws (speeds
+    # only when drawn), and the sum of the calls' returns; an int share
+    # returns before any thread's generator is fetched
+    ctl = SimControls(samples=3 * 2**16 + 5, seed=31, batches=batches)
+    calls = []
+
+    def step(u_h, u_v, mask, at):
+        calls.append((at, len(u_h), u_v is None, u_h.copy(), None if u_v is None else u_v.copy()))
+        return len(u_h)
+
+    assert montecarlo._sample(ctl, workers, step, drawn) == ctl.samples
+    calls.sort(key=lambda call: call[0])
+    assert [at for at, *_ in calls] == list(np.cumsum([0] + [m for _, m, *_ in calls[:-1]]))
+    assert calls[-1][0] + calls[-1][1] == ctl.samples
+    assert all(none is not drawn for _, _, none, *_ in calls)
+    u_h, u_v = _whole_pairs(ctl)
+    assert np.concatenate([h for *_, h, _ in calls]).tobytes() == u_h.tobytes()
+    if drawn:
+        assert np.concatenate([v for *_, v in calls]).tobytes() == u_v.tobytes()
+
+    def no_draw():
+        raise AssertionError("a share drew")
+
+    monkeypatch.setattr(montecarlo, "_thread_generator", no_draw)
+    assert [montecarlo._sample(ctl, workers, share, drawn) for share in (0, 1)] == [0, ctl.samples]
+
+
 @pytest.mark.parametrize("workers", [True, False, 0, -3, 2.5, "2", None, np.int64(2)])
 def test_workers_must_be_a_positive_integer(workers):
     # bools are refused; a numpy integer runs as the plain int does
@@ -273,7 +305,7 @@ def test_false_handoff_misses_equal_nan_count_of_whole_draw(source, ctl, workers
             solve = montecarlo._solve_edges
             patch.setattr(montecarlo, "_solve_edges", lambda *args: [h + dh for h, dh in zip(solve(*args), WIDEN)])
         if geom is None:
-            misses = ctl.samples - montecarlo._sample(dg, ctl, workers)
+            misses = ctl.samples - montecarlo._sample(ctl, workers, montecarlo._screen(dg, None, None)[1])
         else:
             misses = round(estimate_false_handoff(geom, ctl, workers=workers).p_hat * ctl.samples)
     base, rem = divmod(ctl.samples, ctl.batches)
@@ -470,7 +502,7 @@ def _assert_screen_is_exact(dg, speed, tau):
         assert count in (0, 1) and x[0] == x[1] and x[2] == x[3]
         counted = count * len(u)
     else:
-        counted = count(u.copy(), np.empty(u.shape, dtype=bool))
+        counted = count(u.copy(), None, np.empty(u.shape, dtype=bool), 0)
     assert counted == _exact_count(dg, speed, tau, headings)
     return x
 
@@ -645,7 +677,7 @@ def test_set_up_memory_does_not_grow_with_the_sample_count(monkeypatch, samples,
     # chunks: set-up to the first chunk's count stays near a chunk's 0.6 MB
     # of buffers (a list of chunks took 25 MB at 1e10 samples)
     def screen(dg, speed, tau):
-        def count(values, mask):
+        def count(u_h, u_v, mask, at):
             raise _FirstChunk
         return None, count
 
@@ -756,19 +788,22 @@ def test_failure_estimate_converges():
 
 def test_failure_estimate_exact_branches(monkeypatch):
     # below the minimum crossing time nothing fails; above the maximum all
-    # do; the edge screen decides both, so neither sets a Philox state,
-    # allocates a chunk buffer or runs a worker: each worker, the main
-    # thread's included, gets its thread's generator before any of these
+    # do; the edge screen decides both at a fixed speed, and the staircase
+    # both at a uniform one (tau 0, and a tau beyond the slowest crossing
+    # at vmin), so none sets a Philox state, allocates a chunk buffer or
+    # runs a worker: each worker, the main thread's included, gets its
+    # thread's generator before any of these
     def no_draw():
         raise AssertionError("a decided estimate drew")
 
     monkeypatch.setattr(montecarlo, "_thread_generator", no_draw)
     ctl = SimControls(samples=2**17, seed=8)  # two chunks, so two workers would run
+    uniform = SpeedModel.uniform(40.0, 60.0)
+    beyond = 2.0 * crossing_time_support(KM_CELL, uniform.vmin_mps).t_max_s
     for workers in (1, 2):
-        never = estimate_failure(KM_CELL, 50.0, 2.0, ctl, workers=workers)
-        assert never.p_hat == 0.0 and never.std_err == 0.0
-        always = estimate_failure(KM_CELL, 50.0, 20.0, ctl, workers=workers)
-        assert always.p_hat == 1.0 and always.std_err == 0.0
+        for speed, tau, p_hat in ((50.0, 2.0, 0.0), (50.0, 20.0, 1.0), (uniform, 0.0, 0.0), (uniform, beyond, 1.0)):
+            decided = estimate_failure(KM_CELL, speed, tau, ctl, workers=workers)
+            assert decided.p_hat == p_hat and decided.std_err == 0.0, (speed, tau)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -963,16 +998,16 @@ def test_ecdf_ks_screen_keeps_an_argmax_the_fast_cdf_ranks_second(monkeypatch):
     plus = np.arange(1, 5) / 4 - np.array([crossing_time_cdf(KM_CELL, 50.0, float(t)) for t in times])
     assert _loop_ks(KM_CELL, 50.0, times) == plus[0] and 0 < plus[0] - plus[2] < 1e-12
 
-    def sample(dg, ctl, workers, *, speed=None, tau=None, out=None):
+    def inject(dg, speed, u_h, u_v=None, out=None):
         out[:] = times
-        return 0
+        return out
 
     def cdf_fast(dg, v, times):
         values = _cdf_fast(dg, v, times)
         values[0] += 1e-12
         return values
 
-    monkeypatch.setattr(montecarlo, "_sample", sample)
+    monkeypatch.setattr(montecarlo, "_times", inject)
     monkeypatch.setattr(montecarlo, "_cdf_fast", cdf_fast)
     report = crossing_time_ecdf(KM_CELL, 50.0, SimControls(4, 0))
     assert report.ks_stat == _loop_ks(KM_CELL, 50.0, times)
@@ -991,16 +1026,16 @@ def test_ecdf_ks_screen_keeps_a_d_minus_argmax_the_fast_cdf_ranks_second(monkeyp
     minus, plus = model - np.arange(4) / 4, np.arange(1, 5) / 4 - model
     assert _loop_ks(KM_CELL, 50.0, times) == minus[0] > plus.max() and 0 < minus[0] - minus[2] < 1e-12
 
-    def sample(dg, ctl, workers, *, speed=None, tau=None, out=None):
+    def inject(dg, speed, u_h, u_v=None, out=None):
         out[:] = times
-        return 0
+        return out
 
     def cdf_fast(dg, v, times):
         values = _cdf_fast(dg, v, times)
         values[0] -= 1e-12
         return values
 
-    monkeypatch.setattr(montecarlo, "_sample", sample)
+    monkeypatch.setattr(montecarlo, "_times", inject)
     monkeypatch.setattr(montecarlo, "_cdf_fast", cdf_fast)
     report = crossing_time_ecdf(KM_CELL, 50.0, SimControls(4, 0))
     assert report.ks_stat == _loop_ks(KM_CELL, 50.0, times)
@@ -1103,11 +1138,17 @@ def _staircase_probes(tables):
 
 def _assert_staircase_is_exact(dg, speed, tau):
     """The staircase's thresholds are ordered, and its count of
-    _staircase_probes is the exact step's."""
+    _staircase_probes is the exact step's; a staircase that decides every
+    pair gives the share each one counts, 1 where every VH is at most 0 and
+    0 where every VM is at least 1."""
     tables, count = montecarlo._staircase(dg, speed, tau)
     assert np.all(tables[0] > tables[1])
     u_h, u_v = _staircase_probes(tables)
-    got = count(u_h.copy(), u_v.copy(), np.empty(2 * u_h.size, dtype=bool))
+    if isinstance(count, int):
+        assert count == 1 and tables[0].max() <= 0.0 or count == 0 and tables[1].min() >= 1.0
+        got = count * u_h.size
+    else:
+        got = count(u_h.copy(), u_v.copy(), np.empty(2 * u_h.size, dtype=bool), 0)
     assert got == _exact_pairs(dg, speed, tau, u_h, u_v)
     return tables
 
@@ -1122,12 +1163,15 @@ def _around_the_support(t_first, t_last, share):
 
 
 # the staircase's property draws: forward frames, vmin, vmax/vmin and a
-# share of the support; the examples pin the ends of every range
+# share of the support; the examples pin the ends of every range, and the
+# last one's share of 2 puts a tau beyond the support, where every pair is
+# sure and the staircase gives the share 1 (tau 0 gives the share 0)
 STAIRCASE_EXAMPLES = [
     (SCREEN_EXAMPLES[0][0], 1.0, 1.0 + 1e-9, 0.0),
     (SCREEN_EXAMPLES[1][0], 60.0, 10.0, 1.0),
     (SCREEN_EXAMPLES[2][0], 60.0, 1.0 + 1e-9, 1.0),
     (SCREEN_EXAMPLES[3][0], 1.0, 10.0, 0.0),
+    (SCREEN_EXAMPLES[1][0], 1.0, 10.0, 2.0),
 ]
 
 
