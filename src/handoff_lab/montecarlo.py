@@ -27,9 +27,10 @@ to, rays that hit the chord with no speed and crossings before tau with
 one.  crossing_time_ecdf's step and the screens' bands and checks use them.
 
 The estimators that only count screen, as crossing_time_ecdf's KS step
-does.  False handoff and fixed-speed failure compare each heading's grid
-value with four edge thresholds (_screen), uniform-speed failure each
-pair's speed with two thresholds of its heading's bin (_staircase); the
+screens its candidates (its docstring, which states the block bounds).
+False handoff and fixed-speed failure compare each heading's grid value
+with four edge thresholds (_screen), uniform-speed failure each pair's
+speed with two thresholds of its heading's bin (_staircase); the
 thresholds are placed once per call on the draws' own scale, [0, 1], and
 only the band no threshold decides is mapped and goes to _hits.  Each
 count is the exact step's on every sample, whatever the solves return:
@@ -62,7 +63,11 @@ count is the exact step's on every sample, whatever the solves return:
   edges always leave a band.  At a fixed speed the first of them, where
   both solved edges are 0, is checked in scalar: every threshold is then
   1/2, heading 0, whose time _fastest_time gives bit for bit, so the
-  check is the one the array step would make.
+  check is the one the array step would make.  At a uniform speed both
+  are checked in scalar before the table: the fastest pair's time
+  (_fastest_time at vmax) and the slowest's (heading -H at vmin, libm's
+  cos in place of numpy's, a few ulps apart) each against tau with the
+  margin, which the ulps cannot cross.
 
 So counts and output bytes are the exact step's, and no closed form is
 read.  crossing_time_ecdf needs a time per sample; like the failure
@@ -97,6 +102,8 @@ _BLOCK = 1 << 13  # grid values per staircase gather
 # exceed twice the ~1e-15 error of the fast CDF; a wider margin admits more
 # candidates but never changes the statistic.
 _KS_SCREEN = 1e-9
+_KS_BLOCK = 32  # sorted samples per block of the KS screen's bounds
+_KS_BLOCKED = 1 << 14  # samples from which the KS screen bounds blocks
 _ETA = 1e-9  # the screens' margin in the exact step's output (module docstring)
 
 # One Philox bit generator and its Generator per thread, built on first use:
@@ -361,10 +368,18 @@ def _staircase(dg: DerivedGeometry, speed: SpeedModel, tau: float):
     tau*(1 - eta) at the largest, VM t > tau*(1 + eta) at the smallest,
     which also makes VH > VM.  Where every VH is at most 0 every pair is
     sure, and where every VM is at least 1 no pair lies above VM, so the
-    share 1 or 0 stands in place of count, as in _screen."""
+    share 1 or 0 stands in place of count, as in _screen.  A scalar check
+    first decides the commonest such taus without the table: the slowest
+    crossing (heading -+H at vmin) at most tau*(1 - eta), every VH 0, or
+    the fastest (heading 0 at vmax) beyond tau*(1 + eta), every VM 1."""
     import numpy as np
 
     reach, w, half = dg.trigger_to_chord_m, dg.half_chord_m, dg.chord_half_angle_rad
+    # before the table, in scalar: the slowest crossing (heading -+H at
+    # vmin) sure, or the fastest (heading 0 at vmax) late, by the margin
+    sure = reach / math.cos(half) / speed.vmin_mps <= tau * (1.0 - _ETA)
+    if sure or _fastest_time(dg, speed.vmax_mps) > tau * (1.0 + _ETA):
+        return [np.full(_BINS, 0.0 if sure else math.inf), np.full(_BINS, -math.inf if sure else 1.0)], int(sure)
     d = _ray_chord_hits_into(reach, w, _scale(_bin_ends().copy(), -half, half))
     u = np.fmax(_solve_speeds(d, reach, speed, tau), 0.0)  # NaN becomes 0, a speed the check decides on
     np.fmin(u, 1.0, out=u)
@@ -487,26 +502,40 @@ def crossing_time_ecdf(
     the closed-form distribution, and the sample size.  At 95% confidence
     the statistic should stay below 1.36/sqrt(n).  The sample holds one
     float per draw, so its memory grows with ctl.samples, unlike the
-    estimators'.
+    estimators': a 2**20-sample call peaks at 9.0 bytes a sample under
+    tracemalloc, the sample's 8 and the chunk buffers and KS blocks.
 
     The statistic is the one a per-sample loop over the scalar
-    crossing_time_cdf gives, bit for bit, found by a screen.  The model
-    distribution is first evaluated over the whole sample with numpy's
-    arccos (analytic._cdf_fast), which is within about 1e-15 of the exact
-    value because the chord half-angle exceeds pi/4.  Sample i (from 1)
-    has the KS differences D+ = i/n - F and D- = F - (i-1)/n, on the
-    levels i/n and (i-1)/n as the loop rounds them, and one array of the
-    approximate D+ screens both:
+    crossing_time_cdf gives, bit for bit, found by a screen on the model
+    distribution through numpy's arccos (analytic._cdf_fast), which is
+    within about 1e-15 of the exact value because the chord half-angle
+    exceeds pi/4.  Sample i (from 1) has the KS differences D+ = i/n - F
+    and D- = F - (i-1)/n, on the levels i/n and (i-1)/n as the loop rounds
+    them, and the approximate D+ of one fast pass over the sample screens
+    both:
 
     - D+: every sample whose D+ lies within _KS_SCREEN = 1e-9 of the
-      array's maximum is a candidate.  At the exact argmax the approximate
-      D+ lies within twice the approximation error of the approximate
-      maximum, far below 1e-9.
+      largest is a candidate.  At the exact argmax the approximate D+ lies
+      within twice the approximation error of the approximate maximum, far
+      below 1e-9.
     - D-: D+ + D- is the difference of the two rounded levels, which lies
       within an ulp of 1 (2.3e-16) of 1/n whatever F is, so the exact
       argmax of D- has an exact D+ within a few ulps of the least exact
-      D+, and an approximate one within about 3e-15 of the array's minimum.  Every
-      sample whose D+ lies within 1e-9 of that minimum is a candidate.
+      D+, and an approximate one within about 3e-15 of the least.  Every
+      sample whose D+ lies within 1e-9 of that least D+ is a candidate.
+
+    The pass need not reach every sample.  F never decreases over the
+    sorted sample and the levels step by 1/n, so in a block of _KS_BLOCK
+    sorted samples no D+ exceeds the block's first D+ by more than
+    _KS_BLOCK/n, nor falls below the next block's first D+ (the last
+    sample's, for the last block) by more.  The fast CDF runs first at each
+    block's first sample and at the last sample, then over the blocks whose
+    bounds come within the margin of the largest or least D+ found there,
+    each bound widened by the margin once more, so a fast CDF non-monotone
+    by its error cannot drop a candidate.  Those blocks hold both extremes
+    and every candidate of the whole pass, and no other sample is one.
+    Below _KS_BLOCKED samples, where the bounds would cost more than they
+    save, every sample is in the pass.
 
     So both exact argmaxes are always candidates.  Only the candidates,
     usually one per difference, are then evaluated by the scalar
@@ -530,14 +559,23 @@ def crossing_time_ecdf(
     # the scalar CDF refuses it
     _check_tau(float(times[-1]))
     n = ctl.samples
-    # D+ of each sample, in place in the one float array the step makes
-    # beside the CDF's; the levels i/n are those of np.arange(n + 1) / n
-    plus = np.arange(1, n + 1, dtype=float) / n
-    np.subtract(plus, _cdf_fast(dg, speed.v_mps, times), out=plus)
-    near = plus >= plus.max() - _KS_SCREEN
-    near |= plus <= plus.min() + _KS_SCREEN
-    near = np.flatnonzero(near)
-    model = np.array([_cdf(dg.trigger_to_chord_m, dg.half_chord_m, speed.v_mps, t) for t in times[near].tolist()])
-    ks = max(float(((near + 1) / n - model).max()), float((model - near / n).max()))
+    if n < _KS_BLOCKED:
+        near, sample = np.arange(n), times
+    else:
+        # D+ at each block's first sample and at the last one; a block's D+
+        # lie within _KS_BLOCK/n above its first and below the next block's
+        # first (docstring), and it runs where that comes within twice the
+        # margin of the largest or least known D+
+        first = np.append(np.arange(0, n, _KS_BLOCK), n - 1)
+        known = (first + 1) / n - _cdf_fast(dg, speed.v_mps, times[first])
+        width = _KS_BLOCK / n + 2.0 * _KS_SCREEN
+        run = (known[:-1] >= known.max() - width) | (known[1:] <= known.min() + width)
+        near = (first[:-1][run, None] + np.arange(_KS_BLOCK)).ravel()
+        near = near[near < n]
+        sample = times[near]
+    plus = (near + 1) / n - _cdf_fast(dg, speed.v_mps, sample)
+    near = near[(plus >= plus.max() - _KS_SCREEN) | (plus <= plus.min() + _KS_SCREEN)]
+    cdf = functools.partial(_cdf, dg.trigger_to_chord_m, dg.half_chord_m, speed.v_mps)
+    ks = max(max((i + 1) / n - F, F - i / n) for i, F in zip(near.tolist(), map(cdf, times[near].tolist())))
     times.setflags(write=False)
     return EcdfReport(times_s=times, ks_stat=ks, n=ctl.samples)

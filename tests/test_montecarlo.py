@@ -792,11 +792,16 @@ def test_failure_estimate_exact_branches(monkeypatch):
     # both at a uniform one (tau 0, and a tau beyond the slowest crossing
     # at vmin), so none sets a Philox state, allocates a chunk buffer or
     # runs a worker: each worker, the main thread's included, gets its
-    # thread's generator before any of these
+    # thread's generator before any of these; the uniform ones are decided
+    # by the staircase's scalar check, before its table is solved
     def no_draw():
         raise AssertionError("a decided estimate drew")
 
+    def no_solve(*args):
+        raise AssertionError("a decided uniform-speed estimate built its table")
+
     monkeypatch.setattr(montecarlo, "_thread_generator", no_draw)
+    monkeypatch.setattr(montecarlo, "_solve_speeds", no_solve)
     ctl = SimControls(samples=2**17, seed=8)  # two chunks, so two workers would run
     uniform = SpeedModel.uniform(40.0, 60.0)
     beyond = 2.0 * crossing_time_support(KM_CELL, uniform.vmin_mps).t_max_s
@@ -1039,6 +1044,105 @@ def test_ecdf_ks_screen_keeps_a_d_minus_argmax_the_fast_cdf_ranks_second(monkeyp
     monkeypatch.setattr(montecarlo, "_cdf_fast", cdf_fast)
     report = crossing_time_ecdf(KM_CELL, 50.0, SimControls(4, 0))
     assert report.ks_stat == _loop_ks(KM_CELL, 50.0, times)
+
+
+def _assert_ks_screen_is_one_pass(monkeypatch, geom, v, ctl, times=None, fast=_cdf_fast):
+    """crossing_time_ecdf at ctl, its sorted sample replaced by times when
+    given and its fast CDF by fast: the samples its KS step sends to the
+    scalar CDF are those that one fast pass over the whole sample keeps
+    (D+ within the margin of the largest or least D+), and its statistic is
+    the per-sample loop's."""
+    def inject(dg, speed, u_h, u_v=None, out=None):
+        out[:] = times
+        return out
+
+    if times is not None:
+        monkeypatch.setattr(montecarlo, "_times", inject)
+    monkeypatch.setattr(montecarlo, "_cdf_fast", fast)
+    seen, cdf = [], montecarlo._cdf
+    monkeypatch.setattr(montecarlo, "_cdf", lambda *args: seen.append(args[-1]) or cdf(*args))
+    report = crossing_time_ecdf(geom, v, ctl)
+    n, margin = report.n, montecarlo._KS_SCREEN
+    plus = np.arange(1, n + 1) / n - fast(derive_geometry(geom), v, report.times_s)
+    assert seen == report.times_s[(plus >= plus.max() - margin) | (plus <= plus.min() + margin)].tolist()
+    assert report.ks_stat == _loop_ks(geom, v, report.times_s)
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["one-pass", "blocked"])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 96, 97, 2**16 + 5])
+def test_ecdf_ks_blocks_keep_every_candidate_at_block_edges(monkeypatch, n, blocked):
+    # sample counts one short of, at and one past a block's end, and two
+    # chunks' worth, with the block bounds forced on or held off: either way
+    # the KS step evaluates the candidates of one fast pass, exactly
+    monkeypatch.setattr(montecarlo, "_KS_BLOCKED", 1 if blocked else n + 1)
+    _assert_ks_screen_is_one_pass(monkeypatch, CellGeometry(1000.0, 50.0), 50.0, SimControls(n, 3))
+
+
+def _times_at(u, v=50.0):
+    """Sorted crossing times on KM_CELL at speed v whose CDF is each u in [0, 1)."""
+    dg = derive_geometry(KM_CELL)
+    return dg.trigger_to_chord_m / v / np.cos(np.asarray(u) * dg.chord_half_angle_rad)
+
+
+def test_ecdf_ks_block_slack_keeps_a_candidate_a_non_monotone_fast_cdf_hides(monkeypatch):
+    # 128 samples in four blocks, the least D+ at sample 64 (a block's first)
+    # and sample 0 a D- candidate 4e-13 inside the margin; F barely grows
+    # from sample 0 to 32, and a fast CDF 1e-12 low at sample 32 puts that
+    # block start's D+ 5e-13 beyond the bound block 0 needs without the
+    # slack, so only the slack keeps sample 0 a candidate
+    n, margin = 128, montecarlo._KS_SCREEN
+    least, u = -0.3, np.empty(128)
+    u[:32] = 1 / n - (least + margin - 4e-13)
+    u[32] = u[0] + 1e-13
+    u[64] = 65 / n - least
+    u[33:64] = np.linspace(u[32], u[64], 33)[1:-1]
+    u[65:] = np.linspace(u[64], 0.99, 64)[1:]
+    times = _times_at(u)
+
+    def fast(dg, v, t):
+        values = _cdf_fast(dg, v, t)
+        values[t == times[32]] -= 1e-12
+        return values
+
+    plus = np.arange(1, n + 1) / n - fast(derive_geometry(KM_CELL), 50.0, times)
+    assert plus.argmin() == 64 and plus[0] - plus[64] <= margin
+    assert 0 < plus[32] - plus[64] - (32 / n + margin) < 1e-12
+    monkeypatch.setattr(montecarlo, "_KS_BLOCKED", 1)
+    _assert_ks_screen_is_one_pass(monkeypatch, KM_CELL, 50.0, SimControls(n, 0), times, fast)
+
+
+def test_ecdf_ks_block_least_d_plus_is_bounded_by_the_next_block(monkeypatch):
+    # 1024 samples at their quantiles but for a jump of F by 0.3 at sample
+    # 159, the last of block 4, which holds the least D+ (and the statistic,
+    # as D-), far below the block's first D+; a flat stretch puts the largest
+    # D+ near sample 899, so block 4 runs only because the next block's
+    # first D+ bounds it
+    n = 1024
+    u = (np.arange(n) + 0.5) / n
+    u[159] += 0.3
+    u[160:] = np.maximum(u[160:], u[159])
+    u[700:900] = u[700]
+    times = _times_at(u)
+    plus = np.arange(1, n + 1) / n - _cdf_fast(derive_geometry(KM_CELL), 50.0, times)
+    assert plus.argmin() == 159 and plus[128] - plus[159] > 0.25 and plus.max() > plus[128] + 0.1
+    assert _loop_ks(KM_CELL, 50.0, times) == pytest.approx(0.3 + 0.5 / n)
+    monkeypatch.setattr(montecarlo, "_KS_BLOCKED", 1)
+    _assert_ks_screen_is_one_pass(monkeypatch, KM_CELL, 50.0, SimControls(n, 0), times)
+
+
+def test_ecdf_memory_is_the_sample_and_little_more():
+    # the report holds one float a sample; the KS step adds the block starts
+    # and the blocks it runs, so a 2**20-sample call peaks at 12 bytes a
+    # sample at most (9.0 measured; a fast CDF over the whole sample took 25)
+    ctl = SimControls(2**20, 1)
+    crossing_time_ecdf(KM_CELL, 50.0, SimControls(10, 1))  # warm the thread's generator
+    tracemalloc.start()
+    try:
+        crossing_time_ecdf(CellGeometry(1000.0, 50.0), 50.0, ctl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * ctl.samples
 
 
 def test_ecdf_ks_is_exact_where_numpy_arccos_is_not():
