@@ -27,8 +27,10 @@ to, rays that hit the chord with no speed and crossings before tau with
 one.  crossing_time_ecdf's step and the screens' bands and checks use them.
 
 The estimators that only count screen, as crossing_time_ecdf's KS step
-screens its candidates (its docstring, which states the block bounds).
-False handoff and fixed-speed failure compare each heading's grid value
+screens its candidates: F never decreases over the sorted sample, so the
+fast CDF at block starts bounds every D+ of a block, and only blocks whose
+bounds come within the margin of the extremes, widened by a slack equal to
+the margin, get the full fast pass (its docstring).  False handoff and fixed-speed failure compare each heading's grid value
 with four edge thresholds (_screen), uniform-speed failure each pair's
 speed with two thresholds of its heading's bin (_staircase); the
 thresholds are placed once per call on the draws' own scale, [0, 1], and
