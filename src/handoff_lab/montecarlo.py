@@ -30,12 +30,13 @@ The estimators that only count screen, as crossing_time_ecdf's KS step
 screens its candidates: F never decreases over the sorted sample, so the
 fast CDF at block starts bounds every D+ of a block, and only blocks whose
 bounds come within the margin of the extremes, widened by a slack equal to
-the margin, get the full fast pass (its docstring).  False handoff and fixed-speed failure compare each heading's grid value
-with four edge thresholds (_screen), uniform-speed failure each pair's
-speed with two thresholds of its heading's bin (_staircase); the
-thresholds are placed once per call on the draws' own scale, [0, 1], and
-only the band no threshold decides is mapped and goes to _hits.  Each
-count is the exact step's on every sample, whatever the solves return:
+the margin, get the full fast pass (its docstring).  False handoff and
+fixed-speed failure compare each heading's grid value with four edge
+thresholds (_screen), uniform-speed failure each pair's speed with two
+thresholds of its heading's bin (_staircase); the thresholds are placed
+once per call on the draws' own scale, [0, 1], and only the band no
+threshold decides is mapped and goes to _hits.  Each count is the exact
+step's on every sample, whatever the solves return:
 
 - The map is monotone.  _scale rounds monotonically for any double in
   [0, 1], so a draw below (at or above) x maps at or below (at or above)
@@ -55,21 +56,21 @@ count is the exact step's on every sample, whatever the solves return:
   bin's extreme headings the hits step and divide of _times.
 - A decided screen draws nothing.  Where _screen keeps no band (x0 = x1,
   x2 = x3) and its counted interval [x1, x2) holds none of [0, 1) or all
-  of it, or where every VH of _staircase is at most 0 (every pair is sure)
-  or every VM at least 1 (no pair lies above VM), every grid value gets
-  the same decision.  The screen then gives its share, 0 or 1, in place of
-  its step, and _sample returns 0 or every sample before it imports numpy,
-  allocates, sets a Philox state or starts a thread.  These are a tau
-  below the fastest crossing and one beyond the slowest (at vmax and vmin
-  for a uniform speed), each by the margin; with no speed the miss step's
-  edges always leave a band.  At a fixed speed the first of them, where
-  both solved edges are 0, is checked in scalar: every threshold is then
-  1/2, heading 0, whose time _fastest_time gives bit for bit, so the
-  check is the one the array step would make.  At a uniform speed both
-  are checked in scalar before the table: the fastest pair's time
-  (_fastest_time at vmax) and the slowest's (heading -H at vmin, libm's
-  cos in place of numpy's, a few ulps apart) each against tau with the
-  margin, which the ulps cannot cross.
+  of it, or where _staircase's scalar check finds the slowest pair sure
+  or the fastest late, every grid value gets the same decision.  The
+  screen then gives its share, 0 or 1, in place of its step, and _sample
+  returns 0 or every sample before it imports numpy, allocates, sets a
+  Philox state or starts a thread.  These are a tau below the fastest
+  crossing and one beyond the slowest (at vmax and vmin for a uniform
+  speed), each by the margin; with no speed the miss step's edges always
+  leave a band.  At a fixed speed the first of them, where both solved
+  edges are 0, is checked in scalar: every threshold is then 1/2, heading
+  0, whose time _fastest_time gives bit for bit, so the check is the one
+  the array step would make.  At a uniform speed both are checked in
+  scalar, before any table: the fastest pair's time (_fastest_time at
+  vmax) and the slowest's (heading -H at vmin, libm's cos in place of
+  numpy's, a few ulps apart) each against tau with the margin, which the
+  ulps cannot cross.
 
 So counts and output bytes are the exact step's, and no closed form is
 read.  crossing_time_ecdf needs a time per sample; like the failure
@@ -105,7 +106,6 @@ _BLOCK = 1 << 13  # grid values per staircase gather
 # candidates but never changes the statistic.
 _KS_SCREEN = 1e-9
 _KS_BLOCK = 32  # sorted samples per block of the KS screen's bounds
-_KS_BLOCKED = 1 << 14  # samples from which the KS screen bounds blocks
 _ETA = 1e-9  # the screens' margin in the exact step's output (module docstring)
 
 # One Philox bit generator and its Generator per thread, built on first use:
@@ -368,20 +368,17 @@ def _staircase(dg: DerivedGeometry, speed: SpeedModel, tau: float):
     step runs once on each bin's ends of largest and smallest |h|
     (_bin_ends), for _solve_speeds and for the checks: VH needs t <=
     tau*(1 - eta) at the largest, VM t > tau*(1 + eta) at the smallest,
-    which also makes VH > VM.  Where every VH is at most 0 every pair is
-    sure, and where every VM is at least 1 no pair lies above VM, so the
-    share 1 or 0 stands in place of count, as in _screen.  A scalar check
-    first decides the commonest such taus without the table: the slowest
-    crossing (heading -+H at vmin) at most tau*(1 - eta), every VH 0, or
-    the fastest (heading 0 at vmax) beyond tau*(1 + eta), every VM 1."""
-    import numpy as np
-
+    which also makes VH > VM.  A scalar check decides every pair first,
+    and then no table is built and the share 1 or 0 stands in place of
+    count, as in _screen: every pair is sure where the slowest crossing
+    (heading -+H at vmin) is at most tau*(1 - eta), and none counts where
+    the fastest (heading 0 at vmax) lies beyond tau*(1 + eta)."""
     reach, w, half = dg.trigger_to_chord_m, dg.half_chord_m, dg.chord_half_angle_rad
-    # before the table, in scalar: the slowest crossing (heading -+H at
-    # vmin) sure, or the fastest (heading 0 at vmax) late, by the margin
     sure = reach / math.cos(half) / speed.vmin_mps <= tau * (1.0 - _ETA)
     if sure or _fastest_time(dg, speed.vmax_mps) > tau * (1.0 + _ETA):
-        return [np.full(_BINS, 0.0 if sure else math.inf), np.full(_BINS, -math.inf if sure else 1.0)], int(sure)
+        return None, int(sure)
+    import numpy as np
+
     d = _ray_chord_hits_into(reach, w, _scale(_bin_ends().copy(), -half, half))
     u = np.fmax(_solve_speeds(d, reach, speed, tau), 0.0)  # NaN becomes 0, a speed the check decides on
     np.fmin(u, 1.0, out=u)
@@ -389,8 +386,6 @@ def _staircase(dg: DerivedGeometry, speed: SpeedModel, tau: float):
     np.putmask(u[:_BINS], t[:_BINS] > tau * (1.0 - _ETA), math.inf)
     np.putmask(u[_BINS:], t[_BINS:] <= tau * (1.0 + _ETA), -math.inf)
     vh, vm = u[:_BINS], u[_BINS:]
-    if vh.max() <= 0.0 or vm.min() >= 1.0:  # u_v lies in [0, 1)
-        return [vh, vm], int(vh.max() <= 0.0)
 
     def count(u_h, u_v, mask, at) -> int:
         m = len(u_h)
@@ -536,8 +531,6 @@ def crossing_time_ecdf(
     each bound widened by the margin once more, so a fast CDF non-monotone
     by its error cannot drop a candidate.  Those blocks hold both extremes
     and every candidate of the whole pass, and no other sample is one.
-    Below _KS_BLOCKED samples, where the bounds would cost more than they
-    save, every sample is in the pass.
 
     So both exact argmaxes are always candidates.  Only the candidates,
     usually one per difference, are then evaluated by the scalar
@@ -561,21 +554,17 @@ def crossing_time_ecdf(
     # the scalar CDF refuses it
     _check_tau(float(times[-1]))
     n = ctl.samples
-    if n < _KS_BLOCKED:
-        near, sample = np.arange(n), times
-    else:
-        # D+ at each block's first sample and at the last one; a block's D+
-        # lie within _KS_BLOCK/n above its first and below the next block's
-        # first (docstring), and it runs where that comes within twice the
-        # margin of the largest or least known D+
-        first = np.append(np.arange(0, n, _KS_BLOCK), n - 1)
-        known = (first + 1) / n - _cdf_fast(dg, speed.v_mps, times[first])
-        width = _KS_BLOCK / n + 2.0 * _KS_SCREEN
-        run = (known[:-1] >= known.max() - width) | (known[1:] <= known.min() + width)
-        near = (first[:-1][run, None] + np.arange(_KS_BLOCK)).ravel()
-        near = near[near < n]
-        sample = times[near]
-    plus = (near + 1) / n - _cdf_fast(dg, speed.v_mps, sample)
+    # D+ at each block's first sample and at the last one; a block's D+ lie
+    # within _KS_BLOCK/n above its first and below the next block's first
+    # (docstring), and it runs where that comes within twice the margin of
+    # the largest or least known D+
+    first = np.append(np.arange(0, n, _KS_BLOCK), n - 1)
+    known = (first + 1) / n - _cdf_fast(dg, speed.v_mps, times[first])
+    width = _KS_BLOCK / n + 2.0 * _KS_SCREEN
+    run = (known[:-1] >= known.max() - width) | (known[1:] <= known.min() + width)
+    near = (first[:-1][run, None] + np.arange(_KS_BLOCK)).ravel()
+    near = near[near < n]
+    plus = (near + 1) / n - _cdf_fast(dg, speed.v_mps, times[near])
     near = near[(plus >= plus.max() - _KS_SCREEN) | (plus <= plus.min() + _KS_SCREEN)]
     cdf = functools.partial(_cdf, dg.trigger_to_chord_m, dg.half_chord_m, speed.v_mps)
     ks = max(max((i + 1) / n - F, F - i / n) for i, F in zip(near.tolist(), map(cdf, times[near].tolist())))

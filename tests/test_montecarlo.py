@@ -1068,13 +1068,11 @@ def _assert_ks_screen_is_one_pass(monkeypatch, geom, v, ctl, times=None, fast=_c
     assert report.ks_stat == _loop_ks(geom, v, report.times_s)
 
 
-@pytest.mark.parametrize("blocked", [False, True], ids=["one-pass", "blocked"])
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 96, 97, 2**16 + 5])
-def test_ecdf_ks_blocks_keep_every_candidate_at_block_edges(monkeypatch, n, blocked):
+def test_ecdf_ks_blocks_keep_every_candidate_at_block_edges(monkeypatch, n):
     # sample counts one short of, at and one past a block's end, and two
-    # chunks' worth, with the block bounds forced on or held off: either way
-    # the KS step evaluates the candidates of one fast pass, exactly
-    monkeypatch.setattr(montecarlo, "_KS_BLOCKED", 1 if blocked else n + 1)
+    # chunks' worth: the KS step evaluates the candidates of one fast pass
+    # over the whole sample, exactly
     _assert_ks_screen_is_one_pass(monkeypatch, CellGeometry(1000.0, 50.0), 50.0, SimControls(n, 3))
 
 
@@ -1107,7 +1105,6 @@ def test_ecdf_ks_block_slack_keeps_a_candidate_a_non_monotone_fast_cdf_hides(mon
     plus = np.arange(1, n + 1) / n - fast(derive_geometry(KM_CELL), 50.0, times)
     assert plus.argmin() == 64 and plus[0] - plus[64] <= margin
     assert 0 < plus[32] - plus[64] - (32 / n + margin) < 1e-12
-    monkeypatch.setattr(montecarlo, "_KS_BLOCKED", 1)
     _assert_ks_screen_is_one_pass(monkeypatch, KM_CELL, 50.0, SimControls(n, 0), times, fast)
 
 
@@ -1126,7 +1123,6 @@ def test_ecdf_ks_block_least_d_plus_is_bounded_by_the_next_block(monkeypatch):
     plus = np.arange(1, n + 1) / n - _cdf_fast(derive_geometry(KM_CELL), 50.0, times)
     assert plus.argmin() == 159 and plus[128] - plus[159] > 0.25 and plus.max() > plus[128] + 0.1
     assert _loop_ks(KM_CELL, 50.0, times) == pytest.approx(0.3 + 0.5 / n)
-    monkeypatch.setattr(montecarlo, "_KS_BLOCKED", 1)
     _assert_ks_screen_is_one_pass(monkeypatch, KM_CELL, 50.0, SimControls(n, 0), times)
 
 
@@ -1243,15 +1239,16 @@ def _staircase_probes(tables):
 def _assert_staircase_is_exact(dg, speed, tau):
     """The staircase's thresholds are ordered, and its count of
     _staircase_probes is the exact step's; a staircase that decides every
-    pair gives the share each one counts, 1 where every VH is at most 0 and
-    0 where every VM is at least 1."""
+    pair returns no thresholds and the share each probe counts, 0 or 1,
+    over the probes at the slowest and fastest speeds and at random."""
     tables, count = montecarlo._staircase(dg, speed, tau)
-    assert np.all(tables[0] > tables[1])
-    u_h, u_v = _staircase_probes(tables)
     if isinstance(count, int):
-        assert count == 1 and tables[0].max() <= 0.0 or count == 0 and tables[1].min() >= 1.0
+        assert tables is None and count in (0, 1)
+        u_h, u_v = _staircase_probes([])
         got = count * u_h.size
     else:
+        assert np.all(tables[0] > tables[1])
+        u_h, u_v = _staircase_probes(tables)
         got = count(u_h.copy(), u_v.copy(), np.empty(2 * u_h.size, dtype=bool), 0)
     assert got == _exact_pairs(dg, speed, tau, u_h, u_v)
     return tables
@@ -1310,6 +1307,30 @@ def test_staircase_count_equals_the_exact_step(source, vmin, ratio, share):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_solve_speeds", lambda *args: np.concatenate([[0.5], solve(*args)[1:]]))
         assert _assert_staircase_is_exact(dg, speed, tie)[0][0] == math.inf
+
+
+def test_staircase_scalar_check_decides_only_past_its_margin():
+    # the scalar check decides a tau only where the margin holds: at the
+    # least tau whose tau*(1 + eta) reaches the fastest time (heading 0 at
+    # vmax) the table is built, and one ulp below it none is; at the least
+    # tau whose tau*(1 - eta) reaches the slowest (heading -+H at vmin) none
+    # is, and one ulp below it the table is built; every count is exact
+    def least(holds, tau):
+        while holds(math.nextafter(tau, 0.0)):
+            tau = math.nextafter(tau, 0.0)
+        while not holds(tau):
+            tau = math.nextafter(tau, math.inf)
+        return tau
+
+    eta = montecarlo._ETA
+    dg, speed = derive_geometry(KM_CELL), SpeedModel.uniform(40.0, 60.0)
+    fast = montecarlo._fastest_time(dg, speed.vmax_mps)
+    slow = dg.trigger_to_chord_m / math.cos(dg.chord_half_angle_rad) / speed.vmin_mps
+    reach_fast = least(lambda tau: tau * (1.0 + eta) >= fast, fast)
+    reach_slow = least(lambda tau: tau * (1.0 - eta) >= slow, slow)
+    for tau, decided in ((reach_fast, False), (math.nextafter(reach_fast, 0.0), True),
+                         (reach_slow, True), (math.nextafter(reach_slow, 0.0), False)):
+        assert (_assert_staircase_is_exact(dg, speed, tau) is None) == decided, tau
 
 
 def test_staircase_property_draws_reach_their_ranges(monkeypatch):
