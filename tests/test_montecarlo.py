@@ -1326,8 +1326,8 @@ def test_staircase_scalar_check_decides_only_past_its_margin():
     dg, speed = derive_geometry(KM_CELL), SpeedModel.uniform(40.0, 60.0)
     fast = montecarlo._fastest_time(dg, speed.vmax_mps)
     slow = dg.trigger_to_chord_m / math.cos(dg.chord_half_angle_rad) / speed.vmin_mps
-    reach_fast = least(lambda tau: tau * (1.0 + eta) >= fast, fast)
-    reach_slow = least(lambda tau: tau * (1.0 - eta) >= slow, slow)
+    reach_fast = least(lambda tau: tau * (1.0 + eta) >= fast, fast / (1.0 + eta))
+    reach_slow = least(lambda tau: tau * (1.0 - eta) >= slow, slow / (1.0 - eta))
     for tau, decided in ((reach_fast, False), (math.nextafter(reach_fast, 0.0), True),
                          (reach_slow, True), (math.nextafter(reach_slow, 0.0), False)):
         assert (_assert_staircase_is_exact(dg, speed, tau) is None) == decided, tau
