@@ -206,10 +206,16 @@ def _sample(ctl: SimControls, workers: int, step, drawn: bool = False) -> int:
     one call per chunk.  u_h holds the chunk's heading grid values, u_v its
     speed grid values when drawn (else None), mask 2*len(u_h) or more spare
     bools, and at the index of the chunk's first sample among all of ctl's;
-    the three arrays are buffers allocated once per worker, which step may
-    overwrite.  A step that is an int, the share 0 or 1 of a screen that
-    decides every grid value alike, gives share * samples without a draw, a
-    buffer or a thread.
+    the three arrays are buffers allocated once per worker and call, which
+    step may overwrite.  A step that is an int, the share 0 or 1 of a screen
+    that decides every grid value alike, gives share * samples without a
+    draw, a buffer or a thread.
+
+    The chunks are dealt over min(workers, chunks) workers, and the calling
+    thread is worker 0: it takes chunks 0, w, 2w, ... while w - 1 pool
+    threads take the others, so a call of one chunk, or at workers=1,
+    starts no thread.  The sum, and so every output byte, is the same under
+    any worker count.
     """
     # a plain int skips the ABC check, which costs as much as a decided screen's arithmetic
     if not (type(workers) is int or not isinstance(workers, bool) and isinstance(workers, numbers.Integral)) or workers < 1:
@@ -262,15 +268,17 @@ def _sample(ctl: SimControls, workers: int, step, drawn: bool = False) -> int:
     # chunks are dealt to workers in a fixed way, worker w taking chunks w,
     # w + workers, ... lazily, so no schedule is held; steps return integers
     # and write only a chunk's own slots, so no result depends on the worker
-    # count
+    # count.  The calling thread is worker 0, so a call starts workers - 1
+    # threads, each with its own buffers.
     workers = min(int(workers), n_chunks)
     jobs = [map(chunk, range(w, n_chunks, workers)) for w in range(workers)]
     if workers == 1:
         return run(jobs[0])
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(run, jobs))
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        rest = pool.map(run, jobs[1:])  # submits every job before the caller's share starts
+        return run(jobs[0]) + sum(rest)
 
 
 def _times(dg: DerivedGeometry, speed: SpeedModel, u_h, u_v=None, out=None):
@@ -461,6 +469,11 @@ def estimate_false_handoff(geom: CellGeometry, ctl: SimControls, *, workers: int
     Headings are drawn uniformly over the full circle; the hit/miss decision
     is pure segment intersection, so this estimate is a genuinely independent
     check of the closed-form false-handoff probability.
+
+    `workers` (an int >= 1) deals the sample's chunks of 2**16 samples over
+    that many threads, the calling thread taking one share; the estimate is
+    byte-identical under any worker count.  On a 2-vCPU host, workers=2 did
+    not pay below about 2**18 samples (four chunks).
     """
     return _binomial(ctl.samples - _sample(ctl, workers, _screen(derive_geometry(geom), None, None)[1]), ctl)
 
@@ -480,6 +493,11 @@ def estimate_failure(
     its speed.  `speed` is either a fixed value in m/s or a SpeedModel;
     uniform models draw one speed per trajectory.  The count is the one a
     time per trajectory gives, found by a screen (see the module docstring).
+
+    `workers` is estimate_false_handoff's: the calling thread takes one
+    share of the chunks, the estimate is byte-identical under any worker
+    count, and on a 2-vCPU host workers=2 did not pay below about 2**18
+    samples.
     """
     tau = _real_or_nan(tau_s)
     if not (math.isfinite(tau) and tau >= 0):
@@ -501,6 +519,10 @@ def crossing_time_ecdf(
     float per draw, so its memory grows with ctl.samples, unlike the
     estimators': a 2**20-sample call peaks at 9.0 bytes a sample under
     tracemalloc, the sample's 8 and the chunk buffers and KS blocks.
+    `workers` is estimate_false_handoff's: the calling thread takes one
+    share of the chunks, the sample is byte-identical under any worker
+    count, and on a 2-vCPU host workers=2 did not pay below about 2**18
+    samples.
 
     The statistic is the one a per-sample loop over the scalar
     crossing_time_cdf gives, bit for bit, found by a screen on the model

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -215,6 +216,56 @@ def test_kernel_sums_one_step_call_per_chunk(monkeypatch, drawn, batches, worker
 
     monkeypatch.setattr(montecarlo, "_thread_generator", no_draw)
     assert [montecarlo._sample(ctl, workers, share, drawn) for share in (0, 1)] == [0, ctl.samples]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_chunks", [1, 2, 5])
+def test_calling_thread_computes_worker_0s_chunks(workers, n_chunks):
+    # the caller is worker 0 and takes chunks 0, w, 2w, ... of the deal over
+    # w = min(workers, n_chunks) workers; the other w - 1 threads take the
+    # rest.  Each thread's first chunk waits until all w have one, so a pool
+    # that ran two shares on one thread would time out here, not pass.
+    ctl = SimControls(samples=n_chunks * montecarlo._CHUNK - 3, seed=12)
+    w = min(workers, n_chunks)
+    before = threading.active_count()
+    barrier, seen, lock = threading.Barrier(w), {}, threading.Lock()
+
+    def step(u_h, u_v, mask, at):
+        me = threading.get_ident()
+        with lock:
+            first = me not in seen.values()
+            seen[at // montecarlo._CHUNK] = me
+        if first:
+            barrier.wait(timeout=10)
+        assert threading.active_count() == before + w - 1
+        return len(u_h)
+
+    assert montecarlo._sample(ctl, workers, step) == ctl.samples
+    assert sorted(seen) == list(range(n_chunks))
+    caller = threading.get_ident()
+    assert sorted(j for j, who in seen.items() if who == caller) == list(range(0, n_chunks, w))
+    assert len(set(seen.values())) == w
+    assert threading.active_count() == before
+
+
+class _StepFailed(Exception):
+    """Raised by a spy step on one chunk."""
+
+
+@pytest.mark.parametrize("chunk", [0, 1], ids=["caller", "pool-thread"])
+def test_a_failing_step_propagates_and_leaves_no_thread(chunk):
+    # chunk 0 is the calling thread's, chunk 1 a pool thread's at workers=2
+    ctl = SimControls(samples=3 * montecarlo._CHUNK, seed=13)
+    before = threading.active_count()
+
+    def step(u_h, u_v, mask, at):
+        if at // montecarlo._CHUNK == chunk:
+            raise _StepFailed(chunk)
+        return len(u_h)
+
+    with pytest.raises(_StepFailed):
+        montecarlo._sample(ctl, 2, step)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("workers", [True, False, 0, -3, 2.5, "2", None, np.int64(2)])
@@ -655,15 +706,25 @@ def test_fixed_speed_count_equals_the_ecdf_times_below_tau(geom, v):
 
 
 def test_memory_is_bounded_by_the_chunk():
-    # 2e6 samples in one batch would need ~146 MB drawn whole
+    # 2e6 samples in one batch would need ~146 MB drawn whole.  A second
+    # worker adds one thread's chunk buffers: two draw buffers, the mask and
+    # the staircase's two gather blocks (1.31 MB here), with 256 KB of slack
+    # for the band's gathers and the thread's generator (it took 78 KB); the
+    # calling thread computes worker 0's share in its own buffers
     ctl = SimControls(samples=2_000_000, seed=4)
-    tracemalloc.start()
-    try:
-        estimate_failure(KM_CELL, SpeedModel.uniform(40.0, 60.0), 3.0, ctl, workers=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    uniform = SpeedModel.uniform(40.0, 60.0)
+    estimate_failure(KM_CELL, uniform, 3.0, SimControls(2**17, 1), workers=2)  # imports the thread pool
+    peaks = {}
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            estimate_failure(KM_CELL, uniform, 3.0, ctl, workers=workers)
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 16 * 2**20
+    one_chunk = 2 * (montecarlo._CHUNK + 3) * 8 + 2 * montecarlo._CHUNK + 2 * montecarlo._BLOCK * 8
+    assert peaks[2] < peaks[1] + one_chunk + 2**18, peaks
 
 
 class _FirstChunk(Exception):
