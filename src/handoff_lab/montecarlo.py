@@ -268,8 +268,8 @@ def _sample(ctl: SimControls, workers: int, step, drawn: bool = False) -> int:
     # chunks are dealt to workers in a fixed way, worker w taking chunks w,
     # w + workers, ... lazily, so no schedule is held; steps return integers
     # and write only a chunk's own slots, so no result depends on the worker
-    # count.  The calling thread is worker 0, so a call starts workers - 1
-    # threads, each with its own buffers.
+    # count.  The caller computes worker 0's share in its own thread: a new
+    # thread's buffers come from memory that stays resident after the call.
     workers = min(int(workers), n_chunks)
     jobs = [map(chunk, range(w, n_chunks, workers)) for w in range(workers)]
     if workers == 1:
@@ -520,9 +520,10 @@ def crossing_time_ecdf(
     estimators': a 2**20-sample call peaks at 9.0 bytes a sample under
     tracemalloc, the sample's 8 and the chunk buffers and KS blocks.
     `workers` is estimate_false_handoff's: the calling thread takes one
-    share of the chunks, the sample is byte-identical under any worker
-    count, and on a 2-vCPU host workers=2 did not pay below about 2**18
-    samples.
+    share of the chunks and the sample is byte-identical under any worker
+    count.  The sort and the KS step run on the calling thread alone, so
+    on a 2-vCPU host workers=2 did not pay below about 2**18 samples and
+    saved at most a quarter of the call from 2**18 to 2**21.
 
     The statistic is the one a per-sample loop over the scalar
     crossing_time_cdf gives, bit for bit, found by a screen on the model
